@@ -1,0 +1,9 @@
+"""Make the package source and the benchmark modules importable."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for path in (ROOT / "src", ROOT / "bench"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
