@@ -44,6 +44,7 @@ from .oracles import (
 from .spa import critical_p, spa_region, spa_state
 from .states import detects_rho_family, rho_eps
 from .witnesses import (
+    WitnessMatrix,
     decompose_tilde,
     exact_witness_entries,
     matrix_entries,
@@ -58,10 +59,11 @@ DEFAULT_SEED = 7
 
 
 def _default_seed() -> int:
+    text = os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED))
     try:
-        return int(os.environ.get(SEED_ENV_VAR, DEFAULT_SEED))
+        return int(text)
     except ValueError:
-        return DEFAULT_SEED
+        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {text!r}") from None
 
 
 def _parse_number(text: str) -> Fraction:
@@ -128,12 +130,10 @@ def _witness_of_kind(p: MapParams, kind: str):
     raise ValueError(f"unknown witness kind {kind!r}")
 
 
-def _matrix_payload(M, params: Optional[MapParams], kind: str) -> tuple[object, bool]:
-    if params is not None and params.is_exact:
-        exact_kind = {"u": "u_conjugated"}.get(kind, kind)
-        if exact_kind in ("standard", "tilde", "u_conjugated"):
-            return exact_witness_entries(params, exact_kind), True
-    return matrix_entries(M), False
+def _matrix_payload(W: WitnessMatrix) -> tuple[object, bool]:
+    if W.params is not None and W.params.is_exact:
+        return exact_witness_entries(W.params, W.kind), True
+    return matrix_entries(W.matrix), False
 
 
 def _write_record(args, command: str, inputs: dict, results: dict) -> None:
@@ -198,7 +198,7 @@ def _cmd_witness(args) -> int:
         _emit(args, _csv_matrix(W.matrix))
         return 0
     cfg = _seesaw_config(args)
-    entries, exact = _matrix_payload(W.matrix, p, args.kind)
+    entries, exact = _matrix_payload(W)
     results = {
         "params": _encode_params(p),
         "kind": W.kind,
@@ -332,6 +332,7 @@ def _cmd_sweep(args) -> int:
     coeffs = improper_coeffs if args.improper else so2_coeffs
     family = "improper" if args.improper else "proper"
     if args.what == "rank":
+        cfg = _seesaw_config(args)
         print("note: span-rank sweep runs a see-saw search per angle (slow)", file=sys.stderr)
     rows = []
     for alpha in np.linspace(0.0, 2 * math.pi, n, endpoint=False):
@@ -347,7 +348,6 @@ def _cmd_sweep(args) -> int:
             row["p_star"] = critical_p(p)
         elif args.what == "rank":
             W = witness_tilde_matrix(p) if args.improper else witness_matrix(p)
-            cfg = _seesaw_config(args)
             zeros = zero_product_vectors(W.matrix, cfg)
             row["zero_count"] = len(zeros)
             row["span_rank"] = span_rank(zeros)

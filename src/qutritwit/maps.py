@@ -101,39 +101,30 @@ def _require_slice(p: MapParams, tol: float = SLICE_TOL) -> None:
         raise ValueError(f"parameters {p.astuple()} are off the plane a+b+c = 2")
 
 
-def circulant_rows(p: MapParams):
-    """Rows of the diagonal action of Phi[a,b,c] (up to normalization)."""
-    a, b, c = p.astuple()
-    return ((a, b, c), (c, a, b), (b, c, a))
+# Rows of each family's diagonal action (up to normalization and the +1 on
+# the diagonal), as positions in (a, b, c); the module docstring shows them.
+_ROWS = {
+    "circulant": ((0, 1, 2), (2, 0, 1), (1, 2, 0)),
+    "improper": ((0, 1, 2), (1, 2, 0), (2, 0, 1)),
+}
 
 
-def improper_rows(p: MapParams):
-    """Rows of the diagonal action of the improper-family map."""
-    a, b, c = p.astuple()
-    return ((a, b, c), (b, c, a), (c, a, b))
+def _rows(p: MapParams, kind: str) -> list[list[Number]]:
+    """The family's diagonal-action rows in the parameters' own arithmetic."""
+    abc = p.astuple()
+    return [[abc[k] for k in row] for row in _ROWS[kind]]
+
+
+def _diagonal_action(p: MapParams, X, kind: str) -> Array:
+    """diag((rows + I) diag(X)): the family's completely positive part."""
+    x = np.diag(np.asarray(X, dtype=complex))
+    D = np.array(_rows(p, kind), dtype=float) + np.eye(3)
+    return np.diag(D @ x)
 
 
 def apply_D(p: MapParams, X) -> Array:
     """Completely positive diagonal map D[a,b,c]."""
-    X = np.asarray(X, dtype=complex)
-    a, b, c = p.asfloats()
-    x = np.diag(X)
-    out = np.zeros_like(X)
-    out[0, 0] = (a + 1) * x[0] + b * x[1] + c * x[2]
-    out[1, 1] = c * x[0] + (a + 1) * x[1] + b * x[2]
-    out[2, 2] = b * x[0] + c * x[1] + (a + 1) * x[2]
-    return out
-
-
-def _apply_D_tilde(p: MapParams, X) -> Array:
-    X = np.asarray(X, dtype=complex)
-    a, b, c = p.asfloats()
-    x = np.diag(X)
-    out = np.zeros_like(X)
-    out[0, 0] = (a + 1) * x[0] + b * x[1] + c * x[2]
-    out[1, 1] = b * x[0] + (c + 1) * x[1] + a * x[2]
-    out[2, 2] = c * x[0] + a * x[1] + (b + 1) * x[2]
-    return out
+    return _diagonal_action(p, X, "circulant")
 
 
 def apply_phi(p: MapParams, X) -> Array:
@@ -145,7 +136,7 @@ def apply_phi(p: MapParams, X) -> Array:
 def apply_phi_tilde(p: MapParams, X) -> Array:
     """Improper-family map applied to X."""
     X = np.asarray(X, dtype=complex)
-    return float(n_abc(p)) * (_apply_D_tilde(p, X) - X)
+    return float(n_abc(p)) * (_diagonal_action(p, X, "improper") - X)
 
 
 def classify(p: MapParams) -> MapClass:
@@ -316,8 +307,10 @@ def stochastic_matrix(p: MapParams, kind: str = "circulant") -> Array:
     family yields (1/2) * [[a,b,c],[b,c,a],[c,a,b]] and is not circulant.
     """
     if kind == "circulant":
-        return float(n_abc(p)) * np.array(circulant_rows(p), dtype=float)
-    if kind == "improper":
+        scale = float(n_abc(p))
+    elif kind == "improper":
         _require_slice(p)
-        return 0.5 * np.array(improper_rows(p), dtype=float)
-    raise ValueError("kind must be 'circulant' or 'improper'")
+        scale = 0.5
+    else:
+        raise ValueError("kind must be 'circulant' or 'improper'")
+    return scale * np.array(_rows(p, kind), dtype=float)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import Array
-from .maps import MapParams, Number
+from .maps import MapParams, Number, _require_slice
 from .states import BipartiteState, sigma_diag, sigma_pair
 from .witnesses import WitnessMatrix, witness_matrix
 
@@ -69,8 +69,7 @@ def critical_p(p: MapParams) -> float:
 
     Returns 0 for a >= 2, where the witness is already PSD.
     """
-    if not p.on_slice():
-        raise ValueError(f"parameters {p.astuple()} are off the plane a+b+c = 2")
+    _require_slice(p)
     a = float(p.a)
     if a >= 2:
         return 0.0
@@ -101,8 +100,7 @@ def spa_state(p: MapParams) -> SpaResult:
     scale * (sigma_12 + sigma_13 + sigma_23 + sigma_d) with
     scale = 1 / (3 (2 + 3(2-a))); outside it no separability claim is made.
     """
-    if not p.on_slice():
-        raise ValueError(f"parameters {p.astuple()} are off the plane a+b+c = 2")
+    _require_slice(p)
     a, b, c = p.asfloats()
     if a >= 2:
         raise ValueError("requires a < 2; the witness is already PSD")

@@ -22,11 +22,10 @@ import numpy as np
 
 from . import linalg
 from .linalg import Array, partial_transpose
-from .maps import MapParams, n_abc
-from .witnesses import witness_matrix
+from .maps import MapParams, _require_slice, n_abc
+from .witnesses import _DOUBLE, witness_matrix
 
-# Flat composite indices: |ii>, the cycle |i,i+1>, and the cycle |i,i+2>.
-_DOUBLE = (0, 4, 8)
+# Flat composite indices of the cycles |i,i+1> and |i,i+2>.
 _UP = (1, 5, 6)
 _DOWN = (2, 3, 7)
 
@@ -139,8 +138,7 @@ def sigma_diag(p: MapParams) -> BipartiteState:
 
     PSD exactly when 2b+c >= 1 and 2c+b >= 1; returned as-is otherwise.
     """
-    if not p.on_slice():
-        raise ValueError(f"parameters {p.astuple()} are off the plane a+b+c = 2")
+    _require_slice(p)
     _, b, c = p.asfloats()
     M = np.zeros((9, 9), dtype=complex)
     for i in _UP:

@@ -31,9 +31,9 @@ from .maps import (
     MapParams,
     Number,
     SLICE_TOL,
-    circulant_rows,
+    _require_slice,
+    _rows,
     improper_coeffs,
-    improper_rows,
     n_abc,
     so2_coeffs,
 )
@@ -42,6 +42,15 @@ WITNESS_KINDS = ("standard", "tilde", "u_conjugated", "mixed")
 
 # Flat composite indices of the product kets |ii>.
 _DOUBLE = (0, 4, 8)
+
+# Each witness kind: the map family whose rows fill its diagonal, and the flat
+# indices carrying the -1 off-diagonal grid.  The level swap U (x) I sends the
+# |ii> to (0, 5, 7) and the circulant rows to the improper ones.
+_KINDS = {
+    "standard": ("circulant", _DOUBLE),
+    "tilde": ("improper", _DOUBLE),
+    "u_conjugated": ("improper", (0, 5, 7)),
+}
 
 
 @dataclass(frozen=True)
@@ -76,34 +85,41 @@ class DecompositionCertificate:
         return float(np.linalg.norm(self.P + partial_transpose(self.Q, "second") - self.scale * W))
 
 
-def _witness_from_rows(rows, prefactor: Number, params: MapParams, kind: str) -> WitnessMatrix:
-    """Assemble prefactor * [row-grouped diagonal - 1 on the |ii><jj| grid].
-
-    Entries are computed in the parameters' native arithmetic (exact for
-    rational inputs) before conversion to floats.
+def _witness_grid(p: MapParams, kind: str) -> list[list[Number]]:
+    """Entries N/3 * [row-grouped diagonal - 1 on the |ii><jj| grid] of a
+    witness kind, in the parameters' own arithmetic (exact for rationals).
+    The kinds other than "standard" are defined on the plane a+b+c = 2.
     """
-    M = np.zeros((9, 9), dtype=complex)
+    if kind not in _KINDS:
+        raise ValueError(f"unsupported kind {kind!r}")
+    if kind != "standard":
+        _require_slice(p)
+    family, doubles = _KINDS[kind]
+    rows = _rows(p, family)
+    pref = n_abc(p) / 3
+    grid = [[0 * pref] * 9 for _ in range(9)]
     for i in range(3):
         for l in range(3):
-            M[3 * i + l, 3 * i + l] = float(prefactor * rows[i][l])
-    off = -float(prefactor)
-    for i in _DOUBLE:
-        for j in _DOUBLE:
+            grid[3 * i + l][3 * i + l] = pref * rows[i][l]
+    for i in doubles:
+        for j in doubles:
             if i != j:
-                M[i, j] = off
-    return WitnessMatrix(M, params, kind)
+                grid[i][j] = -pref
+    return grid
+
+
+def _witness(p: MapParams, kind: str) -> WitnessMatrix:
+    return WitnessMatrix(np.array(_witness_grid(p, kind), dtype=complex), p, kind)
 
 
 def witness_matrix(p: MapParams) -> WitnessMatrix:
     """Witness of the circulant-family map with parameters (a, b, c)."""
-    return _witness_from_rows(circulant_rows(p), n_abc(p) / 3, p, "standard")
+    return _witness(p, "standard")
 
 
 def witness_tilde_matrix(p: MapParams) -> WitnessMatrix:
     """Witness of the improper-family map; defined on the plane a+b+c = 2."""
-    if not p.on_slice():
-        raise ValueError(f"parameters {p.astuple()} are off the plane a+b+c = 2")
-    return _witness_from_rows(improper_rows(p), n_abc(p) / 3, p, "tilde")
+    return _witness(p, "tilde")
 
 
 def permutation_unitary() -> Array:
@@ -112,12 +128,12 @@ def permutation_unitary() -> Array:
 
 
 def witness_u(p: MapParams) -> WitnessMatrix:
-    """Local-unitary conjugation (U (x) I) W[a,b,c] (U (x) I)^dagger."""
-    if not p.on_slice():
-        raise ValueError(f"parameters {p.astuple()} are off the plane a+b+c = 2")
-    W = witness_matrix(p).matrix
-    U9 = kron(permutation_unitary(), np.eye(3))
-    return WitnessMatrix(U9 @ W @ U9.conj().T, p, "u_conjugated")
+    """Local-unitary conjugation (U (x) I) W[a,b,c] (U (x) I)^dagger.
+
+    U is a permutation, so the entries are those of W moved to new places;
+    they are built directly.  Defined on the plane a+b+c = 2.
+    """
+    return _witness(p, "u_conjugated")
 
 
 def max_entangled_ket() -> Array:
@@ -184,8 +200,7 @@ def decompose_tilde(p: MapParams, tol: float = SLICE_TOL) -> DecompositionCertif
     P and Q are affine in (a, b, c), the combined pair is again a valid
     certificate.
     """
-    if not p.on_slice():
-        raise ValueError(f"parameters {p.astuple()} are off the plane a+b+c = 2")
+    _require_slice(p)
     a, b, c = p.asfloats()
     gap = b * c - (1 - a) ** 2
     if gap < -tol:
@@ -237,10 +252,6 @@ def matrix_entries(M: Array) -> list[list[list[float]]]:
     return [[[float(z.real), float(z.imag)] for z in row] for row in A]
 
 
-def _format_fraction(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
 def exact_witness_entries(p: MapParams, kind: str = "standard") -> list[list[str]]:
     """The witness entries as exact rational strings "p/q".
 
@@ -249,27 +260,5 @@ def exact_witness_entries(p: MapParams, kind: str = "standard") -> list[list[str
     """
     if not p.is_exact:
         raise ValueError("exact entries require rational parameters")
-    a, b, c = (Fraction(x) for x in p.astuple())
-    pref = Fraction(1) / (3 * (a + b + c))
-    if kind == "standard":
-        rows = ((a, b, c), (c, a, b), (b, c, a))
-        doubles = _DOUBLE
-    elif kind == "tilde":
-        rows = ((a, b, c), (b, c, a), (c, a, b))
-        doubles = _DOUBLE
-    elif kind == "u_conjugated":
-        rows = ((a, b, c), (b, c, a), (c, a, b))
-        doubles = (0, 5, 7)  # images of |ii> under the level swap
-    else:
-        raise ValueError(f"unsupported kind {kind!r}")
-    if kind != "standard" and not p.on_slice():
-        raise ValueError("tilde and u_conjugated kinds require a+b+c = 2")
-    grid = [[Fraction(0)] * 9 for _ in range(9)]
-    for i in range(3):
-        for l in range(3):
-            grid[3 * i + l][3 * i + l] = pref * rows[i][l]
-    for i in doubles:
-        for j in doubles:
-            if i != j:
-                grid[i][j] = -pref
-    return [[_format_fraction(x) for x in row] for row in grid]
+    exact = MapParams(*(Fraction(x) for x in p.astuple()))
+    return [[str(x) for x in row] for row in _witness_grid(exact, kind)]

@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from qutritwit.cli import main
 
@@ -230,6 +231,22 @@ class TestOutputHandling:
         monkeypatch.setenv("QUTRITWIT_SEED", "123")
         record = run_json(capsys, ["witness", "--alpha", "0.4", "--restarts", "10"])
         assert record["results"]["seesaw"]["seed"] == 123
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["witness", "--bc", "1", "1", "--restarts", "16"],
+            ["sweep", "--alpha-grid", "2", "--what", "rank", "--restarts", "10"],
+        ],
+    )
+    def test_invalid_env_seed_exits_2(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("QUTRITWIT_SEED", "abc")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:") and "QUTRITWIT_SEED" in lines[0]
 
     def test_explicit_seed_overrides_env(self, capsys, monkeypatch):
         monkeypatch.setenv("QUTRITWIT_SEED", "123")

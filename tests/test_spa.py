@@ -149,3 +149,7 @@ class TestSpaState:
     def test_rejects_cp_corner(self):
         with pytest.raises(ValueError):
             spa_state(MapParams(2, 0, 0))
+
+    def test_rejects_off_slice(self):
+        with pytest.raises(ValueError, match="off the plane"):
+            spa_state(MapParams(1, 1, 1))

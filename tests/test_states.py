@@ -158,6 +158,10 @@ class TestSigmaStates:
         s = sigma_diag(MapParams(Fraction(4, 3), Fraction(1, 3), Fraction(1, 3)))
         assert np.linalg.norm(s.matrix) == 0
 
+    def test_diag_rejects_off_slice(self):
+        with pytest.raises(ValueError, match="off the plane"):
+            sigma_diag(MapParams(1, 1, 1))
+
     def test_diag_psd_iff_region(self):
         cases = [((1, 0.2, 0.8), True), ((1, 0.9, 0.1), True), ((1.4, 0.1, 0.5), False)]
         for abc, expect in cases:

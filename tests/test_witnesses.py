@@ -126,6 +126,10 @@ class TestPermutedWitness:
             p = random_slice_params(rng)
             assert np.linalg.norm(witness_u(p).matrix - u_display(p)) < 1e-14
 
+    def test_rejects_off_slice(self):
+        with pytest.raises(ValueError, match="off the plane"):
+            witness_u(MapParams(1, 1, 1))
+
     def test_same_diagonal_as_tilde(self):
         p = MapParams(1, 1, 0)
         assert np.allclose(np.diag(witness_u(p).matrix), np.diag(witness_tilde_matrix(p).matrix), atol=0)
@@ -244,12 +248,24 @@ class TestSerialization:
             exact_witness_entries(MapParams(0.1, 1.0, 0.9), "standard")
 
     def test_exact_entries_match_floats(self):
-        p = MapParams(Fraction(2, 3), Fraction(2, 3), Fraction(2, 3))
-        for kind, build in (
-            ("standard", witness_matrix),
-            ("tilde", witness_tilde_matrix),
-            ("u_conjugated", witness_u),
-        ):
-            entries = exact_witness_entries(p, kind)
-            rebuilt = np.array([[float(Fraction(cell)) for cell in row] for row in entries])
-            assert np.array_equal(rebuilt, build(p).matrix.real)
+        # (2/3, 2/3, 2/3) has a = b = c and cannot tell the row patterns apart;
+        # the asymmetric fixtures can.
+        U9 = kron(permutation_unitary(), np.eye(3))
+        fixtures = ["2/3 2/3 2/3", "1 1 0", "0 1 1", "1/2 1 1/2", "1/3 1/2 7/6"]
+        for abc in fixtures:
+            p = MapParams(*(Fraction(x) for x in abc.split()))
+            for kind, build in (
+                ("standard", lambda q: witness_matrix(q).matrix),
+                ("tilde", lambda q: witness_tilde_matrix(q).matrix),
+                ("u_conjugated", lambda q: witness_u(q).matrix),
+                # The defining conjugation, independent of how witness_u is built.
+                ("u_conjugated", lambda q: U9 @ witness_matrix(q).matrix @ U9.T),
+            ):
+                entries = exact_witness_entries(p, kind)
+                rebuilt = np.array([[float(Fraction(cell)) for cell in row] for row in entries])
+                assert np.array_equal(rebuilt, build(p).real), (abc, kind)
+
+    @pytest.mark.parametrize("kind", ["tilde", "u_conjugated"])
+    def test_exact_entries_reject_off_slice(self, kind):
+        with pytest.raises(ValueError, match="off the plane"):
+            exact_witness_entries(MapParams(1, 1, 1), kind)
