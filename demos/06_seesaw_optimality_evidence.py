@@ -6,7 +6,7 @@ vectors numerically: the reduction witness reaches span rank 9, the two Choi
 witnesses stop at 7, and intermediate boundary angles are recorded as
 measured (no asserted target).
 
-Run:  python demos/06_seesaw_optimality_evidence.py   (takes ~10 s)
+Run:  python demos/06_seesaw_optimality_evidence.py   (takes a few seconds)
 """
 
 import numpy as np

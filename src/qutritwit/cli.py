@@ -218,8 +218,8 @@ def _cmd_detect(args) -> int:
     lo, hi, count = args.eps_grid
     lo, hi = float(lo), float(hi)
     count = int(count)
-    if lo <= 0 or hi <= lo or count < 2:
-        raise ValueError("--eps-grid requires 0 < LO < HI and N >= 2")
+    if not 0 < lo < hi < math.inf or count < 2:
+        raise ValueError("--eps-grid requires 0 < LO < HI < inf and N >= 2")
     inputs["kind"] = args.kind
     inputs["eps_grid"] = [lo, hi, count]
     grid = np.linspace(lo, hi, count)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import cos, pi, sin, sqrt
+from math import cos, isfinite, pi, sin, sqrt
 from typing import Callable
 
 import numpy as np
@@ -54,6 +54,13 @@ class MapParams:
     c: Number
 
     def __post_init__(self):
+        for name, x in zip("abc", self.astuple()):
+            try:
+                finite = isfinite(x)
+            except OverflowError:
+                raise ValueError(f"parameter {name} is too large for a float") from None
+            if not finite:
+                raise ValueError(f"parameter {name} must be finite, got {x}")
         if min(self.a, self.b, self.c) < 0:
             raise ValueError(f"parameters must be non-negative, got {self.astuple()}")
         if self.a + self.b + self.c == 0:
@@ -161,7 +168,7 @@ def classify(p: MapParams) -> MapClass:
 
 def slice_params(b: Number, c: Number) -> MapParams:
     """Lift (b, c) to the plane a+b+c = 2, i.e. (2-b-c, b, c)."""
-    if b < 0 or c < 0 or float(b + c) > 2 + 1e-12:
+    if b < 0 or c < 0 or b + c > 2 + 1e-12:
         raise ValueError(f"(b, c) = ({b}, {c}) is outside the simplex")
     a = 2 - b - c
     if a < 0:  # roundoff from b + c = 2

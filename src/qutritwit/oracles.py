@@ -64,32 +64,64 @@ def _random_units(rng: np.random.Generator, count: int) -> Array:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _seesaw_batch(
-    W4: Array, psi: Array, phi: Array, max_iters: int, tol: float
-) -> tuple[Array, Array, Array, Array]:
+@dataclass(frozen=True)
+class SeeSawResult:
+    """Final state of a batch of see-saw restarts, one row per restart.
+
+    ``iterations[r]`` counts the full alternations restart r ran before it
+    stopped; ``converged[r]`` says whether its last step lowered the value by
+    less than ``tol``.  ``history[t]`` holds every restart's value after
+    iteration t + 1; a stopped restart repeats its final value, so each
+    column is non-increasing.
+    """
+
+    psi: Array
+    phi: Array
+    values: Array
+    iterations: Array
+    converged: Array
+    history: Array
+
+
+def _contract(x: Array, M: Array) -> Array:
+    """Hermitian 3x3 forms sum_{jl} conj(x_j) x_l M[(j,l), (i,k)], one per row."""
+    outer = (x.conj()[:, :, None] * x[:, None, :]).reshape(-1, 9)
+    A = (outer @ M).reshape(-1, 3, 3)
+    return (A + np.conj(np.transpose(A, (0, 2, 1)))) / 2
+
+
+def _seesaw_batch(W4: Array, psi: Array, phi: Array, max_iters: int, tol: float) -> SeeSawResult:
     """Alternate exact one-factor minimizations for a batch of starts.
 
-    Returns final (psi, phi, values, history) where history[t] holds the
-    batch values after full iteration t; each column is non-increasing.
+    Each restart stops at its own first iteration whose value drop is below
+    tol; only the restarts still running are contracted and diagonalized, so
+    a restart's result depends on its own start alone.
     """
-    values = np.full(psi.shape[0], inf)
+    # <psi (x) phi|W|psi (x) phi> as a form in psi (phi frozen) and in phi.
+    M_psi = W4.transpose(1, 3, 0, 2).reshape(9, 9)
+    M_phi = W4.transpose(0, 2, 1, 3).reshape(9, 9)
+    psi, phi = psi.copy(), phi.copy()
+    count = psi.shape[0]
+    values = np.full(count, inf)
+    iterations = np.zeros(count, dtype=int)
+    converged = np.zeros(count, dtype=bool)
+    active = np.arange(count)
     history = []
-    for _ in range(max_iters):
-        A = np.einsum("rj,ijkl,rl->rik", phi.conj(), W4, phi)
-        A = (A + np.conj(np.transpose(A, (0, 2, 1)))) / 2
-        _, vecs = np.linalg.eigh(A)
-        psi = vecs[:, :, 0]
-        B = np.einsum("ri,ijkl,rk->rjl", psi.conj(), W4, psi)
-        B = (B + np.conj(np.transpose(B, (0, 2, 1)))) / 2
-        w, vecs = np.linalg.eigh(B)
-        phi = vecs[:, :, 0]
-        new_values = w[:, 0]
-        history.append(new_values)
-        done = np.all(values - new_values < tol)
-        values = new_values
-        if done:
+    for t in range(1, max_iters + 1):
+        _, vecs = np.linalg.eigh(_contract(phi[active], M_psi))
+        new_psi = vecs[:, :, 0]
+        w, vecs = np.linalg.eigh(_contract(new_psi, M_phi))
+        psi[active] = new_psi
+        phi[active] = vecs[:, :, 0]
+        stop = values[active] - w[:, 0] < tol
+        values[active] = w[:, 0]
+        iterations[active] = t
+        converged[active[stop]] = True
+        history.append(values.copy())
+        active = active[~stop]
+        if active.size == 0:
             break
-    return psi, phi, values, np.array(history)
+    return SeeSawResult(psi, phi, values, iterations, converged, np.array(history))
 
 
 def _canonical_product(psi: Array, phi: Array) -> Array:
@@ -107,7 +139,7 @@ def _sort_key(value: float, psi: Array, phi: Array):
     return (value, tuple(np.round(u.real, 12)) + tuple(np.round(u.imag, 12)))
 
 
-def _run_seesaw(W, cfg: SeeSawConfig):
+def _run_seesaw(W, cfg: SeeSawConfig) -> SeeSawResult:
     M = linalg.require_hermitian(W, 1e-9)
     W4 = M.reshape(3, 3, 3, 3)
     rng = np.random.default_rng(cfg.rng_seed)
@@ -124,7 +156,8 @@ def min_product_expectation(W, cfg: SeeSawConfig | None = None) -> ProductVector
     result does not depend on evaluation order.
     """
     cfg = cfg or SeeSawConfig()
-    psi, phi, values, _ = _run_seesaw(W, cfg)
+    res = _run_seesaw(W, cfg)
+    psi, phi, values = res.psi, res.phi, res.values
     best = min(range(len(values)), key=lambda r: _sort_key(values[r], psi[r], phi[r]))
     return ProductVectorPair(psi[best], phi[best], float(values[best]))
 
@@ -149,7 +182,8 @@ def zero_product_vectors(
     vectors.  May return an empty list (e.g. strictly positive W).
     """
     cfg = cfg or SeeSawConfig()
-    psi, phi, values, _ = _run_seesaw(W, cfg)
+    res = _run_seesaw(W, cfg)
+    psi, phi, values = res.psi, res.phi, res.values
     idx = [r for r in range(len(values)) if values[r] <= ZERO_VALUE_TOL]
     idx.sort(key=lambda r: _sort_key(values[r], psi[r], phi[r]))
     kept: list[ProductVectorPair] = []

@@ -38,8 +38,6 @@ from .maps import (
     so2_coeffs,
 )
 
-WITNESS_KINDS = ("standard", "tilde", "u_conjugated", "mixed")
-
 # Flat composite indices of the product kets |ii>.
 _DOUBLE = (0, 4, 8)
 
@@ -51,6 +49,9 @@ _KINDS = {
     "tilde": ("improper", _DOUBLE),
     "u_conjugated": ("improper", (0, 5, 7)),
 }
+
+# The kind of a family map's Choi operator: the -1 grid sits on the |ii>.
+_CHOI_KINDS = {family: kind for kind, (family, doubles) in _KINDS.items() if doubles == _DOUBLE}
 
 
 @dataclass(frozen=True)
@@ -155,7 +156,7 @@ def choi_witness(
     """
     if kind is None:
         tag = getattr(phi, "kind", None)
-        kind = {"circulant": "standard", "improper": "tilde"}.get(tag, "standard")
+        kind = _CHOI_KINDS.get(tag, "standard")
     W = np.zeros((9, 9), dtype=complex)
     for i in range(3):
         for j in range(3):

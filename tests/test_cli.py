@@ -55,6 +55,25 @@ class TestClassify:
         assert main(["classify", "1", "1", "0", "--bc", "1", "1"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--alpha", "nan"],
+            ["classify", "--alpha", "inf"],
+            ["classify", "1", "1", "1e400"],
+            ["classify", "--bc", "1e400", "1"],
+            ["witness", "--alpha", "nan", "--restarts", "4"],
+            ["detect", "1", "1", "0", "--eps-grid", "nan", "2", "5"],
+            ["detect", "1", "1", "0", "--eps-grid", "0.1", "inf", "5"],
+        ],
+    )
+    def test_non_finite_input_exits_2(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
 
 class TestWitness:
     def test_exact_rational_matrix(self, capsys):

@@ -50,6 +50,17 @@ class TestParams:
         with pytest.raises(ValueError):
             MapParams(0, 0, 0)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [float("nan"), float("inf"), -float("inf"), 10**400, Fraction(10) ** 400],
+        ids=["nan", "inf", "-inf", "huge_int", "huge_fraction"],
+    )
+    def test_rejects_non_finite_and_overflowing(self, bad):
+        with pytest.raises(ValueError):
+            MapParams(bad, 1, 1)
+        with pytest.raises(ValueError):
+            MapParams(1, 1, bad)
+
 
 class TestDiagonalMap:
     def test_reduction_case(self):

@@ -6,7 +6,9 @@ from qutritwit.maps import MapParams, apply_phi
 from qutritwit.oracles import (
     ProductVectorPair,
     SeeSawConfig,
+    _random_units,
     _run_seesaw,
+    _seesaw_batch,
     indecomposability_certificate,
     is_block_positive,
     is_cp_choi,
@@ -60,7 +62,7 @@ class TestMinProductExpectation:
     def test_monotone_value_histories(self):
         W = witness_matrix(MapParams(0.9, 0.8, 0.3)).matrix
         cfg = SeeSawConfig(restarts=12, max_iters=60, rng_seed=5)
-        _, _, _, history = _run_seesaw(W, cfg)
+        history = _run_seesaw(W, cfg).history
         diffs = np.diff(history, axis=0)
         assert np.max(diffs) <= 1e-12
 
@@ -72,6 +74,48 @@ class TestMinProductExpectation:
         assert r1.value == r2.value
         assert np.array_equal(r1.psi, r2.psi)
         assert np.array_equal(r1.phi, r2.phi)
+
+
+class TestSeeSawEngine:
+    """Per-restart stopping at the Choi point, where a few restarts stall."""
+
+    cfg = SeeSawConfig()
+
+    @pytest.fixture(scope="class")
+    def choi(self):
+        W = witness_matrix(MapParams(1, 1, 0)).matrix
+        return W, _run_seesaw(W, self.cfg)
+
+    def test_restart_depends_only_on_its_start(self, choi):
+        W, res = choi
+        rng = np.random.default_rng(self.cfg.rng_seed)
+        psi0 = _random_units(rng, self.cfg.restarts)
+        phi0 = _random_units(rng, self.cfg.restarts)
+        order = np.argsort(res.iterations, kind="stable")
+        for r in order[[0, 50, 100, 150, -1]]:
+            alone = _seesaw_batch(
+                W.reshape(3, 3, 3, 3), psi0[r : r + 1], phi0[r : r + 1], self.cfg.max_iters, self.cfg.tol
+            )
+            assert abs(alone.values[0] - res.values[r]) <= 1e-12, r
+            assert alone.iterations[0] == res.iterations[r], r
+
+    def test_work_counter(self, choi):
+        # Running every restart to the slowest one's count would cost 100,000.
+        _, res = choi
+        assert np.sum(res.iterations) <= 30_000
+
+    def test_converged_mask_and_history(self, choi):
+        _, res = choi
+        capped = res.iterations == self.cfg.max_iters
+        last_drop = res.history[-2] - res.history[-1]
+        assert np.array_equal(res.converged, ~capped | (last_drop < self.cfg.tol))
+        assert res.history.shape == (res.iterations.max(), self.cfg.restarts)
+        for r, n in enumerate(res.iterations):
+            assert np.all(res.history[n - 1 :, r] == res.values[r]), r
+            # Every step before the last lowered the value by at least tol.
+            drops = -np.diff(res.history[:n, r])
+            assert np.all(drops[:-1] >= self.cfg.tol), r
+            assert res.converged[r] == (drops[-1] < self.cfg.tol), r
 
 
 class TestBlockPositivity:

@@ -6,7 +6,15 @@ import pytest
 
 from conftest import rand_hermitian, random_slice_params, random_tilde_region_params
 from qutritwit.linalg import is_psd, kron, partial_transpose
-from qutritwit.maps import MapParams, apply_phi, apply_phi_tilde, improper_coeffs, so2_coeffs
+from qutritwit.maps import (
+    MapParams,
+    apply_phi,
+    apply_phi_tilde,
+    improper_coeffs,
+    phi_map,
+    phi_tilde_map,
+    so2_coeffs,
+)
 from qutritwit.oracles import SeeSawConfig, min_product_expectation
 from qutritwit.witnesses import (
     choi_witness,
@@ -62,6 +70,12 @@ class TestStandardWitness:
 
 
 class TestChoiOperator:
+    def test_kind_follows_map_family(self):
+        p = MapParams(1, 1, 0)
+        assert choi_witness(phi_map(p)).kind == "standard"
+        assert choi_witness(phi_tilde_map(p)).kind == "tilde"
+        assert choi_witness(lambda X: X).kind == "standard"
+
     def test_identity_map_gives_projector(self):
         W = choi_witness(lambda X: X).matrix
         ket = max_entangled_ket()
