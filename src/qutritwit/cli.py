@@ -424,6 +424,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not (math.isfinite(args.tol) and args.tol >= 0):
+            raise ValueError(f"--tol must be finite and non-negative, got {args.tol!r}")
         return _DISPATCH[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ certificate from the PPT probe family.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
+from math import inf, isfinite
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -43,8 +43,8 @@ class SeeSawConfig:
     def __post_init__(self):
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("restarts and max_iters must be positive")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
 
 
 @dataclass(frozen=True)
@@ -93,6 +93,15 @@ def _contract(x: Array, M: Array) -> Array:
 def _seesaw_batch(W4: Array, psi: Array, phi: Array, max_iters: int, tol: float) -> SeeSawResult:
     """Alternate exact one-factor minimizations for a batch of starts.
 
+    After each plain alternation but the first, every running restart also
+    tries an extrapolated point, the standard line-search step for
+    alternating least squares: psi' = psi_t + beta (psi_t - psi_{t-1}) with
+    psi_{t-1} phase-aligned to psi_t and renormalized, then phi re-minimized
+    against psi'.  The trial replaces the plain step only if its value is
+    strictly lower, so the values stay non-increasing.  Each restart keeps
+    its own beta: x1.5 after an accepted trial, x0.5 (floor 0.1) after a
+    rejected one.
+
     Each restart stops at its own first iteration whose value drop is below
     tol; only the restarts still running are contracted and diagonalized, so
     a restart's result depends on its own start alone.
@@ -103,6 +112,7 @@ def _seesaw_batch(W4: Array, psi: Array, phi: Array, max_iters: int, tol: float)
     psi, phi = psi.copy(), phi.copy()
     count = psi.shape[0]
     values = np.full(count, inf)
+    beta = np.ones(count)
     iterations = np.zeros(count, dtype=int)
     converged = np.zeros(count, dtype=bool)
     active = np.arange(count)
@@ -111,10 +121,25 @@ def _seesaw_batch(W4: Array, psi: Array, phi: Array, max_iters: int, tol: float)
         _, vecs = np.linalg.eigh(_contract(phi[active], M_psi))
         new_psi = vecs[:, :, 0]
         w, vecs = np.linalg.eigh(_contract(new_psi, M_phi))
+        new_phi, new_value = vecs[:, :, 0], w[:, 0]
+        if t > 1:
+            old_psi = psi[active]
+            overlap = np.sum(old_psi.conj() * new_psi, axis=1)
+            size = np.abs(overlap)
+            phase = np.divide(overlap, size, out=np.zeros_like(overlap), where=size > 0)
+            step = beta[active]
+            trial = new_psi + step[:, None] * (new_psi - phase[:, None] * old_psi)
+            trial /= np.linalg.norm(trial, axis=1, keepdims=True)
+            w, vecs = np.linalg.eigh(_contract(trial, M_phi))
+            accept = w[:, 0] < new_value
+            new_psi = np.where(accept[:, None], trial, new_psi)
+            new_phi = np.where(accept[:, None], vecs[:, :, 0], new_phi)
+            new_value = np.where(accept, w[:, 0], new_value)
+            beta[active] = np.where(accept, 1.5 * step, np.maximum(0.5 * step, 0.1))
         psi[active] = new_psi
-        phi[active] = vecs[:, :, 0]
-        stop = values[active] - w[:, 0] < tol
-        values[active] = w[:, 0]
+        phi[active] = new_phi
+        stop = values[active] - new_value < tol
+        values[active] = new_value
         iterations[active] = t
         converged[active[stop]] = True
         history.append(values.copy())
@@ -124,19 +149,28 @@ def _seesaw_batch(W4: Array, psi: Array, phi: Array, max_iters: int, tol: float)
     return SeeSawResult(psi, phi, values, iterations, converged, np.array(history))
 
 
-def _canonical_product(psi: Array, phi: Array) -> Array:
-    """Phase-fixed product vector for deterministic ordering and dedup."""
-    u = np.kron(psi, phi)
-    j = int(np.argmax(np.abs(u)))
-    ph = u[j]
-    if abs(ph) > 0:
-        u = u * (np.conj(ph) / abs(ph))
-    return u
+def _products(psi: Array, phi: Array) -> Array:
+    """Rows psi_r (x) phi_r, one product vector per stacked pair."""
+    return (psi[:, :, None] * phi[:, None, :]).reshape(-1, 9)
 
 
-def _sort_key(value: float, psi: Array, phi: Array):
-    u = _canonical_product(psi, phi)
-    return (value, tuple(np.round(u.real, 12)) + tuple(np.round(u.imag, 12)))
+def _ordered(values: Array, psi: Array, phi: Array) -> tuple[Array, Array]:
+    """Deterministic order of a stack of restarts, with their product vectors.
+
+    Each product vector is rotated so that its first largest-modulus entry is
+    real and positive; rows are sorted by (value, real parts rounded to 12
+    digits, imaginary parts rounded to 12 digits), ties kept in row order.
+    Returns the order and the phase-fixed products in that order.
+    """
+    U = _products(psi, phi)
+    lead = U[np.arange(len(U)), np.argmax(np.abs(U), axis=1)]
+    # hypot rounds like the scalar abs(); the vectorized complex np.abs can differ in the last bit.
+    size = np.hypot(lead.real, lead.imag)
+    U = U * np.divide(lead.conj(), size, out=np.ones_like(lead), where=size > 0)[:, None]
+    digits = np.round(np.concatenate([U.real, U.imag], axis=1), 12)
+    # lexsort's last key is the primary one.
+    order = np.lexsort(np.vstack([digits.T[::-1], values]))
+    return order, U[order]
 
 
 def _run_seesaw(W, cfg: SeeSawConfig) -> SeeSawResult:
@@ -157,9 +191,8 @@ def min_product_expectation(W, cfg: SeeSawConfig | None = None) -> ProductVector
     """
     cfg = cfg or SeeSawConfig()
     res = _run_seesaw(W, cfg)
-    psi, phi, values = res.psi, res.phi, res.values
-    best = min(range(len(values)), key=lambda r: _sort_key(values[r], psi[r], phi[r]))
-    return ProductVectorPair(psi[best], phi[best], float(values[best]))
+    best = _ordered(res.values, res.psi, res.phi)[0][0]
+    return ProductVectorPair(res.psi[best], res.phi[best], float(res.values[best]))
 
 
 def is_block_positive(W, cfg: SeeSawConfig | None = None) -> bool:
@@ -183,34 +216,28 @@ def zero_product_vectors(
     """
     cfg = cfg or SeeSawConfig()
     res = _run_seesaw(W, cfg)
-    psi, phi, values = res.psi, res.phi, res.values
-    idx = [r for r in range(len(values)) if values[r] <= ZERO_VALUE_TOL]
-    idx.sort(key=lambda r: _sort_key(values[r], psi[r], phi[r]))
-    kept: list[ProductVectorPair] = []
-    kept_products: list[Array] = []
-    for r in idx:
-        u = _canonical_product(psi[r], phi[r])
-        if any(1.0 - abs(np.vdot(v, u)) <= dedup_tol for v in kept_products):
-            continue
-        kept.append(ProductVectorPair(psi[r], phi[r], float(values[r])))
-        kept_products.append(u)
-    return kept
+    zero = np.flatnonzero(res.values <= ZERO_VALUE_TOL)
+    order, U = _ordered(res.values[zero], res.psi[zero], res.phi[zero])
+    close = 1.0 - np.abs(U.conj() @ U.T) <= dedup_tol
+    # Greedy scan in order: a candidate survives unless an earlier survivor is close.
+    keep = np.ones(len(order), dtype=bool)
+    for i in range(len(order)):
+        if keep[i]:
+            keep[i + 1 :] &= ~close[i, i + 1 :]
+    return [ProductVectorPair(res.psi[r], res.phi[r], float(res.values[r])) for r in zero[order[keep]]]
 
 
 def span_rank(pairs: Sequence[ProductVectorPair], tol: float = SPAN_RANK_TOL) -> int:
     """Numerical rank of the span of the product vectors psi (x) phi.
 
-    Computed from the 9x9 Gram accumulation sum_r u_r u_r^dagger, which has
-    the same nonzero spectrum as the k x k Gram matrix; eigenvalues above
-    tol * largest count toward the rank.
+    Computed from the 9x9 Gram accumulation sum_r u_r u_r^dagger = U^T conj(U),
+    which has the same nonzero spectrum as the k x k Gram matrix; eigenvalues
+    above tol * largest count toward the rank.
     """
     if not pairs:
         return 0
-    G = np.zeros((9, 9), dtype=complex)
-    for pair in pairs:
-        u = pair.product()
-        G += np.outer(u, u.conj())
-    w = linalg.eigenvalues(G)
+    U = _products(np.array([pair.psi for pair in pairs]), np.array([pair.phi for pair in pairs]))
+    w = linalg.eigenvalues(U.T @ U.conj())
     top = float(w[-1])
     if top <= 0:
         return 0

@@ -74,6 +74,22 @@ class TestClassify:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "1", "1", "0", "--tol", "nan"],
+            ["classify", "--bc", "1", "1", "--tol", "-1"],
+            ["sweep", "--alpha-grid", "4", "--tol", "inf"],
+        ],
+    )
+    def test_invalid_tol_exits_2(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: --tol ")
+
 
 class TestWitness:
     def test_exact_rational_matrix(self, capsys):
