@@ -12,11 +12,15 @@ All elements are Hermitian, f_1, ..., f_{n^2-1} are traceless, and the set is
 orthonormal under the Hilbert-Schmidt pairing Tr(f_a f_b) = delta_ab.  The
 ordering is contractual: rotation blocks acting on span{d_1, d_2} rely on the
 diagonal elements coming directly after f_0.
+
+Row a of `stacked` is the row-major vec(f_a): c_a = Tr(f_a X) = vec(X^T).vec(f_a) is one
+matmul; coefficients maps stacks (..., n, n) to (..., n^2), from_coefficients back, and
+apply_D, apply_phi, apply_phi_tilde and LinearMap3 calls (maps) take stacks (..., 3, 3).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import sqrt
 
@@ -31,21 +35,24 @@ class OrthonormalBasis:
 
     n: int
     elements: tuple[Array, ...]
+    stacked: Array = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        stacked = np.array(self.elements, dtype=complex).reshape(len(self), -1)
+        stacked.flags.writeable = False  # shared by every expansion, and so are its views
+        object.__setattr__(self, "stacked", stacked)
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def coefficients(self, X) -> Array:
-        """Expansion coefficients c_a = Tr(f_a X); X = sum_a c_a f_a."""
-        X = np.asarray(X, dtype=complex)
-        return np.array([np.trace(f @ X) for f in self.elements])
+        """Expansion coefficients c_a = Tr(f_a X) of X or a stack (..., n, n); X = sum_a c_a f_a."""
+        Xt = np.swapaxes(np.asarray(X, dtype=complex), -1, -2)
+        return Xt.reshape(Xt.shape[:-2] + (-1,)) @ self.stacked.T
 
     def from_coefficients(self, coeffs) -> Array:
-        coeffs = np.asarray(coeffs)
-        X = np.zeros((self.n, self.n), dtype=complex)
-        for c, f in zip(coeffs, self.elements):
-            X = X + c * f
-        return X
+        X = np.asarray(coeffs) @ self.stacked
+        return X.reshape(X.shape[:-1] + (self.n, self.n))
 
 
 def build_gellmann(n: int) -> OrthonormalBasis:
@@ -54,22 +61,13 @@ def build_gellmann(n: int) -> OrthonormalBasis:
         raise ValueError("basis requires n >= 2")
     elements: list[Array] = [np.eye(n, dtype=complex) / sqrt(n)]
     for l in range(1, n):
-        d = np.zeros((n, n), dtype=complex)
-        for k in range(l):
-            d[k, k] = 1.0
-        d[l, l] = -l
-        elements.append(d / sqrt(l * (l + 1)))
+        elements.append(np.diag([1.0] * l + [-l] + [0.0] * (n - l - 1)).astype(complex) / sqrt(l * (l + 1)))
     pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
-    for k, l in pairs:
-        u = np.zeros((n, n), dtype=complex)
-        u[k, l] = 1.0
-        u[l, k] = 1.0
-        elements.append(u / sqrt(2))
-    for k, l in pairs:
-        v = np.zeros((n, n), dtype=complex)
-        v[k, l] = -1.0j
-        v[l, k] = 1.0j
-        elements.append(v / sqrt(2))
+    for upper, lower in ((1.0, 1.0), (-1.0j, 1.0j)):  # u_kl, then v_kl
+        for k, l in pairs:
+            e = np.zeros((n, n), dtype=complex)
+            e[k, l], e[l, k] = upper, lower
+            elements.append(e / sqrt(2))
     return OrthonormalBasis(n, tuple(elements))
 
 

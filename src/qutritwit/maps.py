@@ -62,9 +62,12 @@ class MapParams:
             if not finite:
                 raise ValueError(f"parameter {name} must be finite, got {x}")
         if min(self.a, self.b, self.c) < 0:
-            raise ValueError(f"parameters must be non-negative, got {self.astuple()}")
+            raise ValueError(f"parameters must be non-negative, got {self}")
         if self.a + self.b + self.c == 0:
             raise ValueError("parameter sum must be positive")
+
+    def __str__(self) -> str:
+        return "(" + ", ".join(str(x) for x in self.astuple()) + ")"
 
     def astuple(self) -> tuple[Number, Number, Number]:
         return (self.a, self.b, self.c)
@@ -105,7 +108,7 @@ def n_abc(p: MapParams) -> Number:
 
 def _require_slice(p: MapParams, tol: float = SLICE_TOL) -> None:
     if not p.on_slice(tol):
-        raise ValueError(f"parameters {p.astuple()} are off the plane a+b+c = 2")
+        raise ValueError(f"parameters {p} are off the plane a+b+c = 2")
 
 
 # Rows of each family's diagonal action (up to normalization and the +1 on
@@ -123,10 +126,12 @@ def _rows(p: MapParams, kind: str) -> list[list[Number]]:
 
 
 def _diagonal_action(p: MapParams, X, kind: str) -> Array:
-    """diag((rows + I) diag(X)): the family's completely positive part."""
-    x = np.diag(np.asarray(X, dtype=complex))
+    """diag((rows + I) diag(X)) on X or a stack (..., 3, 3): the family's CP part."""
+    X = np.asarray(X, dtype=complex)
     D = np.array(_rows(p, kind), dtype=float) + np.eye(3)
-    return np.diag(D @ x)
+    out, i = np.zeros_like(X), np.arange(3)
+    out[..., i, i] = np.diagonal(X, axis1=-2, axis2=-1) @ D.T
+    return out
 
 
 def apply_D(p: MapParams, X) -> Array:
@@ -246,15 +251,23 @@ def rotation_block(T: Array, tol: float = 1e-10) -> Array:
 @dataclass(frozen=True)
 class LinearMap3:
     """A Hermiticity-preserving linear map stored by its action matrix in the
-    Gell-Mann basis: if x_l = Tr(f_l X) then Phi(X) has coefficients S x."""
+    Gell-Mann basis: if x_l = Tr(f_l X) then Phi(X) has coefficients S x; X may be a stack."""
 
     superop: Array
     kind: str
     basis: OrthonormalBasis
 
     def __call__(self, X) -> Array:
-        coeffs = self.basis.coefficients(X)
-        return self.basis.from_coefficients(self.superop @ coeffs)
+        return self.basis.from_coefficients(self.basis.coefficients(X) @ self.superop.T)
+
+    @classmethod
+    def _from_stack_map(cls, fn, kind: str, basis: OrthonormalBasis | None = None) -> "LinearMap3":
+        """The map whose images of the stacked basis (m, n, n) fn returns in one call."""
+        basis = basis or default_basis()
+        S = basis.coefficients(fn(basis.stacked.reshape(len(basis), basis.n, basis.n))).T
+        if np.max(np.abs(S.imag)) > 1e-12:
+            raise ValueError("map is not Hermiticity-preserving")
+        return cls(S.real, kind, basis)
 
     @classmethod
     def from_callable(
@@ -263,24 +276,17 @@ class LinearMap3:
         kind: str = "rotation-general",
         basis: OrthonormalBasis | None = None,
     ) -> "LinearMap3":
-        basis = basis or default_basis()
-        m = len(basis)
-        S = np.zeros((m, m), dtype=complex)
-        for l, f in enumerate(basis.elements):
-            S[:, l] = basis.coefficients(fn(f))
-        if np.max(np.abs(S.imag)) > 1e-12:
-            raise ValueError("map is not Hermiticity-preserving")
-        return cls(S.real, kind, basis)
+        return cls._from_stack_map(lambda F: [fn(f) for f in F], kind, basis)
 
 
 def phi_map(p: MapParams) -> LinearMap3:
     """Circulant-family map packaged with its basis-action matrix."""
-    return LinearMap3.from_callable(lambda X: apply_phi(p, X), kind="circulant")
+    return LinearMap3._from_stack_map(lambda F: apply_phi(p, F), "circulant")
 
 
 def phi_tilde_map(p: MapParams) -> LinearMap3:
     """Improper-family map packaged with its basis-action matrix."""
-    return LinearMap3.from_callable(lambda X: apply_phi_tilde(p, X), kind="improper")
+    return LinearMap3._from_stack_map(lambda F: apply_phi_tilde(p, F), "improper")
 
 
 def phi_from_rotation(
@@ -295,9 +301,8 @@ def phi_from_rotation(
     proper-rotation parameters, and the improper family for reflections.
     """
     basis = basis or default_basis()
-    n = basis.n
+    n, m = basis.n, len(basis) - 1
     R = np.asarray(R, dtype=float)
-    m = n * n - 1
     if R.shape != (m, m):
         raise ValueError(f"rotation must be {m}x{m} for n = {n}")
     if np.linalg.norm(R.T @ R - np.eye(m)) > tol:

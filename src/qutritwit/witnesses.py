@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .linalg import Array, kron, partial_transpose
+from .linalg import Array, partial_transpose
 from .maps import (
     LinearMap3,
     MapParams,
@@ -155,14 +155,11 @@ def choi_witness(
     projector, matching the row-major composite convention.
     """
     if kind is None:
-        tag = getattr(phi, "kind", None)
-        kind = _CHOI_KINDS.get(tag, "standard")
-    W = np.zeros((9, 9), dtype=complex)
-    for i in range(3):
-        for j in range(3):
-            E = np.zeros((3, 3), dtype=complex)
-            E[i, j] = 1.0
-            W += kron(phi(E), E)
+        kind = _CHOI_KINDS.get(getattr(phi, "kind", None), "standard")
+    units = np.eye(9, dtype=complex).reshape(9, 3, 3)  # E_ij, (i, j) row-major
+    images = phi(units) if isinstance(phi, LinearMap3) else np.array([phi(E) for E in units], dtype=complex)
+    # Phi(E_ij)[k, l] lands at row 3k + i, column 3l + j.
+    W = images.reshape(3, 3, 3, 3).transpose(2, 0, 3, 1).reshape(9, 9)
     return WitnessMatrix(W / 3.0, params, kind)
 
 
@@ -205,7 +202,7 @@ def decompose_tilde(p: MapParams, tol: float = SLICE_TOL) -> DecompositionCertif
     a, b, c = p.asfloats()
     gap = b * c - (1 - a) ** 2
     if gap < -tol:
-        raise ValueError(f"parameters {p.astuple()} are outside the region bc >= (1-a)^2")
+        raise ValueError(f"parameters {p} are outside the region bc >= (1-a)^2")
     if abs(gap) <= tol:
         return DecompositionCertificate(_tilde_P(a, b, c), _tilde_Q(a, b, c))
     y = b - c

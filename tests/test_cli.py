@@ -283,6 +283,20 @@ class TestOutputHandling:
         assert len(lines) == 1
         assert lines[0].startswith("error:") and "QUTRITWIT_SEED" in lines[0]
 
+    @pytest.mark.parametrize(
+        "argv, shown",
+        [
+            (["witness", "--kind", "tilde", "1", "1", "1"], "parameters (1, 1, 1) are off the plane"),
+            (["certify", "--tilde", "--bc", "0", "0"], "parameters (2, 0, 0) are outside the region"),
+        ],
+    )
+    def test_parameter_diagnostic_prints_plain_numbers(self, capsys, argv, shown):
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert "Fraction(" not in lines[0]
+        assert lines[0].startswith("error: " + shown)
+
     def test_explicit_seed_overrides_env(self, capsys, monkeypatch):
         monkeypatch.setenv("QUTRITWIT_SEED", "123")
         record = run_json(capsys, ["witness", "--alpha", "0.4", "--restarts", "10", "--seed", "9"])

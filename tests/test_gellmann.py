@@ -3,6 +3,7 @@ import pytest
 
 from conftest import rand_complex
 from qutritwit.gellmann import build_gellmann, default_basis
+from qutritwit.maps import MapParams, phi_from_rotation, phi_map, rotation_block, so2_rotation
 
 
 def test_n2_is_scaled_pauli_set():
@@ -61,6 +62,31 @@ def test_completeness():
         X = rand_complex(rng, 3)
         rebuilt = basis.from_coefficients(basis.coefficients(X))
         assert np.linalg.norm(rebuilt - X) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stack_expansion_matches_trace_loop(n):
+    basis = build_gellmann(n)
+    rng = np.random.default_rng(n)
+    X = np.array([rand_complex(rng, n) for _ in range(5)])
+    coeffs = basis.coefficients(X)
+    assert coeffs.shape == (5, n * n)
+    reference = np.array([[np.trace(f @ Y) for f in basis.elements] for Y in X])
+    assert np.max(np.abs(coeffs - reference)) < 1e-13
+    rebuilt = basis.from_coefficients(coeffs)
+    assert rebuilt.shape == X.shape
+    for Y, Z in zip(X, rebuilt):
+        assert np.max(np.abs(Z - Y)) < 1e-13
+
+
+def test_linear_map_on_a_stack_matches_single_calls():
+    rng = np.random.default_rng(11)
+    X = np.array([rand_complex(rng, 3) for _ in range(5)])
+    for m in (phi_map(MapParams(0.8, 0.9, 0.3)), phi_from_rotation(rotation_block(so2_rotation(1.1)))):
+        stacked = m(X)
+        assert stacked.shape == X.shape
+        for Y, Z in zip(X, stacked):
+            assert np.max(np.abs(Z - m(Y))) < 1e-13
 
 
 def test_rejects_small_n():

@@ -117,6 +117,16 @@ class TestPhi:
         out = apply_phi_tilde(MapParams(1, 0, 1), diag_proj(1))
         assert np.allclose(out, np.diag([0.0, 0.5, 0.5]), atol=0)
 
+    def test_stack_matches_single_calls(self):
+        rng = np.random.default_rng(5)
+        p = MapParams(0.4, 1.1, 0.5)
+        X = np.array([rand_complex(rng, 3) for _ in range(6)]).reshape(2, 3, 3, 3)
+        for apply in (apply_D, apply_phi, apply_phi_tilde):
+            stacked = apply(p, X)
+            assert stacked.shape == X.shape
+            for Y, Z in zip(X.reshape(6, 3, 3), stacked.reshape(6, 3, 3)):
+                assert np.max(np.abs(Z - apply(p, Y))) < 1e-14
+
 
 class TestClassify:
     def test_known_points(self):

@@ -1,10 +1,20 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import random_slice_params
-from qutritwit.maps import MapParams, apply_phi, improper_coeffs, so2_coeffs
+from qutritwit.maps import (
+    MapParams,
+    apply_phi,
+    improper_coeffs,
+    phi_from_rotation,
+    phi_map,
+    rotation_block,
+    so2_coeffs,
+    so2_rotation,
+)
 from qutritwit.oracles import (
     DEDUP_TOL,
     SPAN_RANK_TOL,
@@ -234,6 +244,22 @@ class TestChoiCp:
 
     def test_identity_map(self):
         assert is_cp_choi(lambda X: X)
+
+    @pytest.mark.parametrize("abc", [(2, 0, 0), (Fraction(2), Fraction(0), Fraction(0)), (2.0, 0.0, 0.0)], ids=str)
+    def test_linear_map_cp_corner(self, abc):
+        assert is_cp_choi(phi_map(MapParams(*abc)))
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            phi_map(MapParams(1, 1, 0)),
+            phi_map(MapParams(1.999, 0.0005, 0.0005)),
+            phi_from_rotation(rotation_block(so2_rotation(math.pi))),
+        ],
+        ids=["choi", "just_inside_cp_corner", "reduction_rotation"],
+    )
+    def test_linear_map_not_cp(self, m):
+        assert not is_cp_choi(m)
 
 
 class TestZeroVectors:

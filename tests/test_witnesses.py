@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_hermitian, random_slice_params, random_tilde_region_params
+from qutritwit.gellmann import default_basis
 from qutritwit.linalg import is_psd, kron, partial_transpose
 from qutritwit.maps import (
     MapParams,
@@ -69,7 +70,40 @@ class TestStandardWitness:
             assert np.linalg.norm(direct - via_choi) < 1e-12
 
 
+def reference_superop(fn):
+    """Basis-action matrix S[k, l] = Tr(f_k fn(f_l)), one trace at a time."""
+    elements = default_basis().elements
+    S = np.zeros((9, 9), dtype=complex)
+    for l, f in enumerate(elements):
+        image = fn(f)
+        for k, g in enumerate(elements):
+            S[k, l] = np.trace(g @ image)
+    return S
+
+
+def plane_points():
+    """Float and Fraction versions of landmark points and one random plane point."""
+    third = Fraction(2, 3)
+    points = [(1, 1, 0), (0, 1, 1), (third, third, third)]
+    points.append(random_slice_params(np.random.default_rng(12)).astuple())
+    return [MapParams(*(kind(x) for x in abc)) for abc in points for kind in (float, Fraction)]
+
+
 class TestChoiOperator:
+    @pytest.mark.parametrize("p", plane_points(), ids=str)
+    def test_family_map_choi_matches_closed_form(self, p):
+        standard = choi_witness(phi_map(p)).matrix - witness_matrix(p).matrix
+        tilde = choi_witness(phi_tilde_map(p)).matrix - witness_tilde_matrix(p).matrix
+        assert np.max(np.abs(standard)) < 1e-14
+        assert np.max(np.abs(tilde)) < 1e-14
+
+    @pytest.mark.parametrize("p", plane_points(), ids=str)
+    def test_family_superop_matches_trace_loop(self, p):
+        standard = phi_map(p).superop - reference_superop(lambda X: apply_phi(p, X))
+        tilde = phi_tilde_map(p).superop - reference_superop(lambda X: apply_phi_tilde(p, X))
+        assert np.max(np.abs(standard)) < 1e-14
+        assert np.max(np.abs(tilde)) < 1e-14
+
     def test_kind_follows_map_family(self):
         p = MapParams(1, 1, 0)
         assert choi_witness(phi_map(p)).kind == "standard"
