@@ -8,8 +8,9 @@ Every command writes a single JSON record
 
 to stdout (or --output PATH).  Matrix entries are nested rows of [re, im]
 pairs, except when the map parameters are exact rationals, in which case
-entries are emitted as "p/q" strings.  Invalid input exits with status 2 and
-a diagnostic on stderr.
+entries are emitted as "p/q" strings; `witness` and `detect` also take
+--format csv.  Invalid input, including an unwritable --output path, exits
+with status 2 and a diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -149,8 +150,11 @@ def _write_record(args, command: str, inputs: dict, results: dict) -> None:
 
 def _emit(args, text: str) -> None:
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write --output {args.output!r}: {exc.strerror}") from None
     else:
         print(text)
 
@@ -426,6 +430,8 @@ def main(argv=None) -> int:
     try:
         if not (math.isfinite(args.tol) and args.tol >= 0):
             raise ValueError(f"--tol must be finite and non-negative, got {args.tol!r}")
+        if args.format == "csv" and args.command not in ("witness", "detect"):
+            raise ValueError("--format csv is supported only by witness and detect")
         return _DISPATCH[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,7 +29,6 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import cos, isfinite, pi, sin, sqrt
-from typing import Callable
 
 import numpy as np
 
@@ -261,22 +260,13 @@ class LinearMap3:
         return self.basis.from_coefficients(self.basis.coefficients(X) @ self.superop.T)
 
     @classmethod
-    def _from_stack_map(cls, fn, kind: str, basis: OrthonormalBasis | None = None) -> "LinearMap3":
+    def _from_stack_map(cls, fn, kind: str) -> "LinearMap3":
         """The map whose images of the stacked basis (m, n, n) fn returns in one call."""
-        basis = basis or default_basis()
+        basis = default_basis()
         S = basis.coefficients(fn(basis.stacked.reshape(len(basis), basis.n, basis.n))).T
         if np.max(np.abs(S.imag)) > 1e-12:
             raise ValueError("map is not Hermiticity-preserving")
         return cls(S.real, kind, basis)
-
-    @classmethod
-    def from_callable(
-        cls,
-        fn: Callable[[Array], Array],
-        kind: str = "rotation-general",
-        basis: OrthonormalBasis | None = None,
-    ) -> "LinearMap3":
-        return cls._from_stack_map(lambda F: [fn(f) for f in F], kind, basis)
 
 
 def phi_map(p: MapParams) -> LinearMap3:

@@ -105,7 +105,7 @@ def spa_state(p: MapParams) -> SpaResult:
     if a >= 2:
         raise ValueError("requires a < 2; the witness is already PSD")
     star = critical_p(p)
-    state = BipartiteState(spa_mix(witness_matrix(p), star), normalized=True)
+    state = BipartiteState(spa_mix(witness_matrix(p), star))
     certified = spa_region(p.b, p.c)
     components = None
     if certified:

@@ -35,7 +35,6 @@ class BipartiteState:
     """A 9x9 Hermitian operator on C^3 (x) C^3, not necessarily trace-one."""
 
     matrix: Array
-    normalized: bool = True
 
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
@@ -56,7 +55,7 @@ def rho_eps(eps: float) -> BipartiteState:
         M[i, i] = eps
     for i in _DOWN:
         M[i, i] = 1.0 / eps
-    return BipartiteState(M, normalized=False)
+    return BipartiteState(M)
 
 
 def max_entangled_projector() -> BipartiteState:
@@ -128,7 +127,7 @@ def sigma_pair(i: int, j: int) -> BipartiteState:
         M[flat(r, s), flat(r, s)] = 1.0
     M[flat(i, i), flat(j, j)] = -1.0
     M[flat(j, j), flat(i, i)] = -1.0
-    return BipartiteState(M, normalized=False)
+    return BipartiteState(M)
 
 
 def sigma_diag(p: MapParams) -> BipartiteState:
@@ -145,7 +144,7 @@ def sigma_diag(p: MapParams) -> BipartiteState:
         M[i, i] = 2 * b + c - 1
     for i in _DOWN:
         M[i, i] = 2 * c + b - 1
-    return BipartiteState(M, normalized=False)
+    return BipartiteState(M)
 
 
 def detection_value_numeric(p: MapParams, eps: float) -> float:

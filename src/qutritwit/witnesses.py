@@ -86,31 +86,29 @@ class DecompositionCertificate:
         return float(np.linalg.norm(self.P + partial_transpose(self.Q, "second") - self.scale * W))
 
 
-def _witness_grid(p: MapParams, kind: str) -> list[list[Number]]:
-    """Entries N/3 * [row-grouped diagonal - 1 on the |ii><jj| grid] of a
-    witness kind, in the parameters' own arithmetic (exact for rationals).
-    The kinds other than "standard" are defined on the plane a+b+c = 2.
+def _form(p: MapParams, kind: str) -> tuple[Number, list[Number], tuple[int, ...]]:
+    """The structured form (pref, diagonal, doubles) of a witness kind: the
+    9x9 entries are pref * rows[i][l] at (3i+l, 3i+l) and -pref off the
+    diagonal of the doubles block, zero elsewhere, with pref = N/3.  Evaluated
+    in the parameters' own arithmetic (exact for rationals).  The kinds other
+    than "standard" are defined on the plane a+b+c = 2.
     """
     if kind not in _KINDS:
         raise ValueError(f"unsupported kind {kind!r}")
     if kind != "standard":
         _require_slice(p)
     family, doubles = _KINDS[kind]
-    rows = _rows(p, family)
     pref = n_abc(p) / 3
-    grid = [[0 * pref] * 9 for _ in range(9)]
-    for i in range(3):
-        for l in range(3):
-            grid[3 * i + l][3 * i + l] = pref * rows[i][l]
-    for i in doubles:
-        for j in doubles:
-            if i != j:
-                grid[i][j] = -pref
-    return grid
+    return pref, [pref * x for row in _rows(p, family) for x in row], doubles
 
 
 def _witness(p: MapParams, kind: str) -> WitnessMatrix:
-    return WitnessMatrix(np.array(_witness_grid(p, kind), dtype=complex), p, kind)
+    pref, diagonal, doubles = _form(p, kind)
+    W = np.zeros((9, 9), dtype=complex)
+    index = np.array(doubles)
+    W[index[:, None], index] = -pref
+    W.flat[::10] = diagonal  # the main diagonal
+    return WitnessMatrix(W, p, kind)
 
 
 def witness_matrix(p: MapParams) -> WitnessMatrix:
@@ -144,73 +142,45 @@ def max_entangled_ket() -> Array:
     return v
 
 
-def choi_witness(
-    phi: LinearMap3 | Callable[[Array], Array],
-    params: Optional[MapParams] = None,
-    kind: Optional[str] = None,
-) -> WitnessMatrix:
+def choi_witness(phi: LinearMap3 | Callable[[Array], Array]) -> WitnessMatrix:
     """Choi operator (1/3) sum_ij Phi(|i><j|) (x) |i><j| of a map.
 
     The map is applied to the first tensor factor of the maximally entangled
     projector, matching the row-major composite convention.
     """
-    if kind is None:
-        kind = _CHOI_KINDS.get(getattr(phi, "kind", None), "standard")
+    kind = _CHOI_KINDS.get(getattr(phi, "kind", None), "standard")
     units = np.eye(9, dtype=complex).reshape(9, 3, 3)  # E_ij, (i, j) row-major
     images = phi(units) if isinstance(phi, LinearMap3) else np.array([phi(E) for E in units], dtype=complex)
     # Phi(E_ij)[k, l] lands at row 3k + i, column 3l + j.
     W = images.reshape(3, 3, 3, 3).transpose(2, 0, 3, 1).reshape(9, 9)
-    return WitnessMatrix(W / 3.0, params, kind)
+    return WitnessMatrix(W / 3.0, None, kind)
 
 
-def _tilde_P(a: float, b: float, c: float) -> Array:
-    P = np.zeros((9, 9), dtype=complex)
-    P[0, 0], P[4, 4], P[8, 8] = a, c, b
-    P[0, 4] = P[4, 0] = b - 1
-    P[0, 8] = P[8, 0] = c - 1
-    P[4, 8] = P[8, 4] = a - 1
-    return P
-
-
-def _tilde_Q(a: float, b: float, c: float) -> Array:
-    Q = np.zeros((9, 9), dtype=complex)
-    for (s, t), w in {(1, 3): b, (2, 6): c, (5, 7): a}.items():
-        Q[s, s] = Q[t, t] = w
-        Q[s, t] = Q[t, s] = -w
-    return Q
-
-
-def _ellipse_x_range(y: float) -> tuple[float, float]:
-    """Chord of the ellipse bc = (1-a)^2 at fixed y = b-c, in x = b+c."""
-    disc = 4.0 - 3.0 * y * y
-    if disc < 0:
-        raise ValueError(f"|b - c| = {abs(y)} exceeds the ellipse range")
-    half = sqrt(disc) / 3.0
-    return 4.0 / 3.0 - half, 4.0 / 3.0 + half
-
-
-def decompose_tilde(p: MapParams, tol: float = SLICE_TOL) -> DecompositionCertificate:
+def decompose_tilde(p: MapParams) -> DecompositionCertificate:
     """Decomposability certificate (P, Q) with P + Q^G = 6 W~[a,b,c].
 
-    On the ellipse bc = (1-a)^2 the displayed pair is used directly.  An
-    interior point of the region bc >= (1-a)^2 is written as the convex
-    combination of the two ellipse points sharing its value of b - c; since
-    P and Q are affine in (a, b, c), the combined pair is again a valid
-    certificate.
+    With R the improper-family rows [[a,b,c],[b,c,a],[c,a,b]] and J the
+    all-ones 3x3 matrix, P is R - (J - I) on the |ii> block and
+
+        Q = sum_{i<j} R_ij (|ij> - |ji>)(<ij| - <ji|),
+
+    both evaluated at the point itself.  Q >= 0 since a, b, c >= 0.  On the
+    plane the P block has trace a+b+c = 2, sends (1,1,1) to zero, and its 2x2
+    principal minors sum to 3(bc - (1-a)^2): its other two eigenvalues have
+    sum 2 and that product, so P >= 0 exactly on the region bc >= (1-a)^2.
     """
     _require_slice(p)
     a, b, c = p.asfloats()
-    gap = b * c - (1 - a) ** 2
-    if gap < -tol:
+    if b * c - (1 - a) ** 2 < -SLICE_TOL:
         raise ValueError(f"parameters {p} are outside the region bc >= (1-a)^2")
-    if abs(gap) <= tol:
-        return DecompositionCertificate(_tilde_P(a, b, c), _tilde_Q(a, b, c))
-    y = b - c
-    x_lo, x_hi = _ellipse_x_range(y)
-    lam = (x_hi - (b + c)) / (x_hi - x_lo)
-    ends = [(2 - x, (x + y) / 2, (x - y) / 2) for x in (x_lo, x_hi)]
-    P = lam * _tilde_P(*ends[0]) + (1 - lam) * _tilde_P(*ends[1])
-    Q = lam * _tilde_Q(*ends[0]) + (1 - lam) * _tilde_Q(*ends[1])
+    R = np.array(_rows(p, "improper"), dtype=float)
+    P = np.zeros((9, 9), dtype=complex)
+    P[::4, ::4] = R - (1 - np.eye(3))  # the |ii> sit at 0, 4, 8
+    Q = np.zeros((9, 9), dtype=complex)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        s, t = 3 * i + j, 3 * j + i  # |ij>, |ji>
+        Q[s, s] = Q[t, t] = R[i, j]
+        Q[s, t] = Q[t, s] = -R[i, j]
     return DecompositionCertificate(P, Q)
 
 
@@ -258,5 +228,12 @@ def exact_witness_entries(p: MapParams, kind: str = "standard") -> list[list[str
     """
     if not p.is_exact:
         raise ValueError("exact entries require rational parameters")
-    exact = MapParams(*(Fraction(x) for x in p.astuple()))
-    return [[str(x) for x in row] for row in _witness_grid(exact, kind)]
+    pref, diagonal, doubles = _form(MapParams(*(Fraction(x) for x in p.astuple())), kind)
+    grid = [["0"] * 9 for _ in range(9)]
+    minus = str(-pref)
+    for i in doubles:
+        for j in doubles:
+            grid[i][j] = minus
+    for k, x in enumerate(diagonal):
+        grid[k][k] = str(x)
+    return grid

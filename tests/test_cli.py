@@ -65,6 +65,12 @@ class TestClassify:
             ["witness", "--alpha", "nan", "--restarts", "4"],
             ["detect", "1", "1", "0", "--eps-grid", "nan", "2", "5"],
             ["detect", "1", "1", "0", "--eps-grid", "0.1", "inf", "5"],
+            # CSV is a matrix/table format: only witness and detect emit it.
+            ["classify", "1", "1", "0", "--format", "csv"],
+            ["spa", "--bc", "1", "1", "--format", "csv"],
+            ["certify", "--tilde", "--bc", "1", "1/2", "--format", "csv"],
+            ["figure", "--format", "csv"],
+            ["sweep", "--alpha-grid", "4", "--format", "csv"],
         ],
     )
     def test_non_finite_input_exits_2(self, capsys, argv):
@@ -261,6 +267,20 @@ class TestOutputHandling:
         assert code == 0
         record = json.loads(target.read_text())
         assert record["results"]["positivity"] == "positive_not_cp"
+
+    @pytest.mark.parametrize("target", ["missing/record.json", "."])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, target):
+        assert main(["classify", "1", "1", "0", "--output", str(tmp_path / target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: cannot write --output ")
+
+    def test_csv_rejection_names_supporting_commands(self, capsys):
+        assert main(["classify", "1", "1", "0", "--format", "csv"]) == 2
+        err = capsys.readouterr().err
+        assert "witness" in err and "detect" in err
 
     def test_env_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("QUTRITWIT_SEED", "123")

@@ -14,6 +14,7 @@ from qutritwit.maps import (
     improper_coeffs,
     phi_map,
     phi_tilde_map,
+    slice_params,
     so2_coeffs,
 )
 from qutritwit.oracles import SeeSawConfig, min_product_expectation
@@ -202,8 +203,18 @@ class TestPermutedWitness:
 
 
 class TestDecomposition:
-    def test_boundary_displays(self):
-        p = improper_coeffs(0.8)
+    @pytest.mark.parametrize(
+        "p",
+        [
+            improper_coeffs(0.8),
+            # Interior points: the displays hold there too, evaluated at the point itself.
+            slice_params(0.7, 0.9),
+            MapParams(Fraction(2, 3), Fraction(2, 3), Fraction(2, 3)),
+            MapParams(Fraction(1, 2), Fraction(1), Fraction(1, 2)),
+        ],
+        ids=["ellipse", "interior-float", "interior-center", "interior-half"],
+    )
+    def test_boundary_displays(self, p):
         a, b, c = p.asfloats()
         cert = decompose_tilde(p)
         P_expected = np.zeros((9, 9), dtype=complex)
@@ -302,16 +313,13 @@ class TestSerialization:
         fixtures = ["2/3 2/3 2/3", "1 1 0", "0 1 1", "1/2 1 1/2", "1/3 1/2 7/6"]
         for abc in fixtures:
             p = MapParams(*(Fraction(x) for x in abc.split()))
-            for kind, build in (
-                ("standard", lambda q: witness_matrix(q).matrix),
-                ("tilde", lambda q: witness_tilde_matrix(q).matrix),
-                ("u_conjugated", lambda q: witness_u(q).matrix),
-                # The defining conjugation, independent of how witness_u is built.
-                ("u_conjugated", lambda q: U9 @ witness_matrix(q).matrix @ U9.T),
-            ):
-                entries = exact_witness_entries(p, kind)
-                rebuilt = np.array([[float(Fraction(cell)) for cell in row] for row in entries])
-                assert np.array_equal(rebuilt, build(p).real), (abc, kind)
+            for kind, build in (("standard", witness_matrix), ("tilde", witness_tilde_matrix), ("u_conjugated", witness_u)):
+                rebuilt = np.array([[float(Fraction(cell)) for cell in row] for row in exact_witness_entries(p, kind)])
+                # Bit for bit, signed zeros included: each float entry is float() of the exact one.
+                assert rebuilt.astype(complex).tobytes() == build(p).matrix.tobytes(), (abc, kind)
+            # The defining conjugation, independent of how witness_u is built.
+            rebuilt = np.array([[float(Fraction(cell)) for cell in row] for row in exact_witness_entries(p, "u_conjugated")])
+            assert np.array_equal(rebuilt, (U9 @ witness_matrix(p).matrix @ U9.T).real), abc
 
     @pytest.mark.parametrize("kind", ["tilde", "u_conjugated"])
     def test_exact_entries_reject_off_slice(self, kind):
