@@ -436,6 +436,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print(f"error: out of memory: --restarts {args.restarts} or the grid size is too large", file=sys.stderr)
+        return 2
 
 
 def console_main() -> None:

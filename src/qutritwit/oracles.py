@@ -84,23 +84,38 @@ class SeeSawResult:
 
 
 def _contract(x: Array, M: Array) -> Array:
-    """Hermitian 3x3 forms sum_{jl} conj(x_j) x_l M[(j,l), (i,k)], one per row."""
+    """3x3 forms sum_{jl} conj(x_j) x_l M[(j,l), (i,k)], one per row.
+
+    Hermitian up to roundoff; ``np.linalg.eigh`` reads only the lower
+    triangle, so no symmetrization pass is needed.
+    """
     outer = (x.conj()[:, :, None] * x[:, None, :]).reshape(-1, 9)
-    A = (outer @ M).reshape(-1, 3, 3)
-    return (A + np.conj(np.transpose(A, (0, 2, 1)))) / 2
+    return (outer @ M).reshape(-1, 3, 3)
+
+
+def _extrapolate(old: Array, new: Array, step: Array) -> Array:
+    """Rows normalize(new + step (new - old)), each old row phase-aligned to its new one."""
+    overlap = np.sum(old.conj() * new, axis=1)
+    size = np.abs(overlap)
+    phase = np.divide(overlap, size, out=np.zeros_like(overlap), where=size > 0)
+    trial = new + step[:, None] * (new - phase[:, None] * old)
+    return trial / np.linalg.norm(trial, axis=1, keepdims=True)
 
 
 def _seesaw_batch(W4: Array, psi: Array, phi: Array, max_iters: int, tol: float) -> SeeSawResult:
     """Alternate exact one-factor minimizations for a batch of starts.
 
-    After each plain alternation but the first, every running restart also
-    tries an extrapolated point, the standard line-search step for
-    alternating least squares: psi' = psi_t + beta (psi_t - psi_{t-1}) with
-    psi_{t-1} phase-aligned to psi_t and renormalized, then phi re-minimized
-    against psi'.  The trial replaces the plain step only if its value is
-    strictly lower, so the values stay non-increasing.  Each restart keeps
-    its own beta: x1.5 after an accepted trial, x0.5 (floor 0.1) after a
-    rejected one.
+    Each alternation solves two 3x3 eigenproblems: psi against the frozen
+    phi, then phi against the new psi.  After each plain alternation but the
+    first, every running restart also tries an extrapolated point, the
+    line-search step for alternating least squares: both factors move,
+    psi' = normalize(psi_t + beta (psi_t - psi_{t-1})) and likewise phi',
+    each old factor phase-aligned to its new one.  The trial is scored
+    directly by Re <psi' (x) phi'|W|psi' (x) phi'>, with no third
+    eigensolve, and replaces the plain step only if that value is strictly
+    lower, so the values stay non-increasing.  Each restart keeps its own
+    beta: x1.5 after an accepted trial, x0.5 (floor 0.1) after a rejected
+    one.
 
     Each restart stops at its own first iteration whose value drop is below
     tol; only the restarts still running are contracted and diagonalized, so
@@ -109,6 +124,7 @@ def _seesaw_batch(W4: Array, psi: Array, phi: Array, max_iters: int, tol: float)
     # <psi (x) phi|W|psi (x) phi> as a form in psi (phi frozen) and in phi.
     M_psi = W4.transpose(1, 3, 0, 2).reshape(9, 9)
     M_phi = W4.transpose(0, 2, 1, 3).reshape(9, 9)
+    W = W4.reshape(9, 9)
     psi, phi = psi.copy(), phi.copy()
     count = psi.shape[0]
     values = np.full(count, inf)
@@ -123,18 +139,15 @@ def _seesaw_batch(W4: Array, psi: Array, phi: Array, max_iters: int, tol: float)
         w, vecs = np.linalg.eigh(_contract(new_psi, M_phi))
         new_phi, new_value = vecs[:, :, 0], w[:, 0]
         if t > 1:
-            old_psi = psi[active]
-            overlap = np.sum(old_psi.conj() * new_psi, axis=1)
-            size = np.abs(overlap)
-            phase = np.divide(overlap, size, out=np.zeros_like(overlap), where=size > 0)
             step = beta[active]
-            trial = new_psi + step[:, None] * (new_psi - phase[:, None] * old_psi)
-            trial /= np.linalg.norm(trial, axis=1, keepdims=True)
-            w, vecs = np.linalg.eigh(_contract(trial, M_phi))
-            accept = w[:, 0] < new_value
-            new_psi = np.where(accept[:, None], trial, new_psi)
-            new_phi = np.where(accept[:, None], vecs[:, :, 0], new_phi)
-            new_value = np.where(accept, w[:, 0], new_value)
+            trial_psi = _extrapolate(psi[active], new_psi, step)
+            trial_phi = _extrapolate(phi[active], new_phi, step)
+            u = _products(trial_psi, trial_phi)
+            trial_value = ((u.conj() @ W) * u).sum(1).real
+            accept = trial_value < new_value
+            new_psi = np.where(accept[:, None], trial_psi, new_psi)
+            new_phi = np.where(accept[:, None], trial_phi, new_phi)
+            new_value = np.where(accept, trial_value, new_value)
             beta[active] = np.where(accept, 1.5 * step, np.maximum(0.5 * step, 0.1))
         psi[active] = new_psi
         phi[active] = new_phi
@@ -220,8 +233,9 @@ def zero_product_vectors(
     order, U = _ordered(res.values[zero], res.psi[zero], res.phi[zero])
     close = 1.0 - np.abs(U.conj() @ U.T) <= dedup_tol
     # Greedy scan in order: a candidate survives unless an earlier survivor is close.
+    # Only candidates with a close later partner can drop anything; usually there are none.
     keep = np.ones(len(order), dtype=bool)
-    for i in range(len(order)):
+    for i in np.flatnonzero(np.triu(close, 1).any(axis=1)):
         if keep[i]:
             keep[i + 1 :] &= ~close[i, i + 1 :]
     return [ProductVectorPair(res.psi[r], res.phi[r], float(res.values[r])) for r in zero[order[keep]]]

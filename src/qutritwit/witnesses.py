@@ -171,7 +171,10 @@ def decompose_tilde(p: MapParams) -> DecompositionCertificate:
     """
     _require_slice(p)
     a, b, c = p.asfloats()
-    if b * c - (1 - a) ** 2 < -SLICE_TOL:
+    gap = b * c - (1 - a) ** 2
+    # Floats keep the slack SLICE_TOL; exact parameters are decided exactly.  The
+    # float gap is within roundoff of the exact one, so only |gap| < SLICE_TOL needs it.
+    if gap < -SLICE_TOL or (gap < SLICE_TOL and p.is_exact and p.b * p.c < (1 - p.a) ** 2):
         raise ValueError(f"parameters {p} are outside the region bc >= (1-a)^2")
     R = np.array(_rows(p, "improper"), dtype=float)
     P = np.zeros((9, 9), dtype=complex)

@@ -96,6 +96,23 @@ class TestClassify:
         assert len(lines) == 1
         assert lines[0].startswith("error: --tol ")
 
+    # Each count's first see-saw array (restarts x 3 doubles) exceeds the
+    # address space, so the allocation fails at once.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["witness", "1", "1", "0", "--restarts", "10000000000000"],
+            ["witness", "--kind", "tilde", "--bc", "1", "1", "--restarts", "100000000000000"],
+        ],
+    )
+    def test_unallocatable_restarts_exits_2(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and "--restarts" in lines[0]
+
 
 class TestWitness:
     def test_exact_rational_matrix(self, capsys):

@@ -9,8 +9,10 @@ from qutritwit.gellmann import default_basis
 from qutritwit.linalg import is_psd, kron, partial_transpose
 from qutritwit.maps import (
     MapParams,
+    Positivity,
     apply_phi,
     apply_phi_tilde,
+    classify,
     improper_coeffs,
     phi_map,
     phi_tilde_map,
@@ -253,6 +255,17 @@ class TestDecomposition:
     def test_rejects_outside_region(self):
         with pytest.raises(ValueError):
             decompose_tilde(MapParams(1.5, 0.4, 0.1))
+
+    def test_rejects_rational_point_just_outside_region(self):
+        # b = 1/10, c one 1e-9 past the ellipse's upper root: the exact gap
+        # bc - (1-a)^2 is about -6.1e-10, inside the float slack SLICE_TOL.
+        b = Fraction(1, 10)
+        p = slice_params(b, Fraction((1.9 + 0.37**0.5) / 2) + Fraction(1, 10**9))
+        gap = p.b * p.c - (1 - p.a) ** 2
+        assert -1e-9 < gap < 0
+        assert classify(p).positivity is Positivity.NOT_POSITIVE
+        with pytest.raises(ValueError, match="outside the region"):
+            decompose_tilde(p)
 
     def test_rejects_off_slice(self):
         with pytest.raises(ValueError):
