@@ -58,6 +58,15 @@ SCHEMA_VERSION = "1"
 SEED_ENV_VAR = "QUTRITWIT_SEED"
 DEFAULT_SEED = 7
 
+# --kind -> witness builder.
+_KINDS = {"standard": witness_matrix, "tilde": witness_tilde_matrix, "u": witness_u}
+
+# --improper -> (family name, angle -> parameters, witness builder).
+_FAMILIES = {
+    False: ("proper", so2_coeffs, witness_matrix),
+    True: ("improper", improper_coeffs, witness_tilde_matrix),
+}
+
 
 def _default_seed() -> int:
     text = os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED))
@@ -110,25 +119,17 @@ def _resolve_params(args) -> tuple[MapParams, dict]:
     if getattr(args, "degrees", False):
         alpha = math.radians(alpha)
     improper = bool(getattr(args, "improper", False))
-    coeffs = improper_coeffs if improper else so2_coeffs
-    return coeffs(alpha), {"alpha": alpha, "improper": improper}
+    return _FAMILIES[improper][1](alpha), {"alpha": alpha, "improper": improper}
 
 
 def _seesaw_config(args) -> SeeSawConfig:
+    # The see-saw's first array holds restarts x 3 doubles; numpy refuses one the address space cannot hold.
+    if args.restarts * 3 * 8 > sys.maxsize:
+        raise ValueError(f"--restarts {args.restarts} is too large: the see-saw arrays exceed the address space")
     return SeeSawConfig(
         restarts=args.restarts,
         rng_seed=args.seed if args.seed is not None else _default_seed(),
     )
-
-
-def _witness_of_kind(p: MapParams, kind: str):
-    if kind == "standard":
-        return witness_matrix(p)
-    if kind == "tilde":
-        return witness_tilde_matrix(p)
-    if kind == "u":
-        return witness_u(p)
-    raise ValueError(f"unknown witness kind {kind!r}")
 
 
 def _matrix_payload(W: WitnessMatrix) -> tuple[object, bool]:
@@ -197,7 +198,7 @@ def _cmd_classify(args) -> int:
 def _cmd_witness(args) -> int:
     p, inputs = _resolve_params(args)
     inputs["kind"] = args.kind
-    W = _witness_of_kind(p, args.kind)
+    W = _KINDS[args.kind](p)
     if args.format == "csv":
         _emit(args, _csv_matrix(W.matrix))
         return 0
@@ -219,15 +220,17 @@ def _cmd_witness(args) -> int:
 
 def _cmd_detect(args) -> int:
     p, inputs = _resolve_params(args)
-    lo, hi, count = args.eps_grid
-    lo, hi = float(lo), float(hi)
-    count = int(count)
-    if not 0 < lo < hi < math.inf or count < 2:
+    try:
+        lo, hi, count = float(args.eps_grid[0]), float(args.eps_grid[1]), int(args.eps_grid[2])
+        valid = 0 < lo < hi < math.inf and count >= 2
+    except ValueError:
+        valid = False
+    if not valid:
         raise ValueError("--eps-grid requires 0 < LO < HI < inf and N >= 2")
     inputs["kind"] = args.kind
     inputs["eps_grid"] = [lo, hi, count]
     grid = np.linspace(lo, hi, count)
-    W = _witness_of_kind(p, args.kind)
+    W = _KINDS[args.kind](p)
     values = [float(linalg.trace_pair(rho_eps(e).matrix, W.matrix).real) for e in grid]
     if args.format == "csv":
         lines = ["eps,value"] + [f"{e:.17g},{v:.17g}" for e, v in zip(grid, values)]
@@ -333,8 +336,7 @@ def _cmd_sweep(args) -> int:
     n = args.alpha_grid
     if n < 1:
         raise ValueError("--alpha-grid must be positive")
-    coeffs = improper_coeffs if args.improper else so2_coeffs
-    family = "improper" if args.improper else "proper"
+    family, coeffs, build = _FAMILIES[args.improper]
     if args.what == "rank":
         cfg = _seesaw_config(args)
         print("note: span-rank sweep runs a see-saw search per angle (slow)", file=sys.stderr)
@@ -344,14 +346,14 @@ def _cmd_sweep(args) -> int:
         a, b, c = p.asfloats()
         row = {"alpha": float(alpha), "a": a, "b": b, "c": c, "sum": a + b + c}
         if args.what == "witness":
-            W = witness_tilde_matrix(p) if args.improper else witness_matrix(p)
+            W = build(p)
             row["matrix"] = matrix_entries(W.matrix)
             row["trace"] = W.trace()
             row["min_eigenvalue"] = W.min_eigenvalue()
         elif args.what == "pstar":
             row["p_star"] = critical_p(p)
         elif args.what == "rank":
-            W = witness_tilde_matrix(p) if args.improper else witness_matrix(p)
+            W = build(p)
             zeros = zero_product_vectors(W.matrix, cfg)
             row["zero_count"] = len(zeros)
             row["span_rank"] = span_rank(zeros)
@@ -390,10 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("classify", parents=[common, params], help="positivity class, decomposability, duality")
 
     w = sub.add_parser("witness", parents=[common, params], help="emit a witness matrix with diagnostics")
-    w.add_argument("--kind", choices=("standard", "tilde", "u"), default="standard")
+    w.add_argument("--kind", choices=_KINDS, default="standard")
 
     d = sub.add_parser("detect", parents=[common, params], help="detection values over an eps grid")
-    d.add_argument("--kind", choices=("standard", "tilde", "u"), default="standard")
+    d.add_argument("--kind", choices=_KINDS, default="standard")
     d.add_argument("--eps-grid", nargs=3, metavar=("LO", "HI", "N"), default=("0.1", "2.0", "20"))
 
     sub.add_parser("spa", parents=[common, params], help="structural physical approximation")

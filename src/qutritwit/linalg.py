@@ -27,25 +27,12 @@ def as_matrix(M) -> Array:
     return A
 
 
-def dagger(M: Array) -> Array:
-    return np.conj(np.asarray(M)).T
-
-
-def frobenius(M: Array) -> float:
-    return float(np.linalg.norm(np.asarray(M)))
-
-
-def hermitian_defect(M: Array) -> float:
-    """Frobenius norm of the anti-Hermitian part, ||M - M^dagger||_F."""
-    A = np.asarray(M)
-    return float(np.linalg.norm(A - dagger(A)))
-
-
 def require_hermitian(M, tol: float = DEFAULT_HERMITICITY_TOL) -> Array:
     A = as_matrix(M)
-    if hermitian_defect(A) > tol * max(1.0, frobenius(A)):
+    Ah = A.conj().T
+    if float(np.linalg.norm(A - Ah)) > tol * max(1.0, float(np.linalg.norm(A))):
         raise ValueError("matrix is not Hermitian within tolerance")
-    return (A + dagger(A)) / 2.0
+    return (A + Ah) / 2.0
 
 
 def kron(A: Array, B: Array) -> Array:
@@ -81,30 +68,30 @@ class HermitianEigenResult:
 
     def reconstruct(self) -> Array:
         V = self.eigenvectors
-        return (V * self.eigenvalues) @ dagger(V)
+        return (V * self.eigenvalues) @ V.conj().T
 
 
-def hermitian_eigen(H, tol: float = DEFAULT_HERMITICITY_TOL) -> HermitianEigenResult:
+def hermitian_eigen(H) -> HermitianEigenResult:
     """Diagonalize a Hermitian matrix with LAPACK (``numpy.linalg.eigh``).
 
-    The input is checked for Hermiticity within ``tol`` and symmetrized first.
+    The input is checked for Hermiticity within DEFAULT_HERMITICITY_TOL and symmetrized first.
     """
-    w, V = np.linalg.eigh(require_hermitian(H, tol))
+    w, V = np.linalg.eigh(require_hermitian(H))
     return HermitianEigenResult(w, V)
 
 
-def eigenvalues(H, tol: float = DEFAULT_HERMITICITY_TOL) -> Array:
+def eigenvalues(H) -> Array:
     """Ascending eigenvalues of a Hermitian matrix."""
-    return hermitian_eigen(H, tol).eigenvalues
+    return hermitian_eigen(H).eigenvalues
 
 
-def min_eigenvalue(H, tol: float = DEFAULT_HERMITICITY_TOL) -> float:
-    return float(eigenvalues(H, tol)[0])
+def min_eigenvalue(H) -> float:
+    return float(eigenvalues(H)[0])
 
 
-def is_psd(H, tol: float = DEFAULT_PSD_TOL) -> bool:
-    """True when the smallest eigenvalue is >= -tol.  Input must be Hermitian."""
-    return min_eigenvalue(H) >= -tol
+def is_psd(H) -> bool:
+    """True when the smallest eigenvalue is >= -DEFAULT_PSD_TOL.  Input must be Hermitian."""
+    return min_eigenvalue(H) >= -DEFAULT_PSD_TOL
 
 
 def trace_pair(A, B) -> complex:

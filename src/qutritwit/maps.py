@@ -36,6 +36,7 @@ from .gellmann import OrthonormalBasis, default_basis
 from .linalg import Array
 
 SLICE_TOL = 1e-9
+ORTHOGONALITY_TOL = 1e-10
 
 Number = float | int | Fraction
 
@@ -235,12 +236,12 @@ def improper_rotation(alpha: float) -> Array:
     return np.array([[ca, sa], [sa, -ca]])
 
 
-def rotation_block(T: Array, tol: float = 1e-10) -> Array:
+def rotation_block(T: Array) -> Array:
     """Embed T in O(2) as diag(T, -I_6) acting on (d_1, d_2, u.., v..)."""
     T = np.asarray(T, dtype=float)
     if T.shape != (2, 2):
         raise ValueError("expected a 2x2 matrix")
-    if np.linalg.norm(T.T @ T - np.eye(2)) > tol:
+    if np.linalg.norm(T.T @ T - np.eye(2)) > ORTHOGONALITY_TOL:
         raise ValueError("matrix is not orthogonal within tolerance")
     R = -np.eye(8)
     R[:2, :2] = T
@@ -279,9 +280,7 @@ def phi_tilde_map(p: MapParams) -> LinearMap3:
     return LinearMap3._from_stack_map(lambda F: apply_phi_tilde(p, F), "improper")
 
 
-def phi_from_rotation(
-    R: Array, basis: OrthonormalBasis | None = None, tol: float = 1e-10
-) -> LinearMap3:
+def phi_from_rotation(R: Array) -> LinearMap3:
     """Unital positive map built from an orthogonal rotation of the traceless
     basis sector:
 
@@ -290,12 +289,12 @@ def phi_from_rotation(
     With R = diag(T(alpha), -I_6) this reproduces the circulant family at the
     proper-rotation parameters, and the improper family for reflections.
     """
-    basis = basis or default_basis()
+    basis = default_basis()
     n, m = basis.n, len(basis) - 1
     R = np.asarray(R, dtype=float)
     if R.shape != (m, m):
         raise ValueError(f"rotation must be {m}x{m} for n = {n}")
-    if np.linalg.norm(R.T @ R - np.eye(m)) > tol:
+    if np.linalg.norm(R.T @ R - np.eye(m)) > ORTHOGONALITY_TOL:
         raise ValueError("rotation matrix is not orthogonal within tolerance")
     S = np.eye(m + 1)
     S[1:, 1:] = R / (n - 1)

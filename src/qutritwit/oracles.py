@@ -241,12 +241,12 @@ def zero_product_vectors(
     return [ProductVectorPair(res.psi[r], res.phi[r], float(res.values[r])) for r in zero[order[keep]]]
 
 
-def span_rank(pairs: Sequence[ProductVectorPair], tol: float = SPAN_RANK_TOL) -> int:
+def span_rank(pairs: Sequence[ProductVectorPair]) -> int:
     """Numerical rank of the span of the product vectors psi (x) phi.
 
     Computed from the 9x9 Gram accumulation sum_r u_r u_r^dagger = U^T conj(U),
     which has the same nonzero spectrum as the k x k Gram matrix; eigenvalues
-    above tol * largest count toward the rank.
+    above SPAN_RANK_TOL * largest count toward the rank.
     """
     if not pairs:
         return 0
@@ -255,7 +255,7 @@ def span_rank(pairs: Sequence[ProductVectorPair], tol: float = SPAN_RANK_TOL) ->
     top = float(w[-1])
     if top <= 0:
         return 0
-    return int(np.sum(w > tol * top))
+    return int(np.sum(w > SPAN_RANK_TOL * top))
 
 
 def indecomposability_certificate(p: MapParams) -> Optional[tuple[float, float]]:

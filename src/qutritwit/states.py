@@ -39,8 +39,8 @@ class BipartiteState:
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 
-    def is_psd(self, tol: float = linalg.DEFAULT_PSD_TOL) -> bool:
-        return linalg.is_psd(self.matrix, tol)
+    def is_psd(self) -> bool:
+        return linalg.is_psd(self.matrix)
 
 
 def rho_eps(eps: float) -> BipartiteState:
@@ -67,9 +67,9 @@ def max_entangled_projector() -> BipartiteState:
     return BipartiteState(M)
 
 
-def is_ppt(state, tol: float = linalg.DEFAULT_PSD_TOL) -> bool:
+def is_ppt(state) -> bool:
     """Positive-partial-transpose test (Peres criterion)."""
-    return linalg.is_psd(partial_transpose(linalg.as_matrix(state)), tol)
+    return linalg.is_psd(partial_transpose(linalg.as_matrix(state)))
 
 
 def detection_value(p: MapParams, eps: float) -> float:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
-from typing import Callable, Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -76,10 +76,7 @@ class DecompositionCertificate:
 
     P: Array
     Q: Array
-    scale: float = 6.0
-
-    def reconstruction(self) -> Array:
-        return (self.P + partial_transpose(self.Q, "second")) / self.scale
+    scale: ClassVar[float] = 6.0
 
     def residual(self, witness: "WitnessMatrix | Array") -> float:
         W = linalg.as_matrix(witness)
@@ -188,9 +185,7 @@ def decompose_tilde(p: MapParams) -> DecompositionCertificate:
 
 
 def mix_witnesses(
-    standard_weights: Sequence[tuple[float, float]],
-    tilde_weights: Sequence[tuple[float, float]] = (),
-    tol: float = 1e-10,
+    standard_weights: Sequence[tuple[float, float]], tilde_weights: Sequence[tuple[float, float]] = ()
 ) -> WitnessMatrix:
     """Convex combination of rotation-angle witnesses from both families.
 
@@ -202,7 +197,7 @@ def mix_witnesses(
     weights = [w for _, w in standard_weights] + [w for _, w in tilde_weights]
     if any(w < 0 for w in weights):
         raise ValueError("mixture weights must be non-negative")
-    if abs(sum(weights) - 1.0) > tol:
+    if abs(sum(weights) - 1.0) > 1e-10:
         raise ValueError("mixture weights must sum to one")
     M = np.zeros((9, 9), dtype=complex)
     for alpha, w in standard_weights:

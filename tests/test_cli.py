@@ -1,10 +1,13 @@
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qutritwit.cli import main
+from qutritwit.maps import improper_coeffs, so2_coeffs
+from qutritwit.witnesses import matrix_entries, witness_matrix, witness_tilde_matrix
 
 
 def run_json(capsys, argv):
@@ -103,6 +106,8 @@ class TestClassify:
         [
             ["witness", "1", "1", "0", "--restarts", "10000000000000"],
             ["witness", "--kind", "tilde", "--bc", "1", "1", "--restarts", "100000000000000"],
+            ["witness", "1", "1", "0", "--restarts", str(10**18)],
+            ["sweep", "--alpha-grid", "2", "--what", "rank", "--restarts", str(10**18)],
         ],
     )
     def test_unallocatable_restarts_exits_2(self, capsys, argv):
@@ -180,6 +185,12 @@ class TestDetect:
         assert main(["detect", "1", "1", "0", "--eps-grid", "0", "2", "5"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("grid", [["0.1", "2", "2.5"], ["abc", "2", "5"]])
+    def test_unparsable_grid_names_flag(self, capsys, grid):
+        assert main(["detect", "1", "1", "0", "--eps-grid", *grid]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "--eps-grid" in lines[0]
+
 
 class TestSpa:
     def test_reduction_point(self, capsys):
@@ -255,6 +266,28 @@ class TestSweep:
         first, third = rows[0], rows[2]
         assert abs(first["a"] - 4 / 3) < 1e-12 and abs(first["b"] - 1 / 3) < 1e-12
         assert abs(third["a"]) < 1e-12 and abs(third["b"] - 1) < 1e-12
+
+    @pytest.mark.parametrize(
+        "flags, family, coeffs", [([], "proper", so2_coeffs), (["--improper"], "improper", improper_coeffs)]
+    )
+    def test_family_rows(self, capsys, flags, family, coeffs):
+        record = run_json(capsys, ["sweep", "--alpha-grid", "4", *flags])
+        assert record["inputs"]["family"] == family
+        rows = record["results"]["rows"]
+        assert [row["alpha"] for row in rows] == [k * math.pi / 2 for k in range(4)]
+        for row in rows:
+            assert (row["a"], row["b"], row["c"]) == coeffs(row["alpha"]).asfloats()
+
+    @pytest.mark.parametrize(
+        "flags, coeffs, build",
+        [([], so2_coeffs, witness_matrix), (["--improper"], improper_coeffs, witness_tilde_matrix)],
+    )
+    def test_family_witness_matrices(self, capsys, flags, coeffs, build):
+        record = run_json(capsys, ["sweep", "--alpha-grid", "3", "--what", "witness", *flags])
+        rows = record["results"]["rows"]
+        assert len(rows) == 3
+        for row in rows:
+            assert row["matrix"] == matrix_entries(build(coeffs(row["alpha"])).matrix)
 
     def test_pstar_at_pi(self, capsys):
         record = run_json(capsys, ["sweep", "--alpha-grid", "4", "--what", "pstar"])
