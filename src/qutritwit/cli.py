@@ -42,7 +42,7 @@ from .oracles import (
     span_rank,
     zero_product_vectors,
 )
-from .spa import critical_p, spa_region, spa_state
+from .spa import critical_p, spa_state
 from .states import detects_rho_family, rho_eps
 from .witnesses import (
     WitnessMatrix,
@@ -253,7 +253,7 @@ def _cmd_spa(args) -> int:
     results = {
         "params": _encode_params(p),
         "p_star": res.p_star,
-        "region": spa_region(float(p.b), float(p.c)),
+        "region": res.separable_certified,
         "separable_certified": res.separable_certified,
         "state": matrix_entries(res.state.matrix),
         "state_min_eigenvalue": linalg.min_eigenvalue(res.state.matrix),
@@ -439,7 +439,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        print(f"error: out of memory: --restarts {args.restarts} or the grid size is too large", file=sys.stderr)
+        flags = {"detect": ["--eps-grid"], "figure": ["--resolution"], "sweep": ["--alpha-grid"]}.get(args.command, [])
+        if args.command == "witness" or getattr(args, "what", None) == "rank":
+            flags.append(f"--restarts {args.restarts}")
+        print(f"error: out of memory: {' or '.join(flags) or 'the input'} is too large", file=sys.stderr)
         return 2
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import cos, isfinite, pi, sin, sqrt
+from math import cos, isfinite, pi, sin, sqrt, ulp
 
 import numpy as np
 
@@ -37,6 +37,8 @@ from .linalg import Array
 
 SLICE_TOL = 1e-9
 ORTHOGONALITY_TOL = 1e-10
+# Floats built on a boundary miss it by at most 2 ulp; _side forgives 16.
+_SIDE_TOL = 16 * ulp(1.0)
 
 Number = float | int | Fraction
 
@@ -79,8 +81,9 @@ class MapParams:
     def is_exact(self) -> bool:
         return all(isinstance(x, (int, Fraction)) for x in self.astuple())
 
-    def on_slice(self, tol: float = SLICE_TOL) -> bool:
-        return abs(float(self.a + self.b + self.c) - 2.0) <= tol
+    def on_slice(self) -> bool:
+        """Whether the point is accepted as a point of the plane a+b+c = 2."""
+        return abs(float(self.a + self.b + self.c) - 2.0) <= SLICE_TOL
 
 
 class Positivity(enum.Enum):
@@ -106,9 +109,18 @@ def n_abc(p: MapParams) -> Number:
     return 1 / (p.a + p.b + p.c)
 
 
-def _require_slice(p: MapParams, tol: float = SLICE_TOL) -> None:
-    if not p.on_slice(tol):
+def _require_slice(p: MapParams) -> None:
+    if not p.on_slice():
         raise ValueError(f"parameters {p} are off the plane a+b+c = 2")
+
+
+def _side(lhs: Number, rhs: Number) -> int:
+    """Sign of lhs - rhs, exact for rationals.  With a float operand, a difference
+    within 16 ulp of max(1, |lhs|, |rhs|) is roundoff: the point is on the boundary (0)."""
+    if isinstance(lhs, float) or isinstance(rhs, float):
+        if abs(lhs - rhs) <= _SIDE_TOL * max(1.0, abs(lhs), abs(rhs)):
+            return 0
+    return (lhs > rhs) - (lhs < rhs)
 
 
 # Rows of each family's diagonal action (up to normalization and the +1 on
@@ -158,32 +170,31 @@ def classify(p: MapParams) -> MapClass:
     (but not CP) iff a+b+c >= 2 and, when a <= 1, bc >= (1-a)^2.  A positive
     non-CP member is indecomposable iff bc < (2-a)^2 / 4; completely positive
     maps are decomposable outright, so the criterion is not applied to them.
+    Each boundary comparison is a _side decision, so a float within roundoff
+    of a boundary gets the verdict of a point on it.
     """
     a, b, c = p.astuple()
-    if a >= 2:
+    if _side(a, 2) >= 0:
         return MapClass(Positivity.COMPLETELY_POSITIVE, Decomposability.DECOMPOSABLE)
-    if a + b + c < 2:
+    if _side(a + b + c, 2) < 0:
         return MapClass(Positivity.NOT_POSITIVE, Decomposability.UNKNOWN)
-    if a <= 1 and b * c < (1 - a) ** 2:
+    if a <= 1 and _side(b * c, (1 - a) ** 2) < 0:
         return MapClass(Positivity.NOT_POSITIVE, Decomposability.UNKNOWN)
-    if b * c < (2 - a) ** 2 / 4:
+    if _side(b * c, (2 - a) ** 2 / 4) < 0:
         return MapClass(Positivity.POSITIVE_NOT_CP, Decomposability.INDECOMPOSABLE)
     return MapClass(Positivity.POSITIVE_NOT_CP, Decomposability.DECOMPOSABLE)
 
 
 def slice_params(b: Number, c: Number) -> MapParams:
     """Lift (b, c) to the plane a+b+c = 2, i.e. (2-b-c, b, c)."""
-    if b < 0 or c < 0 or b + c > 2 + 1e-12:
+    if b < 0 or c < 0 or _side(b + c, 2) > 0:
         raise ValueError(f"(b, c) = ({b}, {c}) is outside the simplex")
-    a = 2 - b - c
-    if a < 0:  # roundoff from b + c = 2
-        a = 0 * a
-    return MapParams(a, b, c)
+    return MapParams(max(2 - b - c, 0 * b), b, c)  # b + c may pass 2 by roundoff
 
 
-def on_ellipse(p: MapParams, tol: float = SLICE_TOL) -> bool:
+def on_ellipse(p: MapParams, tol: float = 1e-9) -> bool:
     """True when bc = (1-a)^2 within tol.  Input must satisfy a+b+c = 2."""
-    _require_slice(p, max(tol, SLICE_TOL))
+    _require_slice(p)
     a, b, c = p.astuple()
     return abs(float(b * c - (1 - a) ** 2)) <= tol
 

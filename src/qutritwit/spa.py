@@ -21,7 +21,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import Array
-from .maps import MapParams, Number, _require_slice
+from .maps import MapParams, Number, _require_slice, _side
 from .states import BipartiteState, sigma_diag, sigma_pair
 from .witnesses import WitnessMatrix, witness_matrix
 
@@ -70,9 +70,9 @@ def critical_p(p: MapParams) -> float:
     Returns 0 for a >= 2, where the witness is already PSD.
     """
     _require_slice(p)
-    a = float(p.a)
-    if a >= 2:
+    if _side(p.a, 2) >= 0:
         return 0.0
+    a = float(p.a)
     return 3 * (2 - a) / (2 + 3 * (2 - a))
 
 
@@ -90,7 +90,7 @@ def critical_p_from_witness(W: WitnessMatrix | Array) -> float:
 
 def spa_region(b: Number, c: Number) -> bool:
     """True when the diagonal remainder is PSD: 2b+c >= 1 and 2c+b >= 1."""
-    return 2 * b + c >= 1 and 2 * c + b >= 1
+    return _side(2 * b + c, 1) >= 0 and _side(2 * c + b, 1) >= 0
 
 
 def spa_state(p: MapParams) -> SpaResult:
@@ -101,15 +101,14 @@ def spa_state(p: MapParams) -> SpaResult:
     scale = 1 / (3 (2 + 3(2-a))); outside it no separability claim is made.
     """
     _require_slice(p)
-    a, b, c = p.asfloats()
-    if a >= 2:
+    if _side(p.a, 2) >= 0:
         raise ValueError("requires a < 2; the witness is already PSD")
     star = critical_p(p)
     state = BipartiteState(spa_mix(witness_matrix(p), star))
     certified = spa_region(p.b, p.c)
     components = None
     if certified:
-        scale = 1.0 / (3.0 * (2.0 + 3.0 * (2.0 - a)))
+        scale = 1.0 / (3.0 * (2.0 + 3.0 * (2.0 - float(p.a))))
         components = SpaComponents(
             sigma_pair(1, 2), sigma_pair(1, 3), sigma_pair(2, 3), sigma_diag(p), scale
         )

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import Array, partial_transpose
-from .maps import MapParams, _require_slice, n_abc
+from .maps import MapParams, _require_slice, _side, n_abc
 from .witnesses import _DOUBLE, witness_matrix
 
 # Flat composite indices of the cycles |i,i+1> and |i,i+2>.
@@ -84,29 +84,19 @@ def detects_rho_family(p: MapParams) -> Optional[tuple[float, float]]:
     """Open interval of eps with Tr(rho_eps W[a,b,c]) < 0, or None.
 
     The sign of the detection value is that of q(eps) = b eps^2 + (a-2) eps
-    + c.  For b > 0 the interval exists iff the discriminant (a-2)^2 - 4bc is
-    positive and the upper root is; for b = 0 the quadratic degenerates to a
-    line and the sign is read off directly.  The discriminant sign is decided
-    in exact arithmetic when the parameters are rational.
+    + c, negative somewhere on eps > 0 iff a < 2 and bc < (2-a)^2/4 (a
+    positive discriminant): classify's _side decisions, so a positive non-CP
+    map has an interval iff it is indecomposable.  For b = 0 q is a line.
     """
     a, b, c = p.astuple()
-    if b > 0:
-        disc = (a - 2) ** 2 - 4 * b * c
-        if disc <= 0:
-            return None
-        root = sqrt(float(disc))
-        af, bf, cf = p.asfloats()
-        lo = ((2.0 - af) - root) / (2.0 * bf)
-        hi = ((2.0 - af) + root) / (2.0 * bf)
-        if hi <= 0:
-            return None
-        return (max(lo, 0.0), hi)
-    # b == 0: q(eps) = (a-2) eps + c.
-    if a >= 2:
+    bc, quarter = b * c, (2 - a) ** 2 / 4
+    if _side(a, 2) >= 0 or _side(bc, quarter) >= 0:
         return None
-    cf = float(c)
-    lo = cf / (2.0 - float(a))
-    return (lo, inf)
+    af, bf = float(a), float(b)
+    if b == 0:
+        return (float(c) / (2.0 - af), inf)
+    root = 2 * sqrt(float(quarter - bc))
+    return (max(((2.0 - af) - root) / (2.0 * bf), 0.0), ((2.0 - af) + root) / (2.0 * bf))
 
 
 def sigma_pair(i: int, j: int) -> BipartiteState:

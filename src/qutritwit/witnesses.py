@@ -30,9 +30,9 @@ from .maps import (
     LinearMap3,
     MapParams,
     Number,
-    SLICE_TOL,
     _require_slice,
     _rows,
+    _side,
     improper_coeffs,
     n_abc,
     so2_coeffs,
@@ -167,11 +167,7 @@ def decompose_tilde(p: MapParams) -> DecompositionCertificate:
     sum 2 and that product, so P >= 0 exactly on the region bc >= (1-a)^2.
     """
     _require_slice(p)
-    a, b, c = p.asfloats()
-    gap = b * c - (1 - a) ** 2
-    # Floats keep the slack SLICE_TOL; exact parameters are decided exactly.  The
-    # float gap is within roundoff of the exact one, so only |gap| < SLICE_TOL needs it.
-    if gap < -SLICE_TOL or (gap < SLICE_TOL and p.is_exact and p.b * p.c < (1 - p.a) ** 2):
+    if _side(p.b * p.c, (1 - p.a) ** 2) < 0:
         raise ValueError(f"parameters {p} are outside the region bc >= (1-a)^2")
     R = np.array(_rows(p, "improper"), dtype=float)
     P = np.zeros((9, 9), dtype=complex)

@@ -118,6 +118,26 @@ class TestClassify:
         assert len(lines) == 1
         assert lines[0].startswith("error: ") and "--restarts" in lines[0]
 
+    # A grid the address space cannot hold: the diagnostic names the flag
+    # that sized it, and no flag the command does not read.
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["detect", "1", "1", "0", "--eps-grid", "0.1", "2", "10000000000000"], "--eps-grid"),
+            (["detect", "1", "1", "0", "--eps-grid", "0.1", "2", str(10**18)], "--eps-grid"),
+            (["sweep", "--alpha-grid", str(10**18)], "--alpha-grid"),
+        ],
+        ids=["detect-1e13", "detect-1e18", "sweep-1e18"],
+    )
+    def test_unallocatable_grid_exits_2(self, capsys, argv, flag):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: out of memory: ") and flag in lines[0]
+        assert "--restarts" not in lines[0]
+
 
 class TestWitness:
     def test_exact_rational_matrix(self, capsys):

@@ -158,6 +158,17 @@ class TestClassify:
         assert cls.positivity == Positivity.COMPLETELY_POSITIVE
         assert cls.decomposability == Decomposability.DECOMPOSABLE
 
+    def test_random_float_slice_points_above_one_are_positive(self):
+        # a > 1 is inside the positive region; float slice points often sum to
+        # 2 - 1 ulp, which is roundoff and not a side of the plane.
+        rng = np.random.default_rng(0)
+        b, c = rng.uniform(0, 1, size=(2, 100_000))
+        inside = b + c < 1
+        points = [slice_params(float(x), float(y)) for x, y in zip(b[inside], c[inside])][:50_000]
+        assert len(points) == 50_000
+        flipped = [p for p in points if classify(p).positivity is Positivity.NOT_POSITIVE]
+        assert flipped == []
+
 
 class TestSlice:
     def test_slice_params(self):
@@ -237,6 +248,14 @@ class TestRotationCoefficients:
                 assert abs(b * c - (1 - a) ** 2) < 1e-12
                 assert abs(a * b - (1 - c) ** 2) < 1e-12
                 assert abs(a * c - (1 - b) ** 2) < 1e-12
+
+    def test_rotation_sweeps_are_never_not_positive(self):
+        # Every rotation angle is a point of the ellipse, the boundary of the
+        # positive set; roundoff must not push it to the outside.
+        for coeffs in (so2_coeffs, improper_coeffs):
+            for alpha in np.linspace(0, 2 * pi, 3600, endpoint=False):
+                cls = classify(coeffs(float(alpha)))
+                assert cls.positivity is not Positivity.NOT_POSITIVE, (coeffs.__name__, alpha)
 
     def test_dual_reverses_angle(self):
         for alpha in (0.4, 1.9, 5.5):

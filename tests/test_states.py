@@ -6,7 +6,7 @@ import pytest
 
 from conftest import random_slice_params
 from qutritwit.linalg import eigenvalues, min_eigenvalue, partial_transpose, trace_pair
-from qutritwit.maps import MapParams, improper_coeffs, slice_params
+from qutritwit.maps import Decomposability, MapParams, classify, improper_coeffs, slice_params
 from qutritwit.states import (
     detection_value,
     detection_value_numeric,
@@ -110,6 +110,14 @@ class TestDetectionInterval:
                     continue
                 interval = detects_rho_family(slice_params(b, c))
                 assert (interval is not None) == (b != c), (b, c)
+
+    def test_float_self_dual_points_are_decomposable(self):
+        # On the plane b = c is the line 4bc = (2-a)^2; float points on it
+        # miss it by roundoff only and must not read as indecomposable.
+        for b in np.linspace(0, 1, 1001):
+            p = slice_params(float(b), float(b))
+            assert classify(p).decomposability is Decomposability.DECOMPOSABLE, b
+            assert detects_rho_family(p) is None, b
 
     def test_interval_sign_scan(self):
         # Sampled detection values are negative inside the interval and

@@ -34,6 +34,10 @@ from qutritwit.witnesses import (
 )
 
 DOUBLES = (0, 4, 8)
+# Upper root c of bc = (1-a)^2 at b = 1/10 on the plane a+b+c = 2, and a float
+# point 1.6e-12 past it: outside the region by more than roundoff.
+C0 = (1.9 + 0.37**0.5) / 2
+FLOAT_OUTSIDE = slice_params(0.1, C0 + 1.6e-12)
 
 
 def u_display(p):
@@ -256,13 +260,24 @@ class TestDecomposition:
         with pytest.raises(ValueError):
             decompose_tilde(MapParams(1.5, 0.4, 0.1))
 
-    def test_rejects_rational_point_just_outside_region(self):
-        # b = 1/10, c one 1e-9 past the ellipse's upper root: the exact gap
-        # bc - (1-a)^2 is about -6.1e-10, inside the float slack SLICE_TOL.
-        b = Fraction(1, 10)
-        p = slice_params(b, Fraction((1.9 + 0.37**0.5) / 2) + Fraction(1, 10**9))
+    # Points just past C0, outside the region bc >= (1-a)^2 by a gap between
+    # 1e-13 and 1e-9: beyond roundoff, so each is outside.  The off-plane one
+    # sits 1e-10 below a+b+c = 2: the 1e-9 plane guard accepts it, and
+    # classify puts it on the plane's outer side.
+    @pytest.mark.parametrize(
+        "p",
+        [
+            slice_params(Fraction(1, 10), Fraction(C0) + Fraction(1, 10**9)),
+            FLOAT_OUTSIDE,
+            MapParams(FLOAT_OUTSIDE.a, FLOAT_OUTSIDE.b, FLOAT_OUTSIDE.c - 1e-10),
+        ],
+        ids=["rational", "float", "float-off-plane"],
+    )
+    def test_rejects_point_just_outside_region(self, p):
         gap = p.b * p.c - (1 - p.a) ** 2
-        assert -1e-9 < gap < 0
+        assert -1e-9 < gap < -1e-13
+        assert p.on_slice()
+        assert witness_tilde_matrix(p).params == p
         assert classify(p).positivity is Positivity.NOT_POSITIVE
         with pytest.raises(ValueError, match="outside the region"):
             decompose_tilde(p)
