@@ -2,15 +2,17 @@
 detection scans, certificates, structural physical approximation, figure
 data, and angle sweeps.
 
-Every command writes a single JSON record
+Each command returns its (inputs, results), or CSV text, and `main` alone
+writes the single JSON record
 
     {"schema_version": "1", "command": ..., "inputs": ..., "results": ...}
 
 to stdout (or --output PATH).  Matrix entries are nested rows of [re, im]
 pairs, except when the map parameters are exact rationals, in which case
 entries are emitted as "p/q" strings; `witness` and `detect` also take
---format csv.  Invalid input, including an unwritable --output path, exits
-with status 2 and a diagnostic on stderr.
+--format csv.  Any failure, a usage error, invalid input, float overflow or
+an unwritable --output path, exits with status 2, nothing on stdout and one
+`error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -138,17 +140,6 @@ def _matrix_payload(W: WitnessMatrix) -> tuple[object, bool]:
     return matrix_entries(W.matrix), False
 
 
-def _write_record(args, command: str, inputs: dict, results: dict) -> None:
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-    }
-    text = json.dumps(record, indent=2)
-    _emit(args, text)
-
-
 def _emit(args, text: str) -> None:
     if args.output:
         try:
@@ -178,7 +169,7 @@ def _csv_matrix(M) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> tuple[dict, dict]:
     p, inputs = _resolve_params(args)
     cls = classify(p)
     slice_ok = p.on_slice()
@@ -191,17 +182,15 @@ def _cmd_classify(args) -> int:
         "dual": _encode_params(dual(p)),
         "detection_interval": _encode_interval(detects_rho_family(p)) if slice_ok else None,
     }
-    _write_record(args, "classify", inputs, results)
-    return 0
+    return inputs, results
 
 
-def _cmd_witness(args) -> int:
+def _cmd_witness(args) -> tuple[dict, dict] | str:
     p, inputs = _resolve_params(args)
     inputs["kind"] = args.kind
     W = _KINDS[args.kind](p)
     if args.format == "csv":
-        _emit(args, _csv_matrix(W.matrix))
-        return 0
+        return _csv_matrix(W.matrix)
     cfg = _seesaw_config(args)
     entries, exact = _matrix_payload(W)
     results = {
@@ -214,11 +203,10 @@ def _cmd_witness(args) -> int:
         "block_positivity_estimate": min_product_expectation(W.matrix, cfg).value,
         "seesaw": {"restarts": cfg.restarts, "seed": cfg.rng_seed},
     }
-    _write_record(args, "witness", inputs, results)
-    return 0
+    return inputs, results
 
 
-def _cmd_detect(args) -> int:
+def _cmd_detect(args) -> tuple[dict, dict] | str:
     p, inputs = _resolve_params(args)
     try:
         lo, hi, count = float(args.eps_grid[0]), float(args.eps_grid[1]), int(args.eps_grid[2])
@@ -233,9 +221,7 @@ def _cmd_detect(args) -> int:
     W = _KINDS[args.kind](p)
     values = [float(linalg.trace_pair(rho_eps(e).matrix, W.matrix).real) for e in grid]
     if args.format == "csv":
-        lines = ["eps,value"] + [f"{e:.17g},{v:.17g}" for e, v in zip(grid, values)]
-        _emit(args, "\n".join(lines))
-        return 0
+        return "\n".join(["eps,value"] + [f"{e:.17g},{v:.17g}" for e, v in zip(grid, values)])
     results = {
         "params": _encode_params(p),
         "kind": W.kind,
@@ -243,11 +229,10 @@ def _cmd_detect(args) -> int:
         "values": values,
         "detection_interval": _encode_interval(detects_rho_family(p)) if args.kind == "standard" else None,
     }
-    _write_record(args, "detect", inputs, results)
-    return 0
+    return inputs, results
 
 
-def _cmd_spa(args) -> int:
+def _cmd_spa(args) -> tuple[dict, dict]:
     p, inputs = _resolve_params(args)
     res = spa_state(p)
     results = {
@@ -269,11 +254,10 @@ def _cmd_spa(args) -> int:
         }
     else:
         results["components"] = None
-    _write_record(args, "spa", inputs, results)
-    return 0
+    return inputs, results
 
 
-def _cmd_certify(args) -> int:
+def _cmd_certify(args) -> tuple[dict, dict]:
     p, inputs = _resolve_params(args)
     if args.tilde == args.indecomposable:
         raise ValueError("choose exactly one of --tilde or --indecomposable")
@@ -298,11 +282,10 @@ def _cmd_certify(args) -> int:
             "eps": found[0] if found else None,
             "value": found[1] if found else None,
         }
-    _write_record(args, "certify", inputs, results)
-    return 0
+    return inputs, results
 
 
-def _cmd_figure(args) -> int:
+def _cmd_figure(args) -> tuple[dict, dict]:
     n = args.resolution
     if n < 8:
         raise ValueError("--resolution must be at least 8")
@@ -328,11 +311,10 @@ def _cmd_figure(args) -> int:
             "v": [0.0, 0.0],
         },
     }
-    _write_record(args, "figure", {"resolution": n}, results)
-    return 0
+    return {"resolution": n}, results
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple[dict, dict]:
     n = args.alpha_grid
     if n < 1:
         raise ValueError("--alpha-grid must be positive")
@@ -358,9 +340,7 @@ def _cmd_sweep(args) -> int:
             row["zero_count"] = len(zeros)
             row["span_rank"] = span_rank(zeros)
         rows.append(row)
-    inputs = {"alpha_grid": n, "family": family, "what": args.what}
-    _write_record(args, "sweep", inputs, {"rows": rows})
-    return 0
+    return {"alpha_grid": n, "family": family, "what": args.what}, {"rows": rows}
 
 
 # ---------------------------------------------------------------------------
@@ -368,22 +348,29 @@ def _cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises ValueError, so main reports it like any other invalid input."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--tol", type=float, default=1e-9, help="numerical tolerance for reported checks")
     common.add_argument("--seed", type=int, default=None, help=f"see-saw RNG seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})")
     common.add_argument("--restarts", type=int, default=200, help="see-saw restarts")
     common.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
     common.add_argument("--output", type=str, default=None, help="write output to a file instead of stdout")
 
-    params = argparse.ArgumentParser(add_help=False)
+    params = _Parser(add_help=False)
     params.add_argument("params", nargs="*", help="map parameters a b c (numbers or fractions like 2/3)")
     params.add_argument("--bc", nargs=2, metavar=("B", "C"), default=None, help="parameters on the plane a+b+c = 2")
     params.add_argument("--alpha", type=float, default=None, help="rotation angle in radians")
     params.add_argument("--improper", action="store_true", help="use the improper-rotation family for --alpha")
     params.add_argument("--degrees", action="store_true", help="interpret --alpha in degrees")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qutritwit",
         description="Two-qutrit entanglement witnesses: construction, classification, certificates.",
     )
@@ -427,14 +414,22 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if not (math.isfinite(args.tol) and args.tol >= 0):
             raise ValueError(f"--tol must be finite and non-negative, got {args.tol!r}")
         if args.format == "csv" and args.command not in ("witness", "detect"):
             raise ValueError("--format csv is supported only by witness and detect")
-        return _DISPATCH[args.command](args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            out = _DISPATCH[args.command](args)
+        if isinstance(out, tuple):
+            record = {"schema_version": SCHEMA_VERSION, "command": args.command, "inputs": out[0], "results": out[1]}
+            out = json.dumps(record, indent=2, allow_nan=False)
+        _emit(args, out)
+        return 0
+    except (OverflowError, FloatingPointError) as exc:
+        print(f"error: a value overflows a float ({exc}); the input is too large or too small", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

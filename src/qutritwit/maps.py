@@ -37,8 +37,9 @@ from .linalg import Array
 
 SLICE_TOL = 1e-9
 ORTHOGONALITY_TOL = 1e-10
-# Floats built on a boundary miss it by at most 2 ulp; _side forgives 16.
-_SIDE_TOL = 16 * ulp(1.0)
+# Inputs of size <= 2 built on a boundary miss it by at most 2 ulp(2) per unit
+# of the boundary's gradient; _side forgives 16.
+_SIDE_TOL = 16 * ulp(2.0)
 
 Number = float | int | Fraction
 
@@ -114,13 +115,17 @@ def _require_slice(p: MapParams) -> None:
         raise ValueError(f"parameters {p} are off the plane a+b+c = 2")
 
 
-def _side(lhs: Number, rhs: Number) -> int:
-    """Sign of lhs - rhs, exact for rationals.  With a float operand, a difference
-    within 16 ulp of max(1, |lhs|, |rhs|) is roundoff: the point is on the boundary (0)."""
-    if isinstance(lhs, float) or isinstance(rhs, float):
-        if abs(lhs - rhs) <= _SIDE_TOL * max(1.0, abs(lhs), abs(rhs)):
+def _side(lhs: Number, rhs: Number, slope: Number) -> int:
+    """Sign of lhs - rhs (-1, 0 or +1), exact when both are int or Fraction.
+
+    slope is the 1-norm of the gradient of lhs - rhs in (a, b, c) at the point.
+    With any other operand (a float or a numpy scalar), |lhs - rhs| <= 16 ulp(2)
+    * slope is roundoff: the point is on the boundary (0).
+    """
+    if not (isinstance(lhs, (int, Fraction)) and isinstance(rhs, (int, Fraction))):
+        if abs(lhs - rhs) <= _SIDE_TOL * slope:
             return 0
-    return (lhs > rhs) - (lhs < rhs)
+    return int(lhs > rhs) - int(lhs < rhs)
 
 
 # Rows of each family's diagonal action (up to normalization and the +1 on
@@ -174,20 +179,20 @@ def classify(p: MapParams) -> MapClass:
     of a boundary gets the verdict of a point on it.
     """
     a, b, c = p.astuple()
-    if _side(a, 2) >= 0:
+    if _side(a, 2, 1) >= 0:
         return MapClass(Positivity.COMPLETELY_POSITIVE, Decomposability.DECOMPOSABLE)
-    if _side(a + b + c, 2) < 0:
+    if _side(a + b + c, 2, 3) < 0:
         return MapClass(Positivity.NOT_POSITIVE, Decomposability.UNKNOWN)
-    if a <= 1 and _side(b * c, (1 - a) ** 2) < 0:
+    if a <= 1 and _side(b * c, (1 - a) ** 2, b + c + 2 * abs(1 - a)) < 0:
         return MapClass(Positivity.NOT_POSITIVE, Decomposability.UNKNOWN)
-    if _side(b * c, (2 - a) ** 2 / 4) < 0:
+    if _side(b * c, (2 - a) ** 2 / 4, b + c + abs(2 - a) / 2) < 0:
         return MapClass(Positivity.POSITIVE_NOT_CP, Decomposability.INDECOMPOSABLE)
     return MapClass(Positivity.POSITIVE_NOT_CP, Decomposability.DECOMPOSABLE)
 
 
 def slice_params(b: Number, c: Number) -> MapParams:
     """Lift (b, c) to the plane a+b+c = 2, i.e. (2-b-c, b, c)."""
-    if b < 0 or c < 0 or _side(b + c, 2) > 0:
+    if b < 0 or c < 0 or _side(b + c, 2, 2) > 0:
         raise ValueError(f"(b, c) = ({b}, {c}) is outside the simplex")
     return MapParams(max(2 - b - c, 0 * b), b, c)  # b + c may pass 2 by roundoff
 

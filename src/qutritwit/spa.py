@@ -70,7 +70,7 @@ def critical_p(p: MapParams) -> float:
     Returns 0 for a >= 2, where the witness is already PSD.
     """
     _require_slice(p)
-    if _side(p.a, 2) >= 0:
+    if _side(p.a, 2, 1) >= 0:
         return 0.0
     a = float(p.a)
     return 3 * (2 - a) / (2 + 3 * (2 - a))
@@ -90,7 +90,7 @@ def critical_p_from_witness(W: WitnessMatrix | Array) -> float:
 
 def spa_region(b: Number, c: Number) -> bool:
     """True when the diagonal remainder is PSD: 2b+c >= 1 and 2c+b >= 1."""
-    return _side(2 * b + c, 1) >= 0 and _side(2 * c + b, 1) >= 0
+    return _side(2 * b + c, 1, 3) >= 0 and _side(2 * c + b, 1, 3) >= 0
 
 
 def spa_state(p: MapParams) -> SpaResult:
@@ -101,7 +101,7 @@ def spa_state(p: MapParams) -> SpaResult:
     scale = 1 / (3 (2 + 3(2-a))); outside it no separability claim is made.
     """
     _require_slice(p)
-    if _side(p.a, 2) >= 0:
+    if _side(p.a, 2, 1) >= 0:
         raise ValueError("requires a < 2; the witness is already PSD")
     star = critical_p(p)
     state = BipartiteState(spa_mix(witness_matrix(p), star))

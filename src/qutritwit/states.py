@@ -90,7 +90,7 @@ def detects_rho_family(p: MapParams) -> Optional[tuple[float, float]]:
     """
     a, b, c = p.astuple()
     bc, quarter = b * c, (2 - a) ** 2 / 4
-    if _side(a, 2) >= 0 or _side(bc, quarter) >= 0:
+    if _side(a, 2, 1) >= 0 or _side(bc, quarter, b + c + abs(2 - a) / 2) >= 0:
         return None
     af, bf = float(a), float(b)
     if b == 0:

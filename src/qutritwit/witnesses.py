@@ -167,7 +167,7 @@ def decompose_tilde(p: MapParams) -> DecompositionCertificate:
     sum 2 and that product, so P >= 0 exactly on the region bc >= (1-a)^2.
     """
     _require_slice(p)
-    if _side(p.b * p.c, (1 - p.a) ** 2) < 0:
+    if _side(p.b * p.c, (1 - p.a) ** 2, p.b + p.c + 2 * abs(1 - p.a)) < 0:
         raise ValueError(f"parameters {p} are outside the region bc >= (1-a)^2")
     R = np.array(_rows(p, "improper"), dtype=float)
     P = np.zeros((9, 9), dtype=complex)

@@ -74,6 +74,17 @@ class TestClassify:
             ["certify", "--tilde", "--bc", "1", "1/2", "--format", "csv"],
             ["figure", "--format", "csv"],
             ["sweep", "--alpha-grid", "4", "--format", "csv"],
+            # A float overflow or a non-finite intermediate value.
+            ["witness", "0", "0", "1e-320", "--restarts", "4"],
+            ["detect", "0", "0", "1e-320"],
+            ["certify", "--indecomposable", "0", "0", "1e-320"],
+            ["detect", "1", "1", "0", "--eps-grid", "1e-320", "1", "3"],
+            ["detect", "1", "1", "0", "--eps-grid", "1e-320", "1", "3", "--format", "csv"],
+            ["detect", "0", "0", "1e-308"],
+            # Usage errors.
+            ["witness", "--kind", "bogus", "1", "1", "0"],
+            ["classify", "--restarts", "abc", "1", "1", "0"],
+            [],
         ],
     )
     def test_non_finite_input_exits_2(self, capsys, argv):

@@ -28,6 +28,9 @@ from qutritwit.maps import (
     stochastic_matrix,
 )
 from qutritwit.linalg import trace_pair
+from qutritwit.spa import critical_p, spa_region
+from qutritwit.states import detects_rho_family
+from qutritwit.witnesses import decompose_tilde
 
 
 def diag_proj(i):
@@ -168,6 +171,32 @@ class TestClassify:
         assert len(points) == 50_000
         flipped = [p for p in points if classify(p).positivity is Positivity.NOT_POSITIVE]
         assert flipped == []
+
+
+def _plane_decisions(p):
+    """Every public side-of-boundary decision at the plane point p."""
+    try:
+        decompose_tilde(p)
+        tilde_region = True
+    except ValueError:
+        tilde_region = False
+    return classify(p), detects_rho_family(p), critical_p(p), spa_region(p.b, p.c), tilde_region
+
+
+class TestNumpyScalars:
+    # Values a float32 holds exactly, so float32 arithmetic on them matches
+    # float64; int64 truncates them to integer points.
+    @pytest.mark.parametrize("scalar", [np.float64, np.float32, np.int64])
+    @pytest.mark.parametrize("bc", [(0.5, 0.75), (1.0, 1.0), (1.0, 0.0), (0.25, 0.25), (1.25, 0.25), (0.0, 2.0)])
+    def test_plane_decisions_match_python_numbers(self, scalar, bc):
+        b, c = (scalar(x) for x in bc)
+        assert _plane_decisions(slice_params(b, c)) == _plane_decisions(slice_params(b.item(), c.item()))
+
+    @pytest.mark.parametrize("scalar", [np.float64, np.float32, np.int64])
+    @pytest.mark.parametrize("abc", [(0.5, 1.2, 0.9), (0.5, 1.2, 0.1), (1.5, 0.25, 0.75), (2.5, 1.0, 0.5)])
+    def test_classify_matches_python_numbers(self, scalar, abc):
+        values = np.array(abc, dtype=scalar)
+        assert classify(MapParams(*values)) == classify(MapParams(*values.tolist()))
 
 
 class TestSlice:

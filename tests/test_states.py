@@ -119,6 +119,15 @@ class TestDetectionInterval:
             assert classify(p).decomposability is Decomposability.DECOMPOSABLE, b
             assert detects_rho_family(p) is None, b
 
+    def test_float_point_near_the_corner_is_indecomposable(self):
+        # (2 - 1e-8, 0, 1e-8) lies 2.5e-17 inside 4bc < (2-a)^2, far more than
+        # its inputs' roundoff moves bc - (2-a)^2/4 (about 1e-24).
+        p = slice_params(0.0, 1e-8)
+        assert classify(p).decomposability is Decomposability.INDECOMPOSABLE
+        lo, hi = detects_rho_family(p)
+        assert lo < 2.0 < hi == inf
+        assert detection_value(p, 2.0) < 0
+
     def test_interval_sign_scan(self):
         # Sampled detection values are negative inside the interval and
         # non-negative outside, including the degenerate linear case b = 0.
