@@ -10,9 +10,10 @@ writes the single JSON record
 to stdout (or --output PATH).  Matrix entries are nested rows of [re, im]
 pairs, except when the map parameters are exact rationals, in which case
 entries are emitted as "p/q" strings; `witness` and `detect` also take
---format csv.  Any failure, a usage error, invalid input, float overflow or
-an unwritable --output path, exits with status 2, nothing on stdout and one
-`error:` line on stderr.
+--format csv.  Each subcommand takes only the options it reads.  Any failure,
+a usage error (such as an option the subcommand does not take), invalid input,
+float overflow or an unwritable --output path or stdout, exits with status 2,
+nothing on stdout and one `error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -109,6 +110,8 @@ def _resolve_params(args) -> tuple[MapParams, dict]:
     given = [args.params is not None and len(args.params) > 0, args.bc is not None, args.alpha is not None]
     if sum(given) != 1:
         raise ValueError("provide exactly one of: positional a b c, --bc B C, --alpha ALPHA")
+    if args.alpha is None and (args.improper or args.degrees):
+        raise ValueError("--improper and --degrees apply only to --alpha ALPHA")
     if args.params:
         if len(args.params) != 3:
             raise ValueError("positional parameters must be exactly three numbers: a b c")
@@ -117,11 +120,8 @@ def _resolve_params(args) -> tuple[MapParams, dict]:
     if args.bc is not None:
         b, c = (_parse_number(t) for t in args.bc)
         return slice_params(b, c), {"b": _encode_number(b), "c": _encode_number(c)}
-    alpha = float(args.alpha)
-    if getattr(args, "degrees", False):
-        alpha = math.radians(alpha)
-    improper = bool(getattr(args, "improper", False))
-    return _FAMILIES[improper][1](alpha), {"alpha": alpha, "improper": improper}
+    alpha = math.radians(args.alpha) if args.degrees else args.alpha
+    return _FAMILIES[args.improper][1](alpha), {"alpha": alpha, "improper": args.improper}
 
 
 def _seesaw_config(args) -> SeeSawConfig:
@@ -148,7 +148,12 @@ def _emit(args, text: str) -> None:
         except OSError as exc:
             raise ValueError(f"cannot write --output {args.output!r}: {exc.strerror}") from None
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except OSError as exc:
+            # Point stdout at devnull, so the interpreter's flush at exit cannot fail a second time.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise ValueError(f"cannot write stdout: {exc.strerror}") from None
 
 
 def _csv_matrix(M) -> str:
@@ -170,6 +175,8 @@ def _csv_matrix(M) -> str:
 
 
 def _cmd_classify(args) -> tuple[dict, dict]:
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ValueError(f"--tol must be finite and non-negative, got {args.tol!r}")
     p, inputs = _resolve_params(args)
     cls = classify(p)
     slice_ok = p.on_slice()
@@ -356,13 +363,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-9, help="numerical tolerance for reported checks")
-    common.add_argument("--seed", type=int, default=None, help=f"see-saw RNG seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})")
-    common.add_argument("--restarts", type=int, default=200, help="see-saw restarts")
-    common.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
-    common.add_argument("--output", type=str, default=None, help="write output to a file instead of stdout")
-
     params = _Parser(add_help=False)
     params.add_argument("params", nargs="*", help="map parameters a b c (numbers or fractions like 2/3)")
     params.add_argument("--bc", nargs=2, metavar=("B", "C"), default=None, help="parameters on the plane a+b+c = 2")
@@ -370,31 +370,44 @@ def build_parser() -> argparse.ArgumentParser:
     params.add_argument("--improper", action="store_true", help="use the improper-rotation family for --alpha")
     params.add_argument("--degrees", action="store_true", help="interpret --alpha in degrees")
 
+    matrix = _Parser(add_help=False)
+    matrix.add_argument("--kind", choices=_KINDS, default="standard")
+    matrix.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
+
+    seesaw = _Parser(add_help=False)
+    seesaw.add_argument("--seed", type=int, default=None, help=f"see-saw RNG seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})")
+    seesaw.add_argument("--restarts", type=int, default=200, help="see-saw restarts")
+
     parser = _Parser(
         prog="qutritwit",
         description="Two-qutrit entanglement witnesses: construction, classification, certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("classify", parents=[common, params], help="positivity class, decomposability, duality")
+    def command(name, run, parents, help):
+        cmd = sub.add_parser(name, parents=parents, help=help)
+        cmd.add_argument("--output", type=str, default=None, help="write output to a file instead of stdout")
+        cmd.set_defaults(run=run)
+        return cmd
 
-    w = sub.add_parser("witness", parents=[common, params], help="emit a witness matrix with diagnostics")
-    w.add_argument("--kind", choices=_KINDS, default="standard")
+    cls = command("classify", _cmd_classify, [params], "positivity class, decomposability, duality")
+    cls.add_argument("--tol", type=float, default=1e-9, help="tolerance of the on_ellipse check")
 
-    d = sub.add_parser("detect", parents=[common, params], help="detection values over an eps grid")
-    d.add_argument("--kind", choices=_KINDS, default="standard")
+    command("witness", _cmd_witness, [params, matrix, seesaw], "emit a witness matrix with diagnostics")
+
+    d = command("detect", _cmd_detect, [params, matrix], "detection values over an eps grid")
     d.add_argument("--eps-grid", nargs=3, metavar=("LO", "HI", "N"), default=("0.1", "2.0", "20"))
 
-    sub.add_parser("spa", parents=[common, params], help="structural physical approximation")
+    command("spa", _cmd_spa, [params], "structural physical approximation")
 
-    cert = sub.add_parser("certify", parents=[common, params], help="decomposability or indecomposability certificate")
+    cert = command("certify", _cmd_certify, [params], "decomposability or indecomposability certificate")
     cert.add_argument("--tilde", action="store_true", help="P + Q^G certificate for the improper-family witness")
     cert.add_argument("--indecomposable", action="store_true", help="PPT probe state with negative expectation")
 
-    fig = sub.add_parser("figure", parents=[common], help="polylines and special points of the parameter-plane figure")
+    fig = command("figure", _cmd_figure, [], "polylines and special points of the parameter-plane figure")
     fig.add_argument("--resolution", type=int, default=360, help="ellipse polyline vertices (>= 8)")
 
-    sw = sub.add_parser("sweep", parents=[common], help="tabulate quantities over a rotation-angle grid")
+    sw = command("sweep", _cmd_sweep, [seesaw], "tabulate quantities over a rotation-angle grid")
     sw.add_argument("--alpha-grid", type=int, default=36, help="number of angles on [0, 2 pi)")
     sw.add_argument("--improper", action="store_true", help="sweep the improper-rotation family")
     sw.add_argument("--what", choices=("coeffs", "witness", "pstar", "rank"), default="coeffs")
@@ -402,26 +415,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DISPATCH = {
-    "classify": _cmd_classify,
-    "witness": _cmd_witness,
-    "detect": _cmd_detect,
-    "spa": _cmd_spa,
-    "certify": _cmd_certify,
-    "figure": _cmd_figure,
-    "sweep": _cmd_sweep,
-}
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if not (math.isfinite(args.tol) and args.tol >= 0):
-            raise ValueError(f"--tol must be finite and non-negative, got {args.tol!r}")
-        if args.format == "csv" and args.command not in ("witness", "detect"):
-            raise ValueError("--format csv is supported only by witness and detect")
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            out = _DISPATCH[args.command](args)
+            out = args.run(args)
         if isinstance(out, tuple):
             record = {"schema_version": SCHEMA_VERSION, "command": args.command, "inputs": out[0], "results": out[1]}
             out = json.dumps(record, indent=2, allow_nan=False)

@@ -58,6 +58,11 @@ class MapParams:
 
     def __post_init__(self):
         for name, x in zip("abc", self.astuple()):
+            if isinstance(x, np.generic):
+                # A numpy scalar becomes the Python number it holds: a float32 gets
+                # float64 arithmetic, an int64 the exact path.
+                x = x.item()
+                object.__setattr__(self, name, x)
             try:
                 finite = isfinite(x)
             except OverflowError:
@@ -192,6 +197,8 @@ def classify(p: MapParams) -> MapClass:
 
 def slice_params(b: Number, c: Number) -> MapParams:
     """Lift (b, c) to the plane a+b+c = 2, i.e. (2-b-c, b, c)."""
+    # As in MapParams, so that 2 - b - c of two float32 lands on the plane.
+    b, c = (x.item() if isinstance(x, np.generic) else x for x in (b, c))
     if b < 0 or c < 0 or _side(b + c, 2, 2) > 0:
         raise ValueError(f"(b, c) = ({b}, {c}) is outside the simplex")
     return MapParams(max(2 - b - c, 0 * b), b, c)  # b + c may pass 2 by roundoff

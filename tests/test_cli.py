@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,23 @@ import pytest
 from qutritwit.cli import main
 from qutritwit.maps import improper_coeffs, so2_coeffs
 from qutritwit.witnesses import matrix_entries, witness_matrix, witness_tilde_matrix
+
+
+# One valid argv per subcommand, and the options that were once shared by all
+# seven with a valid value each; a subcommand rejects those it does not read.
+_VALID_ARGV = {
+    "classify": ["classify", "1", "1", "0"],
+    "witness": ["witness", "1", "1", "0"],
+    "detect": ["detect", "1", "1", "0"],
+    "spa": ["spa", "--bc", "1", "1"],
+    "certify": ["certify", "--tilde", "--bc", "1", "1/2"],
+    "figure": ["figure"],
+    "sweep": ["sweep", "--alpha-grid", "4"],
+}
+_SHARED_OPTIONS = {"--tol": "1", "--seed": "3", "--restarts": "5", "--format": "json"}
+_READS = {"classify": {"--tol"}, "witness": {"--seed", "--restarts", "--format"}, "detect": {"--format"},
+          "sweep": {"--seed", "--restarts"}}
+_UNREAD = [(c, o) for c in _VALID_ARGV for o in _SHARED_OPTIONS if o not in _READS.get(c, ())]
 
 
 def run_json(capsys, argv):
@@ -85,6 +106,11 @@ class TestClassify:
             ["witness", "--kind", "bogus", "1", "1", "0"],
             ["classify", "--restarts", "abc", "1", "1", "0"],
             [],
+            ["sweep", "--alpha-grid", "4", "--tol", "inf"],
+            # --improper and --degrees qualify --alpha only.
+            ["classify", "1", "1", "0", "--improper"],
+            ["classify", "--bc", "1", "1", "--degrees"],
+            ["certify", "--tilde", "--bc", "1", "1/2", "--improper"],
         ],
     )
     def test_non_finite_input_exits_2(self, capsys, argv):
@@ -99,7 +125,7 @@ class TestClassify:
         [
             ["classify", "1", "1", "0", "--tol", "nan"],
             ["classify", "--bc", "1", "1", "--tol", "-1"],
-            ["sweep", "--alpha-grid", "4", "--tol", "inf"],
+            ["classify", "--alpha", "0.5", "--tol", "inf"],
         ],
     )
     def test_invalid_tol_exits_2(self, capsys, argv):
@@ -325,12 +351,12 @@ class TestSweep:
         assert abs(record["results"]["rows"][2]["p_star"] - 0.75) < 1e-12
 
     def test_rank_sweep_small(self, capsys):
-        record = run_json(capsys, ["sweep", "--alpha-grid", "2", "--what", "rank", "--restarts", "60", "--seed", "5"])
-        rows = record["results"]["rows"]
-        assert rows[1]["span_rank"] == 9  # alpha = pi, the reduction witness
-        err = capsys.readouterr()
-        # the slow path was flagged on stderr before the JSON was parsed
+        assert main(["sweep", "--alpha-grid", "2", "--what", "rank", "--restarts", "60", "--seed", "5"]) == 0
+        captured = capsys.readouterr()
+        record = json.loads(captured.out)
         assert record["inputs"]["what"] == "rank"
+        assert record["results"]["rows"][1]["span_rank"] == 9  # alpha = pi, the reduction witness
+        assert captured.err.splitlines() == ["note: span-rank sweep runs a see-saw search per angle (slow)"]
 
 
 class TestOutputHandling:
@@ -360,8 +386,41 @@ class TestOutputHandling:
 
     def test_csv_rejection_names_supporting_commands(self, capsys):
         assert main(["classify", "1", "1", "0", "--format", "csv"]) == 2
-        err = capsys.readouterr().err
-        assert "witness" in err and "detect" in err
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "--format" in lines[0]
+        for argv in (["witness", "1", "1", "0"], ["detect", "1", "1", "0"]):
+            assert main([*argv, "--format", "csv"]) == 0
+            assert capsys.readouterr().out.strip()
+
+    @pytest.mark.parametrize("command, option", _UNREAD, ids=[f"{c}{o}" for c, o in _UNREAD])
+    def test_option_the_command_does_not_read_exits_2(self, capsys, command, option):
+        argv = _VALID_ARGV[command] + [option, _SHARED_OPTIONS[option]]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("stdout", ["closed pipe", "/dev/full"])
+    def test_unwritable_stdout_exits_2(self, stdout):
+        if stdout == "closed pipe":
+            read_end, fd = os.pipe()
+            os.close(read_end)
+        elif os.path.exists(stdout):
+            fd = os.open(stdout, os.O_WRONLY)
+        else:
+            pytest.skip(f"{stdout} does not exist on this platform")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "qutritwit.cli", "classify", "1", "1", "0"],
+                stdout=fd, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+            )
+        finally:
+            os.close(fd)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot write stdout: "), proc.stderr
 
     def test_env_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("QUTRITWIT_SEED", "123")

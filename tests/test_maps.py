@@ -28,9 +28,9 @@ from qutritwit.maps import (
     stochastic_matrix,
 )
 from qutritwit.linalg import trace_pair
-from qutritwit.spa import critical_p, spa_region
+from qutritwit.spa import critical_p, spa_region, spa_state
 from qutritwit.states import detects_rho_family
-from qutritwit.witnesses import decompose_tilde
+from qutritwit.witnesses import decompose_tilde, exact_witness_entries, witness_matrix
 
 
 def diag_proj(i):
@@ -197,6 +197,21 @@ class TestNumpyScalars:
     def test_classify_matches_python_numbers(self, scalar, abc):
         values = np.array(abc, dtype=scalar)
         assert classify(MapParams(*values)) == classify(MapParams(*values.tolist()))
+
+    @pytest.mark.parametrize("scalar", [np.float64, np.float32])
+    def test_constructions_run_in_float64(self, scalar):
+        p = slice_params(scalar(0.5), scalar(0.75))
+        assert witness_matrix(p).trace() == 1
+        assert spa_state(p).p_star == spa_state(slice_params(0.5, 0.75)).p_star
+
+    def test_float32_point_lifts_onto_the_plane(self):
+        assert slice_params(np.float32(0.1), np.float32(0.2)).on_slice()
+
+    @pytest.mark.parametrize("kind", ["standard", "tilde", "u_conjugated"])
+    def test_int64_takes_the_exact_path(self, kind):
+        p = MapParams(np.int64(1), np.int64(1), np.int64(0))
+        assert p.is_exact
+        assert exact_witness_entries(p, kind) == exact_witness_entries(MapParams(1, 1, 0), kind)
 
 
 class TestSlice:
