@@ -71,14 +71,6 @@ _FAMILIES = {
 }
 
 
-def _default_seed() -> int:
-    text = os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED))
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {text!r}") from None
-
-
 def _parse_number(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -124,14 +116,24 @@ def _resolve_params(args) -> tuple[MapParams, dict]:
     return _FAMILIES[args.improper][1](alpha), {"alpha": alpha, "improper": args.improper}
 
 
-def _seesaw_config(args) -> SeeSawConfig:
+def _seesaw_config(args, runs: bool) -> Optional[SeeSawConfig]:
+    """The see-saw settings, defaults of --seed and --restarts included; None for a run without one."""
+    if not runs:
+        given = [f"--{name}" for name in ("seed", "restarts") if getattr(args, name) is not None]
+        if given:
+            raise ValueError(f"{' and '.join(given)} not read: only witness (JSON) and sweep --what rank run a see-saw")
+        return None
+    if args.restarts is None:
+        args.restarts = SeeSawConfig.restarts  # kept on args: the out-of-memory message names it
     # The see-saw's first array holds restarts x 3 doubles; numpy refuses one the address space cannot hold.
     if args.restarts * 3 * 8 > sys.maxsize:
         raise ValueError(f"--restarts {args.restarts} is too large: the see-saw arrays exceed the address space")
-    return SeeSawConfig(
-        restarts=args.restarts,
-        rng_seed=args.seed if args.seed is not None else _default_seed(),
-    )
+    seed = os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED)) if args.seed is None else args.seed
+    try:
+        seed = int(seed)
+    except ValueError:
+        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {seed!r}") from None
+    return SeeSawConfig(restarts=args.restarts, rng_seed=seed)
 
 
 def _matrix_payload(W: WitnessMatrix) -> tuple[object, bool]:
@@ -175,8 +177,6 @@ def _csv_matrix(M) -> str:
 
 
 def _cmd_classify(args) -> tuple[dict, dict]:
-    if not (math.isfinite(args.tol) and args.tol >= 0):
-        raise ValueError(f"--tol must be finite and non-negative, got {args.tol!r}")
     p, inputs = _resolve_params(args)
     cls = classify(p)
     slice_ok = p.on_slice()
@@ -185,7 +185,7 @@ def _cmd_classify(args) -> tuple[dict, dict]:
         "positivity": cls.positivity.value,
         "decomposability": cls.decomposability.value,
         "on_slice": slice_ok,
-        "on_ellipse": on_ellipse(p, tol=args.tol) if slice_ok else None,
+        "on_ellipse": on_ellipse(p) if slice_ok else None,
         "dual": _encode_params(dual(p)),
         "detection_interval": _encode_interval(detects_rho_family(p)) if slice_ok else None,
     }
@@ -196,9 +196,9 @@ def _cmd_witness(args) -> tuple[dict, dict] | str:
     p, inputs = _resolve_params(args)
     inputs["kind"] = args.kind
     W = _KINDS[args.kind](p)
-    if args.format == "csv":
+    cfg = _seesaw_config(args, runs=args.format == "json")
+    if cfg is None:
         return _csv_matrix(W.matrix)
-    cfg = _seesaw_config(args)
     entries, exact = _matrix_payload(W)
     results = {
         "params": _encode_params(p),
@@ -326,8 +326,8 @@ def _cmd_sweep(args) -> tuple[dict, dict]:
     if n < 1:
         raise ValueError("--alpha-grid must be positive")
     family, coeffs, build = _FAMILIES[args.improper]
-    if args.what == "rank":
-        cfg = _seesaw_config(args)
+    cfg = _seesaw_config(args, runs=args.what == "rank")
+    if cfg is not None:
         print("note: span-rank sweep runs a see-saw search per angle (slow)", file=sys.stderr)
     rows = []
     for alpha in np.linspace(0.0, 2 * math.pi, n, endpoint=False):
@@ -376,22 +376,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     seesaw = _Parser(add_help=False)
     seesaw.add_argument("--seed", type=int, default=None, help=f"see-saw RNG seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})")
-    seesaw.add_argument("--restarts", type=int, default=200, help="see-saw restarts")
+    seesaw.add_argument("--restarts", type=int, default=None, help=f"see-saw restarts (default: {SeeSawConfig.restarts})")
 
     parser = _Parser(
         prog="qutritwit",
         description="Two-qutrit entanglement witnesses: construction, classification, certificates.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, run, parents, help):
-        cmd = sub.add_parser(name, parents=parents, help=help)
+        cmd = sub.add_parser(name, parents=parents, help=help, allow_abbrev=False)
         cmd.add_argument("--output", type=str, default=None, help="write output to a file instead of stdout")
         cmd.set_defaults(run=run)
         return cmd
 
-    cls = command("classify", _cmd_classify, [params], "positivity class, decomposability, duality")
-    cls.add_argument("--tol", type=float, default=1e-9, help="tolerance of the on_ellipse check")
+    command("classify", _cmd_classify, [params], "positivity class, decomposability, duality")
 
     command("witness", _cmd_witness, [params, matrix, seesaw], "emit a witness matrix with diagnostics")
 
@@ -433,7 +433,7 @@ def main(argv=None) -> int:
         return 2
     except MemoryError:
         flags = {"detect": ["--eps-grid"], "figure": ["--resolution"], "sweep": ["--alpha-grid"]}.get(args.command, [])
-        if args.command == "witness" or getattr(args, "what", None) == "rank":
+        if getattr(args, "restarts", None) is not None:  # set once a see-saw runs
             flags.append(f"--restarts {args.restarts}")
         print(f"error: out of memory: {' or '.join(flags) or 'the input'} is too large", file=sys.stderr)
         return 2

@@ -5,11 +5,14 @@ uses, the see-saw included), PSD tests and trace pairings.
 All operators are numpy arrays with complex entries.  Two-qutrit operators
 use the row-major composite convention: the product ket |ij> (1-based labels
 i for the first factor, j for the second) sits at flat index 3*(i-1) + (j-1).
+These kets fall into three INDEX_GROUPS, on which `structured` builds every
+structured operator: the witnesses, the probe states and the SPA pieces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -18,6 +21,11 @@ Array = np.ndarray
 DEFAULT_PSD_TOL = 1e-9
 DEFAULT_HERMITICITY_TOL = 1e-10
 
+# Flat indices of the three index groups |ii>, |i,i+1> and |i,i+2>, levels cyclic on {1, 2, 3}.
+INDEX_GROUPS = ((0, 4, 8), (1, 5, 6), (2, 3, 7))
+DOUBLES, PLUS_ONE, PLUS_TWO = INDEX_GROUPS
+_SPREAD = itemgetter(*(next(g for g, group in enumerate(INDEX_GROUPS) if k in group) for k in range(9)))
+
 
 def as_matrix(M) -> Array:
     """Coerce input to a square complex ndarray."""
@@ -25,6 +33,28 @@ def as_matrix(M) -> Array:
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     return A
+
+
+def group_diagonal(*values) -> tuple:
+    """The 9 diagonal entries, each the value of its flat index's group: values[g] on INDEX_GROUPS[g]."""
+    return _SPREAD(values)
+
+
+def structured(diagonal, grid=0.0, block: tuple[int, ...] = ()) -> Array:
+    """The 9x9 operator with grid (a number or a square array) on block x block, block being
+    flat indices, then the 9 values diagonal, unless None, on the main diagonal; zero elsewhere."""
+    M = np.zeros((9, 9), dtype=complex)
+    if isinstance(grid, np.ndarray):
+        index = np.array(block)
+        M[index[:, None], index] = grid
+    else:  # converted once, then entry by entry: faster than fancy indexing on blocks this small
+        grid = complex(grid)
+        for r in block:
+            for s in block:
+                M[r, s] = grid
+    if diagonal is not None:
+        M.ravel()[::10] = diagonal
+    return M
 
 
 def require_hermitian(M, tol: float = DEFAULT_HERMITICITY_TOL) -> Array:

@@ -35,7 +35,6 @@ import numpy as np
 from .gellmann import OrthonormalBasis, default_basis
 from .linalg import Array
 
-SLICE_TOL = 1e-9
 ORTHOGONALITY_TOL = 1e-10
 # Inputs of size <= 2 built on a boundary miss it by at most 2 ulp(2) per unit
 # of the boundary's gradient; _side forgives 16.
@@ -88,8 +87,8 @@ class MapParams:
         return all(isinstance(x, (int, Fraction)) for x in self.astuple())
 
     def on_slice(self) -> bool:
-        """Whether the point is accepted as a point of the plane a+b+c = 2."""
-        return abs(float(self.a + self.b + self.c) - 2.0) <= SLICE_TOL
+        """Whether the point lies on the plane a+b+c = 2: the _side decision classify reads."""
+        return _side(self.a + self.b + self.c, 2, 3) == 0
 
 
 class Positivity(enum.Enum):
@@ -127,10 +126,17 @@ def _side(lhs: Number, rhs: Number, slope: Number) -> int:
     With any other operand (a float or a numpy scalar), |lhs - rhs| <= 16 ulp(2)
     * slope is roundoff: the point is on the boundary (0).
     """
-    if not (isinstance(lhs, (int, Fraction)) and isinstance(rhs, (int, Fraction))):
+    # A float is tested first: the Fraction test of a float goes through ABCMeta and is slow.
+    if isinstance(lhs, float) or not (isinstance(lhs, (int, Fraction)) and isinstance(rhs, (int, Fraction))):
         if abs(lhs - rhs) <= _SIDE_TOL * slope:
             return 0
     return int(lhs > rhs) - int(lhs < rhs)
+
+
+def _ellipse_side(p: MapParams) -> int:
+    """Side of the ellipse bc = (1-a)^2; +1 is the region bc > (1-a)^2."""
+    a, b, c = p.astuple()
+    return _side(b * c, (1 - a) ** 2, b + c + 2 * abs(1 - a))
 
 
 # Rows of each family's diagonal action (up to normalization and the +1 on
@@ -186,9 +192,9 @@ def classify(p: MapParams) -> MapClass:
     a, b, c = p.astuple()
     if _side(a, 2, 1) >= 0:
         return MapClass(Positivity.COMPLETELY_POSITIVE, Decomposability.DECOMPOSABLE)
-    if _side(a + b + c, 2, 3) < 0:
+    if not p.on_slice() and a + b + c < 2:  # off the plane, on its lower side
         return MapClass(Positivity.NOT_POSITIVE, Decomposability.UNKNOWN)
-    if a <= 1 and _side(b * c, (1 - a) ** 2, b + c + 2 * abs(1 - a)) < 0:
+    if a <= 1 and _ellipse_side(p) < 0:
         return MapClass(Positivity.NOT_POSITIVE, Decomposability.UNKNOWN)
     if _side(b * c, (2 - a) ** 2 / 4, b + c + abs(2 - a) / 2) < 0:
         return MapClass(Positivity.POSITIVE_NOT_CP, Decomposability.INDECOMPOSABLE)
@@ -204,11 +210,10 @@ def slice_params(b: Number, c: Number) -> MapParams:
     return MapParams(max(2 - b - c, 0 * b), b, c)  # b + c may pass 2 by roundoff
 
 
-def on_ellipse(p: MapParams, tol: float = 1e-9) -> bool:
-    """True when bc = (1-a)^2 within tol.  Input must satisfy a+b+c = 2."""
+def on_ellipse(p: MapParams) -> bool:
+    """True when bc = (1-a)^2 (a _side decision).  Input must satisfy a+b+c = 2."""
     _require_slice(p)
-    a, b, c = p.astuple()
-    return abs(float(b * c - (1 - a) ** 2)) <= tol
+    return _ellipse_side(p) == 0
 
 
 def dual(p: MapParams) -> MapParams:

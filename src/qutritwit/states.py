@@ -21,13 +21,9 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .linalg import Array, partial_transpose
+from .linalg import DOUBLES, Array, partial_transpose
 from .maps import MapParams, _require_slice, _side, n_abc
-from .witnesses import _DOUBLE, witness_matrix
-
-# Flat composite indices of the cycles |i,i+1> and |i,i+2>.
-_UP = (1, 5, 6)
-_DOWN = (2, 3, 7)
+from .witnesses import witness_matrix
 
 
 @dataclass(frozen=True)
@@ -47,24 +43,12 @@ def rho_eps(eps: float) -> BipartiteState:
     """The PPT probe state at parameter eps > 0 (kept unnormalized)."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    M = np.zeros((9, 9), dtype=complex)
-    for i in _DOUBLE:
-        for j in _DOUBLE:
-            M[i, j] = 1.0
-    for i in _UP:
-        M[i, i] = eps
-    for i in _DOWN:
-        M[i, i] = 1.0 / eps
-    return BipartiteState(M)
+    return BipartiteState(linalg.structured(linalg.group_diagonal(1.0, eps, 1.0 / eps), 1.0, DOUBLES))
 
 
 def max_entangled_projector() -> BipartiteState:
     """Rank-one projector onto 3^{-1/2} (|11> + |22> + |33>)."""
-    M = np.zeros((9, 9), dtype=complex)
-    for i in _DOUBLE:
-        for j in _DOUBLE:
-            M[i, j] = 1.0 / 3.0
-    return BipartiteState(M)
+    return BipartiteState(linalg.structured(None, 1.0 / 3.0, DOUBLES))
 
 
 def is_ppt(state) -> bool:
@@ -108,16 +92,11 @@ def sigma_pair(i: int, j: int) -> BipartiteState:
     """
     if i == j or not {i, j} <= {1, 2, 3}:
         raise ValueError("indices must be distinct and in {1, 2, 3}")
-
-    def flat(r: int, s: int) -> int:
-        return 3 * (r - 1) + (s - 1)
-
-    M = np.zeros((9, 9), dtype=complex)
-    for r, s in ((i, j), (j, i), (i, i), (j, j)):
-        M[flat(r, s), flat(r, s)] = 1.0
-    M[flat(i, i), flat(j, j)] = -1.0
-    M[flat(j, j), flat(i, i)] = -1.0
-    return BipartiteState(M)
+    ii, jj = DOUBLES[i - 1], DOUBLES[j - 1]
+    diagonal = [0.0] * 9
+    for k in (ii, jj, ii + j - i, jj + i - j):  # |rs> sits s - r places along the row of |rr>
+        diagonal[k] = 1.0
+    return BipartiteState(linalg.structured(diagonal, -1.0, (ii, jj)))
 
 
 def sigma_diag(p: MapParams) -> BipartiteState:
@@ -129,12 +108,7 @@ def sigma_diag(p: MapParams) -> BipartiteState:
     """
     _require_slice(p)
     _, b, c = p.asfloats()
-    M = np.zeros((9, 9), dtype=complex)
-    for i in _UP:
-        M[i, i] = 2 * b + c - 1
-    for i in _DOWN:
-        M[i, i] = 2 * c + b - 1
-    return BipartiteState(M)
+    return BipartiteState(linalg.structured(linalg.group_diagonal(0.0, 2 * b + c - 1, 2 * c + b - 1)))
 
 
 def detection_value_numeric(p: MapParams, eps: float) -> float:

@@ -25,33 +25,30 @@ from typing import Callable, ClassVar, Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .linalg import Array, partial_transpose
+from .linalg import DOUBLES, PLUS_ONE, PLUS_TWO, Array, partial_transpose
 from .maps import (
     LinearMap3,
     MapParams,
     Number,
+    _ellipse_side,
     _require_slice,
     _rows,
-    _side,
     improper_coeffs,
     n_abc,
     so2_coeffs,
 )
 
-# Flat composite indices of the product kets |ii>.
-_DOUBLE = (0, 4, 8)
-
-# Each witness kind: the map family whose rows fill its diagonal, and the flat
-# indices carrying the -1 off-diagonal grid.  The level swap U (x) I sends the
-# |ii> to (0, 5, 7) and the circulant rows to the improper ones.
+# Each witness kind: the map family whose rows fill its diagonal, and the flat indices carrying
+# the -1 grid.  U (x) I sends the |ii> to |11>, |32>, |23> and the circulant rows to the improper.
 _KINDS = {
-    "standard": ("circulant", _DOUBLE),
-    "tilde": ("improper", _DOUBLE),
-    "u_conjugated": ("improper", (0, 5, 7)),
+    "standard": ("circulant", DOUBLES),
+    "tilde": ("improper", DOUBLES),
+    "u_conjugated": ("improper", (DOUBLES[0], PLUS_ONE[1], PLUS_TWO[2])),
 }
 
 # The kind of a family map's Choi operator: the -1 grid sits on the |ii>.
-_CHOI_KINDS = {family: kind for kind, (family, doubles) in _KINDS.items() if doubles == _DOUBLE}
+_CHOI_KINDS = {family: kind for kind, (family, doubles) in _KINDS.items() if doubles == DOUBLES}
+_J_MINUS_I = 1 - np.eye(3)  # made once: np.eye costs as much as the rest of the P block
 
 
 @dataclass(frozen=True)
@@ -101,11 +98,7 @@ def _form(p: MapParams, kind: str) -> tuple[Number, list[Number], tuple[int, ...
 
 def _witness(p: MapParams, kind: str) -> WitnessMatrix:
     pref, diagonal, doubles = _form(p, kind)
-    W = np.zeros((9, 9), dtype=complex)
-    index = np.array(doubles)
-    W[index[:, None], index] = -pref
-    W.flat[::10] = diagonal  # the main diagonal
-    return WitnessMatrix(W, p, kind)
+    return WitnessMatrix(linalg.structured(diagonal, -pref, doubles), p, kind)
 
 
 def witness_matrix(p: MapParams) -> WitnessMatrix:
@@ -134,9 +127,7 @@ def witness_u(p: MapParams) -> WitnessMatrix:
 
 def max_entangled_ket() -> Array:
     """|psi+> = 3^{-1/2} (|11> + |22> + |33>) as a flat 9-vector."""
-    v = np.zeros(9, dtype=complex)
-    v[list(_DOUBLE)] = 1.0 / sqrt(3)
-    return v
+    return np.array(linalg.group_diagonal(1.0 / sqrt(3), 0.0, 0.0), dtype=complex)
 
 
 def choi_witness(phi: LinearMap3 | Callable[[Array], Array]) -> WitnessMatrix:
@@ -167,11 +158,10 @@ def decompose_tilde(p: MapParams) -> DecompositionCertificate:
     sum 2 and that product, so P >= 0 exactly on the region bc >= (1-a)^2.
     """
     _require_slice(p)
-    if _side(p.b * p.c, (1 - p.a) ** 2, p.b + p.c + 2 * abs(1 - p.a)) < 0:
+    if _ellipse_side(p) < 0:
         raise ValueError(f"parameters {p} are outside the region bc >= (1-a)^2")
     R = np.array(_rows(p, "improper"), dtype=float)
-    P = np.zeros((9, 9), dtype=complex)
-    P[::4, ::4] = R - (1 - np.eye(3))  # the |ii> sit at 0, 4, 8
+    P = linalg.structured(None, R - _J_MINUS_I, DOUBLES)
     Q = np.zeros((9, 9), dtype=complex)
     for i, j in ((0, 1), (0, 2), (1, 2)):
         s, t = 3 * i + j, 3 * j + i  # |ij>, |ji>

@@ -26,8 +26,7 @@ _VALID_ARGV = {
     "sweep": ["sweep", "--alpha-grid", "4"],
 }
 _SHARED_OPTIONS = {"--tol": "1", "--seed": "3", "--restarts": "5", "--format": "json"}
-_READS = {"classify": {"--tol"}, "witness": {"--seed", "--restarts", "--format"}, "detect": {"--format"},
-          "sweep": {"--seed", "--restarts"}}
+_READS = {"witness": {"--seed", "--restarts", "--format"}, "detect": {"--format"}, "sweep": {"--seed", "--restarts"}}
 _UNREAD = [(c, o) for c in _VALID_ARGV for o in _SHARED_OPTIONS if o not in _READS.get(c, ())]
 
 
@@ -111,6 +110,12 @@ class TestClassify:
             ["classify", "1", "1", "0", "--improper"],
             ["classify", "--bc", "1", "1", "--degrees"],
             ["certify", "--tilde", "--bc", "1", "1/2", "--improper"],
+            # A unique prefix does not stand for an option.
+            ["sweep", "--alpha-grid", "2", "--im"],
+            ["witness", "1", "1", "0", "--rest", "5"],
+            # --seed and --restarts where no see-saw runs.
+            ["witness", "1", "1", "0", "--format", "csv", "--restarts", "5", "--seed", "3"],
+            ["sweep", "--alpha-grid", "4", "--restarts", "5", "--seed", "2"],
         ],
     )
     def test_non_finite_input_exits_2(self, capsys, argv):
@@ -134,7 +139,8 @@ class TestClassify:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("error: --tol ")
+        # classify decides on_ellipse exactly, so it takes no tolerance.
+        assert lines[0].startswith("error: unrecognized arguments: --tol")
 
     # Each count's first see-saw array (restarts x 3 doubles) exceeds the
     # address space, so the allocation fails at once.

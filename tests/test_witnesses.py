@@ -262,24 +262,28 @@ class TestDecomposition:
 
     # Points just past C0, outside the region bc >= (1-a)^2 by a gap between
     # 1e-13 and 1e-9: beyond roundoff, so each is outside.  The off-plane one
-    # sits 1e-10 below a+b+c = 2: the 1e-9 plane guard accepts it, and
-    # classify puts it on the plane's outer side.
+    # sits 1e-10 below a+b+c = 2, beyond roundoff too: the plane guard and
+    # classify both put it off the plane.
     @pytest.mark.parametrize(
-        "p",
+        "p, error",
         [
-            slice_params(Fraction(1, 10), Fraction(C0) + Fraction(1, 10**9)),
-            FLOAT_OUTSIDE,
-            MapParams(FLOAT_OUTSIDE.a, FLOAT_OUTSIDE.b, FLOAT_OUTSIDE.c - 1e-10),
+            (slice_params(Fraction(1, 10), Fraction(C0) + Fraction(1, 10**9)), "outside the region"),
+            (FLOAT_OUTSIDE, "outside the region"),
+            (MapParams(FLOAT_OUTSIDE.a, FLOAT_OUTSIDE.b, FLOAT_OUTSIDE.c - 1e-10), "off the plane"),
         ],
         ids=["rational", "float", "float-off-plane"],
     )
-    def test_rejects_point_just_outside_region(self, p):
+    def test_rejects_point_just_outside_region(self, p, error):
         gap = p.b * p.c - (1 - p.a) ** 2
         assert -1e-9 < gap < -1e-13
-        assert p.on_slice()
-        assert witness_tilde_matrix(p).params == p
+        assert p.on_slice() == (error == "outside the region")
+        if p.on_slice():
+            assert witness_tilde_matrix(p).params == p
+        else:
+            with pytest.raises(ValueError, match="off the plane"):
+                witness_tilde_matrix(p)
         assert classify(p).positivity is Positivity.NOT_POSITIVE
-        with pytest.raises(ValueError, match="outside the region"):
+        with pytest.raises(ValueError, match=error):
             decompose_tilde(p)
 
     def test_rejects_off_slice(self):
