@@ -2,15 +2,7 @@
 maps: construction, classification, certificates, and numerical oracles."""
 
 from .gellmann import OrthonormalBasis, build_gellmann, default_basis
-from .linalg import (
-    HermitianEigenResult,
-    hermitian_eigen,
-    is_psd,
-    kron,
-    min_eigenvalue,
-    partial_transpose,
-    trace_pair,
-)
+from .linalg import is_psd, min_eigenvalue, partial_transpose, trace_pair
 from .maps import (
     Decomposability,
     LinearMap3,

@@ -125,6 +125,8 @@ def _seesaw_config(args, runs: bool) -> Optional[SeeSawConfig]:
         return None
     if args.restarts is None:
         args.restarts = SeeSawConfig.restarts  # kept on args: the out-of-memory message names it
+    if args.restarts < 1:
+        raise ValueError(f"--restarts must be at least 1, got {args.restarts}")
     # The see-saw's first array holds restarts x 3 doubles; numpy refuses one the address space cannot hold.
     if args.restarts * 3 * 8 > sys.maxsize:
         raise ValueError(f"--restarts {args.restarts} is too large: the see-saw arrays exceed the address space")
@@ -133,6 +135,8 @@ def _seesaw_config(args, runs: bool) -> Optional[SeeSawConfig]:
         seed = int(seed)
     except ValueError:
         raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {seed!r}") from None
+    if seed < 0:
+        raise ValueError(f"{SEED_ENV_VAR if args.seed is None else '--seed'} must be non-negative, got {seed}")
     return SeeSawConfig(restarts=args.restarts, rng_seed=seed)
 
 

@@ -1,6 +1,6 @@
-"""Dense complex matrix kernel: Kronecker products, partial transposition,
-the Hermitian eigensolver (LAPACK ``eigh``, the one eigensolver the package
-uses, the see-saw included), PSD tests and trace pairings.
+"""Dense complex matrix kernel: partial transposition on the second factor,
+Hermitian eigenvalues (LAPACK ``eigh``; the see-saw calls batched ``eigh``
+itself), PSD tests and trace pairings.
 
 All operators are numpy arrays with complex entries.  Two-qutrit operators
 use the row-major composite convention: the product ket |ij> (1-based labels
@@ -11,7 +11,6 @@ structured operator: the witnesses, the probe states and the SPA pieces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
@@ -65,54 +64,20 @@ def require_hermitian(M, tol: float = DEFAULT_HERMITICITY_TOL) -> Array:
     return (A + Ah) / 2.0
 
 
-def kron(A: Array, B: Array) -> Array:
-    """Kronecker product with index order (i_A, i_B) on rows and columns."""
-    return np.kron(np.asarray(A, dtype=complex), np.asarray(B, dtype=complex))
-
-
-def partial_transpose(M, subsystem: str = "second") -> Array:
-    """Partial transpose of a 9x9 operator on C^3 (x) C^3.
-
-    With subsystem "second", <ij|M^G|kl> = <il|M|kj>; with "first",
-    <ij|M^G|kl> = <kj|M|il>.
-    """
+def partial_transpose(M) -> Array:
+    """Partial transpose on the second factor of a 9x9 operator on C^3 (x) C^3: <ij|M^G|kl> = <il|M|kj>."""
     A = as_matrix(M)
     if A.shape != (9, 9):
         raise ValueError("partial transpose expects a 9x9 matrix")
-    T = A.reshape(3, 3, 3, 3)
-    if subsystem == "second":
-        T = T.transpose(0, 3, 2, 1)
-    elif subsystem == "first":
-        T = T.transpose(2, 1, 0, 3)
-    else:
-        raise ValueError("subsystem must be 'first' or 'second'")
-    return T.reshape(9, 9)
-
-
-@dataclass(frozen=True)
-class HermitianEigenResult:
-    """Eigenvalues in ascending order and orthonormal eigenvector columns."""
-
-    eigenvalues: Array
-    eigenvectors: Array
-
-    def reconstruct(self) -> Array:
-        V = self.eigenvectors
-        return (V * self.eigenvalues) @ V.conj().T
-
-
-def hermitian_eigen(H) -> HermitianEigenResult:
-    """Diagonalize a Hermitian matrix with LAPACK (``numpy.linalg.eigh``).
-
-    The input is checked for Hermiticity within DEFAULT_HERMITICITY_TOL and symmetrized first.
-    """
-    w, V = np.linalg.eigh(require_hermitian(H))
-    return HermitianEigenResult(w, V)
+    return A.reshape(3, 3, 3, 3).transpose(0, 3, 2, 1).reshape(9, 9)
 
 
 def eigenvalues(H) -> Array:
-    """Ascending eigenvalues of a Hermitian matrix."""
-    return hermitian_eigen(H).eigenvalues
+    """Ascending eigenvalues of a Hermitian matrix (LAPACK ``numpy.linalg.eigh``).
+
+    The input is checked for Hermiticity within DEFAULT_HERMITICITY_TOL and symmetrized first.
+    """
+    return np.linalg.eigh(require_hermitian(H))[0]
 
 
 def min_eigenvalue(H) -> float:

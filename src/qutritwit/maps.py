@@ -139,6 +139,12 @@ def _ellipse_side(p: MapParams) -> int:
     return _side(b * c, (1 - a) ** 2, b + c + 2 * abs(1 - a))
 
 
+def _decomposable_side(p: MapParams) -> int:
+    """Side of the line 4bc = (2-a)^2; -1 is the region bc < (2-a)^2/4, indecomposable when positive not CP."""
+    a, b, c = p.astuple()
+    return _side(b * c, (2 - a) ** 2 / 4, b + c + abs(2 - a) / 2)
+
+
 # Rows of each family's diagonal action (up to normalization and the +1 on
 # the diagonal), as positions in (a, b, c); the module docstring shows them.
 _ROWS = {
@@ -196,7 +202,7 @@ def classify(p: MapParams) -> MapClass:
         return MapClass(Positivity.NOT_POSITIVE, Decomposability.UNKNOWN)
     if a <= 1 and _ellipse_side(p) < 0:
         return MapClass(Positivity.NOT_POSITIVE, Decomposability.UNKNOWN)
-    if _side(b * c, (2 - a) ** 2 / 4, b + c + abs(2 - a) / 2) < 0:
+    if _decomposable_side(p) < 0:
         return MapClass(Positivity.POSITIVE_NOT_CP, Decomposability.INDECOMPOSABLE)
     return MapClass(Positivity.POSITIVE_NOT_CP, Decomposability.DECOMPOSABLE)
 

@@ -15,6 +15,7 @@ the discriminant (a-2)^2 - 4bc is positive.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import inf, sqrt
 from typing import Optional
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import DOUBLES, Array, partial_transpose
-from .maps import MapParams, _require_slice, _side, n_abc
+from .maps import MapParams, _decomposable_side, _require_slice, _side, n_abc
 from .witnesses import witness_matrix
 
 
@@ -57,9 +58,17 @@ def is_ppt(state) -> bool:
 
 
 def detection_value(p: MapParams, eps: float) -> float:
-    """Closed form of Tr(rho_eps W[a,b,c]): N (b eps^2 + (a-2) eps + c) / eps."""
+    """Closed form of Tr(rho_eps W[a,b,c]): N (b eps^2 + (a-2) eps + c) / eps.
+
+    Exact parameters are evaluated in Fraction at the given eps and rounded once, so the
+    sign survives the cancellation at the parabola's vertex, which nears zero as b -> c.
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if p.is_exact:
+        a, b, c = p.astuple()
+        e = Fraction(eps.item() if isinstance(eps, np.generic) else eps)
+        return float(n_abc(p) * (b * e * e + (a - 2) * e + c) / e)
     a, b, c = p.asfloats()
     return float(n_abc(p)) * (b * eps * eps + (a - 2.0) * eps + c) / eps
 
@@ -73,13 +82,12 @@ def detects_rho_family(p: MapParams) -> Optional[tuple[float, float]]:
     map has an interval iff it is indecomposable.  For b = 0 q is a line.
     """
     a, b, c = p.astuple()
-    bc, quarter = b * c, (2 - a) ** 2 / 4
-    if _side(a, 2, 1) >= 0 or _side(bc, quarter, b + c + abs(2 - a) / 2) >= 0:
+    if _side(a, 2, 1) >= 0 or _decomposable_side(p) >= 0:
         return None
     af, bf = float(a), float(b)
     if b == 0:
         return (float(c) / (2.0 - af), inf)
-    root = 2 * sqrt(float(quarter - bc))
+    root = 2 * sqrt(float((2 - a) ** 2 / 4 - b * c))
     return (max(((2.0 - af) - root) / (2.0 * bf), 0.0), ((2.0 - af) + root) / (2.0 * bf))
 
 

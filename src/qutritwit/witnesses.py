@@ -77,7 +77,7 @@ class DecompositionCertificate:
 
     def residual(self, witness: "WitnessMatrix | Array") -> float:
         W = linalg.as_matrix(witness)
-        return float(np.linalg.norm(self.P + partial_transpose(self.Q, "second") - self.scale * W))
+        return float(np.linalg.norm(self.P + partial_transpose(self.Q) - self.scale * W))
 
 
 def _form(p: MapParams, kind: str) -> tuple[Number, list[Number], tuple[int, ...]]:

@@ -449,6 +449,29 @@ class TestOutputHandling:
         assert len(lines) == 1
         assert lines[0].startswith("error:") and "QUTRITWIT_SEED" in lines[0]
 
+    # A see-saw seed below 0 or a restart count below 1 is refused by the flag or
+    # variable that set it, before any note is printed.
+    @pytest.mark.parametrize(
+        "argv, env_seed, named",
+        [
+            (["witness", "1", "1", "0", "--seed", "-1"], None, "--seed must be non-negative"),
+            (["sweep", "--alpha-grid", "2", "--what", "rank", "--seed", "-1"], None, "--seed must be non-negative"),
+            (["witness", "1", "1", "0"], "-2", "QUTRITWIT_SEED must be non-negative"),
+            (["witness", "1", "1", "0", "--restarts", "0"], None, "--restarts must be at least 1"),
+            (["sweep", "--alpha-grid", "2", "--what", "rank", "--restarts", "-3"], None, "--restarts must be at least 1"),
+        ],
+        ids=["witness-seed", "sweep-seed", "env-seed", "witness-restarts", "sweep-restarts"],
+    )
+    def test_invalid_seesaw_setting_names_flag(self, capsys, monkeypatch, argv, env_seed, named):
+        if env_seed is not None:
+            monkeypatch.setenv("QUTRITWIT_SEED", env_seed)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: " + named)
+
     @pytest.mark.parametrize(
         "argv, shown",
         [

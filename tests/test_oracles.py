@@ -12,6 +12,7 @@ from qutritwit.maps import (
     phi_from_rotation,
     phi_map,
     rotation_block,
+    slice_params,
     so2_coeffs,
     so2_rotation,
 )
@@ -355,6 +356,17 @@ class TestIndecomposabilityCertificate:
 
     def test_reduction_map(self):
         assert indecomposability_certificate(MapParams(0, 1, 1)) is None
+
+    @pytest.mark.parametrize("k", range(1, 16))
+    def test_negative_near_b_equals_c(self, k):
+        # The detection value has its minimum -N (b-c)^2 / 2 (to leading order) at the
+        # interval's midpoint, far below the roundoff of its three terms in floats.
+        p = slice_params(Fraction(1, 2), Fraction(1, 2) + Fraction(1, 10**k))
+        eps, value = indecomposability_certificate(p)
+        assert value < 0
+        e = Fraction(eps)
+        exact = (p.b * e * e + (p.a - 2) * e + p.c) / (2 * e)
+        assert abs(value - exact) <= 1e-9 * abs(exact)
 
     def test_asymmetric_slice_points(self):
         rng = np.random.default_rng(12)

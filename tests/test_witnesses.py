@@ -6,7 +6,7 @@ import pytest
 
 from conftest import rand_hermitian, random_slice_params, random_tilde_region_params
 from qutritwit.gellmann import default_basis
-from qutritwit.linalg import is_psd, kron, partial_transpose
+from qutritwit.linalg import is_psd, partial_transpose
 from qutritwit.maps import (
     MapParams,
     Positivity,
@@ -194,7 +194,7 @@ class TestPermutedWitness:
         p = so2_coeffs(0.9)
         W = witness_matrix(p).matrix
         WU = witness_u(p).matrix
-        U9 = kron(permutation_unitary(), np.eye(3))
+        U9 = np.kron(permutation_unitary(), np.eye(3))
         for _ in range(5):
             rho = rand_hermitian(rng, 9)
             lhs = np.trace(WU @ U9 @ rho @ U9.conj().T)
@@ -341,7 +341,7 @@ class TestSerialization:
     def test_exact_entries_match_floats(self):
         # (2/3, 2/3, 2/3) has a = b = c and cannot tell the row patterns apart;
         # the asymmetric fixtures can.
-        U9 = kron(permutation_unitary(), np.eye(3))
+        U9 = np.kron(permutation_unitary(), np.eye(3))
         fixtures = ["2/3 2/3 2/3", "1 1 0", "0 1 1", "1/2 1 1/2", "1/3 1/2 7/6"]
         for abc in fixtures:
             p = MapParams(*(Fraction(x) for x in abc.split()))
