@@ -46,7 +46,7 @@ from .oracles import (
     zero_product_vectors,
 )
 from .spa import critical_p, spa_state
-from .states import detects_rho_family, rho_eps
+from .states import detection_value, detects_rho_family, rho_eps
 from .witnesses import (
     WitnessMatrix,
     decompose_tilde,
@@ -221,16 +221,19 @@ def _cmd_detect(args) -> tuple[dict, dict] | str:
     p, inputs = _resolve_params(args)
     try:
         lo, hi, count = float(args.eps_grid[0]), float(args.eps_grid[1]), int(args.eps_grid[2])
-        valid = 0 < lo < hi < math.inf and count >= 2
+        valid = 0 < lo < hi < math.inf and 1 / lo < math.inf and count >= 2  # rho_eps holds 1/eps
     except ValueError:
         valid = False
     if not valid:
-        raise ValueError("--eps-grid requires 0 < LO < HI < inf and N >= 2")
+        raise ValueError("--eps-grid requires 0 < LO < HI < inf, 1/LO < inf and N >= 2")
     inputs["kind"] = args.kind
     inputs["eps_grid"] = [lo, hi, count]
     grid = np.linspace(lo, hi, count)
     W = _KINDS[args.kind](p)
-    values = [float(linalg.trace_pair(rho_eps(e).matrix, W.matrix).real) for e in grid]
+    if args.kind == "standard":  # the closed form, exact for exact input: no cancellation as b -> c
+        values = [detection_value(p, float(e)) for e in grid]
+    else:
+        values = [float(linalg.trace_pair(rho_eps(e).matrix, W.matrix).real) for e in grid]
     if args.format == "csv":
         return "\n".join(["eps,value"] + [f"{e:.17g},{v:.17g}" for e, v in zip(grid, values)])
     results = {

@@ -47,8 +47,9 @@ Number = float | int | Fraction
 class MapParams:
     """Non-negative triple (a, b, c) selecting a map from either family.
 
-    Entries may be floats or fractions; exact rational arithmetic is
-    preserved wherever the construction formulas allow it.
+    Entries may be floats or fractions (an int is stored as a Fraction);
+    exact rational arithmetic is preserved wherever the construction formulas
+    allow it.  The attribute total holds a + b + c.
     """
 
     a: Number
@@ -61,7 +62,9 @@ class MapParams:
                 # A numpy scalar becomes the Python number it holds: a float32 gets
                 # float64 arithmetic, an int64 the exact path.
                 x = x.item()
-                object.__setattr__(self, name, x)
+            if isinstance(x, int):
+                x = Fraction(x)  # so that int input rounds once, as Fraction input does
+            object.__setattr__(self, name, x)
             try:
                 finite = isfinite(x)
             except OverflowError:
@@ -70,7 +73,9 @@ class MapParams:
                 raise ValueError(f"parameter {name} must be finite, got {x}")
         if min(self.a, self.b, self.c) < 0:
             raise ValueError(f"parameters must be non-negative, got {self}")
-        if self.a + self.b + self.c == 0:
+        # Kept as an attribute, not a field: equality, hash and repr stay those of (a, b, c).
+        object.__setattr__(self, "total", self.a + self.b + self.c)
+        if self.total == 0:
             raise ValueError("parameter sum must be positive")
 
     def __str__(self) -> str:
@@ -84,11 +89,11 @@ class MapParams:
 
     @property
     def is_exact(self) -> bool:
-        return all(isinstance(x, (int, Fraction)) for x in self.astuple())
+        return isinstance(self.total, Fraction)  # a Fraction exactly when a, b and c all are
 
     def on_slice(self) -> bool:
         """Whether the point lies on the plane a+b+c = 2: the _side decision classify reads."""
-        return _side(self.a + self.b + self.c, 2, 3) == 0
+        return _side(self.total, 2, 3) == 0
 
 
 class Positivity(enum.Enum):
@@ -111,7 +116,7 @@ class MapClass:
 
 def n_abc(p: MapParams) -> Number:
     """Normalization 1/(a+b+c) that makes the map unital."""
-    return 1 / (p.a + p.b + p.c)
+    return 1 / p.total
 
 
 def _require_slice(p: MapParams) -> None:
@@ -122,9 +127,10 @@ def _require_slice(p: MapParams) -> None:
 def _side(lhs: Number, rhs: Number, slope: Number) -> int:
     """Sign of lhs - rhs (-1, 0 or +1), exact when both are int or Fraction.
 
-    slope is the 1-norm of the gradient of lhs - rhs in (a, b, c) at the point.
-    With any other operand (a float or a numpy scalar), |lhs - rhs| <= 16 ulp(2)
-    * slope is roundoff: the point is on the boundary (0).
+    slope is the 1-norm of the gradient of lhs - rhs in (a, b, c) at the point;
+    only an inexact operand reads it, so callers may take it in float.  With any
+    other operand (a float or a numpy scalar), |lhs - rhs| <= 16 ulp(2) * slope
+    is roundoff: the point is on the boundary (0).
     """
     # A float is tested first: the Fraction test of a float goes through ABCMeta and is slow.
     if isinstance(lhs, float) or not (isinstance(lhs, (int, Fraction)) and isinstance(rhs, (int, Fraction))):
@@ -136,13 +142,15 @@ def _side(lhs: Number, rhs: Number, slope: Number) -> int:
 def _ellipse_side(p: MapParams) -> int:
     """Side of the ellipse bc = (1-a)^2; +1 is the region bc > (1-a)^2."""
     a, b, c = p.astuple()
-    return _side(b * c, (1 - a) ** 2, b + c + 2 * abs(1 - a))
+    fa, fb, fc = p.asfloats()
+    return _side(b * c, (1 - a) ** 2, fb + fc + 2 * abs(1 - fa))
 
 
 def _decomposable_side(p: MapParams) -> int:
     """Side of the line 4bc = (2-a)^2; -1 is the region bc < (2-a)^2/4, indecomposable when positive not CP."""
     a, b, c = p.astuple()
-    return _side(b * c, (2 - a) ** 2 / 4, b + c + abs(2 - a) / 2)
+    fa, fb, fc = p.asfloats()
+    return _side(b * c, (2 - a) ** 2 / 4, fb + fc + abs(2 - fa) / 2)
 
 
 # Rows of each family's diagonal action (up to normalization and the +1 on
@@ -153,16 +161,16 @@ _ROWS = {
 }
 
 
-def _rows(p: MapParams, kind: str) -> list[list[Number]]:
-    """The family's diagonal-action rows in the parameters' own arithmetic."""
-    abc = p.astuple()
-    return [[abc[k] for k in row] for row in _ROWS[kind]]
+def _rows(p: MapParams, kind: str) -> Array:
+    """The family's diagonal-action rows as a float 3x3 array."""
+    abc = p.asfloats()
+    return np.array([[abc[k] for k in row] for row in _ROWS[kind]])
 
 
 def _diagonal_action(p: MapParams, X, kind: str) -> Array:
     """diag((rows + I) diag(X)) on X or a stack (..., 3, 3): the family's CP part."""
     X = np.asarray(X, dtype=complex)
-    D = np.array(_rows(p, kind), dtype=float) + np.eye(3)
+    D = _rows(p, kind) + np.eye(3)
     out, i = np.zeros_like(X), np.arange(3)
     out[..., i, i] = np.diagonal(X, axis1=-2, axis2=-1) @ D.T
     return out
@@ -198,7 +206,7 @@ def classify(p: MapParams) -> MapClass:
     a, b, c = p.astuple()
     if _side(a, 2, 1) >= 0:
         return MapClass(Positivity.COMPLETELY_POSITIVE, Decomposability.DECOMPOSABLE)
-    if not p.on_slice() and a + b + c < 2:  # off the plane, on its lower side
+    if not p.on_slice() and p.total < 2:  # off the plane, on its lower side
         return MapClass(Positivity.NOT_POSITIVE, Decomposability.UNKNOWN)
     if a <= 1 and _ellipse_side(p) < 0:
         return MapClass(Positivity.NOT_POSITIVE, Decomposability.UNKNOWN)
@@ -348,4 +356,4 @@ def stochastic_matrix(p: MapParams, kind: str = "circulant") -> Array:
         scale = 0.5
     else:
         raise ValueError("kind must be 'circulant' or 'improper'")
-    return scale * np.array(_rows(p, kind), dtype=float)
+    return scale * _rows(p, kind)

@@ -18,7 +18,6 @@ W~ but keeps the detection power of W.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import sqrt
 from typing import Callable, ClassVar, Optional, Sequence
 
@@ -27,6 +26,7 @@ import numpy as np
 from . import linalg
 from .linalg import DOUBLES, PLUS_ONE, PLUS_TWO, Array, partial_transpose
 from .maps import (
+    _ROWS,
     LinearMap3,
     MapParams,
     Number,
@@ -80,12 +80,13 @@ class DecompositionCertificate:
         return float(np.linalg.norm(self.P + partial_transpose(self.Q) - self.scale * W))
 
 
-def _form(p: MapParams, kind: str) -> tuple[Number, list[Number], tuple[int, ...]]:
-    """The structured form (pref, diagonal, doubles) of a witness kind: the
-    9x9 entries are pref * rows[i][l] at (3i+l, 3i+l) and -pref off the
-    diagonal of the doubles block, zero elsewhere, with pref = N/3.  Evaluated
-    in the parameters' own arithmetic (exact for rationals).  The kinds other
-    than "standard" are defined on the plane a+b+c = 2.
+def _form(p: MapParams, kind: str) -> tuple[Number, list[Number], tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The structured form (pref, scaled, rows, doubles) of a witness kind: with
+    scaled = pref * (a, b, c), the 9x9 entries are scaled[rows[i][l]] at
+    (3i+l, 3i+l) and -pref off the diagonal of the doubles block, zero
+    elsewhere, with pref = N/3.  Evaluated in the parameters' own arithmetic
+    (exact for rationals).  The kinds other than "standard" are defined on the
+    plane a+b+c = 2.
     """
     if kind not in _KINDS:
         raise ValueError(f"unsupported kind {kind!r}")
@@ -93,12 +94,14 @@ def _form(p: MapParams, kind: str) -> tuple[Number, list[Number], tuple[int, ...
         _require_slice(p)
     family, doubles = _KINDS[kind]
     pref = n_abc(p) / 3
-    return pref, [pref * x for row in _rows(p, family) for x in row], doubles
+    return pref, [pref * x for x in p.astuple()], _ROWS[family], doubles
 
 
 def _witness(p: MapParams, kind: str) -> WitnessMatrix:
-    pref, diagonal, doubles = _form(p, kind)
-    return WitnessMatrix(linalg.structured(diagonal, -pref, doubles), p, kind)
+    pref, scaled, rows, doubles = _form(p, kind)
+    values = [float(x) for x in scaled]
+    diagonal = [values[k] for row in rows for k in row]
+    return WitnessMatrix(linalg.structured(diagonal, -float(pref), doubles), p, kind)
 
 
 def witness_matrix(p: MapParams) -> WitnessMatrix:
@@ -160,7 +163,7 @@ def decompose_tilde(p: MapParams) -> DecompositionCertificate:
     _require_slice(p)
     if _ellipse_side(p) < 0:
         raise ValueError(f"parameters {p} are outside the region bc >= (1-a)^2")
-    R = np.array(_rows(p, "improper"), dtype=float)
+    R = _rows(p, "improper")
     P = linalg.structured(None, R - _J_MINUS_I, DOUBLES)
     Q = np.zeros((9, 9), dtype=complex)
     for i, j in ((0, 1), (0, 2), (1, 2)):
@@ -212,12 +215,13 @@ def exact_witness_entries(p: MapParams, kind: str = "standard") -> list[list[str
     """
     if not p.is_exact:
         raise ValueError("exact entries require rational parameters")
-    pref, diagonal, doubles = _form(MapParams(*(Fraction(x) for x in p.astuple())), kind)
+    pref, scaled, rows, doubles = _form(p, kind)
+    values = [str(x) for x in scaled]
     grid = [["0"] * 9 for _ in range(9)]
     minus = str(-pref)
     for i in doubles:
         for j in doubles:
             grid[i][j] = minus
-    for k, x in enumerate(diagonal):
-        grid[k][k] = str(x)
+    for k, x in enumerate(values[pos] for row in rows for pos in row):
+        grid[k][k] = x
     return grid

@@ -237,6 +237,13 @@ class TestDetect:
         for eps, value in zip(record["results"]["eps"], record["results"]["values"]):
             assert abs(value - (eps - 1) ** 2 / (3 * eps)) < 1e-12
 
+    def test_exact_values_keep_sign_near_b_equal_c(self, capsys):
+        # The vertex of the detection parabola nears zero as b -> c; a float 9x9 pairing
+        # cancels there and reads [-5.6e-17, 0.0, 2.8e-17].
+        argv = ["detect", "--bc", "1/2", "50000001/100000000", "--eps-grid", "1.000000005", "1.000000015", "3"]
+        values = run_json(capsys, argv)["results"]["values"]
+        assert len(values) == 3 and all(v < 0 for v in values), values
+
     def test_csv(self, capsys):
         code = main(["detect", "1", "1", "0", "--eps-grid", "0.5", "1.5", "3", "--format", "csv"])
         out = capsys.readouterr().out.strip().splitlines()

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from math import pi
 
@@ -44,6 +45,21 @@ class TestParams:
         assert n_abc(MapParams(1, 1, 0)) == 0.5
         assert n_abc(MapParams(0, 1, 1)) == 0.5
         assert n_abc(MapParams(Fraction(2, 3), Fraction(2, 3), Fraction(2, 3))) == Fraction(1, 2)
+
+    def test_int_entries_are_fractions(self):
+        # An int rounds once, as its Fraction does: N = 1/11 stays exact, not a float.
+        p = MapParams(0, 0, 11)
+        assert all(type(x) is Fraction for x in p.astuple()) and p.is_exact
+        assert n_abc(p) == Fraction(1, 11)
+        assert repr(p) == "MapParams(a=Fraction(0, 1), b=Fraction(0, 1), c=Fraction(11, 1))"
+
+    def test_total_is_not_a_field(self):
+        # The stored sum leaves equality, hash and the field list to (a, b, c).
+        p, q = MapParams(Fraction(1, 2), 1, Fraction(1, 2)), MapParams(0.5, 1.0, 0.5)
+        assert p.total == 2 and type(p.total) is Fraction and type(q.total) is float
+        assert p == q and hash(p) == hash(q)
+        assert [f.name for f in dataclasses.fields(p)] == ["a", "b", "c"]
+        assert not MapParams(Fraction(1), 1, 0.0).is_exact
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from math import pi
 
@@ -342,13 +343,22 @@ class TestSerialization:
         # (2/3, 2/3, 2/3) has a = b = c and cannot tell the row patterns apart;
         # the asymmetric fixtures can.
         U9 = np.kron(permutation_unitary(), np.eye(3))
+        kinds = (("standard", witness_matrix), ("tilde", witness_tilde_matrix), ("u_conjugated", witness_u))
         fixtures = ["2/3 2/3 2/3", "1 1 0", "0 1 1", "1/2 1 1/2", "1/3 1/2 7/6"]
-        for abc in fixtures:
-            p = MapParams(*(Fraction(x) for x in abc.split()))
-            for kind, build in (("standard", witness_matrix), ("tilde", witness_tilde_matrix), ("u_conjugated", witness_u)):
+        # The 190 lattice points (i, j)/9 of the plane.
+        lattice = [(2 - Fraction(i, 9) - Fraction(j, 9), Fraction(i, 9), Fraction(j, 9)) for i in range(19) for j in range(19 - i)]
+        # Integer parameters are exact too: they round once, as their Fractions do.
+        integers = [t for t in itertools.product(range(12), repeat=3) if sum(t) > 0]
+        cases = [(tuple(Fraction(x) for x in abc.split()), kinds) for abc in fixtures]
+        cases += [(abc, kinds) for abc in lattice] + [(abc, kinds[:1]) for abc in integers]
+        for abc, builds in cases:
+            p = MapParams(*abc)
+            for kind, build in builds:
                 rebuilt = np.array([[float(Fraction(cell)) for cell in row] for row in exact_witness_entries(p, kind)])
                 # Bit for bit, signed zeros included: each float entry is float() of the exact one.
                 assert rebuilt.astype(complex).tobytes() == build(p).matrix.tobytes(), (abc, kind)
+        for abc in fixtures:
+            p = MapParams(*(Fraction(x) for x in abc.split()))
             # The defining conjugation, independent of how witness_u is built.
             rebuilt = np.array([[float(Fraction(cell)) for cell in row] for row in exact_witness_entries(p, "u_conjugated")])
             assert np.array_equal(rebuilt, (U9 @ witness_matrix(p).matrix @ U9.T).real), abc
