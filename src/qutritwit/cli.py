@@ -289,12 +289,13 @@ def _cmd_certify(args) -> tuple[dict, dict]:
             "reconstruction_residual": cert.residual(W),
         }
     else:
-        found = indecomposability_certificate(p)
+        eps, value = indecomposability_certificate(p) or (None, None)
         results = {
             "params": _encode_params(p),
-            "certificate": "ppt_state" if found else None,
-            "eps": found[0] if found else None,
-            "value": found[1] if found else None,
+            "certificate": None if eps is None else "ppt_state",
+            "eps": None if eps is None else float(eps),
+            "eps_exact": str(eps) if isinstance(eps, Fraction) else None,
+            "value": value,
         }
     return inputs, results
 
@@ -303,14 +304,10 @@ def _cmd_figure(args) -> tuple[dict, dict]:
     n = args.resolution
     if n < 8:
         raise ValueError("--resolution must be at least 8")
-    ts = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
-    ellipse = []
-    for t in ts:
-        x = 4.0 / 3.0 + (2.0 / 3.0) * math.cos(t)
-        y = (2.0 / math.sqrt(3.0)) * math.sin(t)
-        ellipse.append([(x + y) / 2.0, (x - y) / 2.0])
+    # Starting at the reduction map (1, 1), the angle pi of the proper family.
+    ellipse = [so2_coeffs(t + math.pi) for t in np.linspace(0.0, 2 * math.pi, n, endpoint=False)]
     results = {
-        "ellipse": ellipse,
+        "ellipse": [[p.b, p.c] for p in ellipse],
         "decomposable_line": [[0.0, 0.0], [1.0, 1.0]],
         "simplex": [[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [0.0, 0.0]],
         "spa_lines": {

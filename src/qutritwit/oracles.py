@@ -23,7 +23,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import Array
-from .maps import LinearMap3, MapParams
+from .maps import LinearMap3, MapParams, Number
 from .states import detection_value, detects_rho_family
 from .witnesses import choi_witness
 
@@ -258,22 +258,16 @@ def span_rank(pairs: Sequence[ProductVectorPair]) -> int:
     return int(np.sum(w > SPAN_RANK_TOL * top))
 
 
-def indecomposability_certificate(p: MapParams) -> Optional[tuple[float, float]]:
+def indecomposability_certificate(p: MapParams) -> Optional[tuple[Number, float]]:
     """A PPT probe state with negative expectation against W[a,b,c].
 
     Returns (eps, value) with value = Tr(rho_eps W[a,b,c]) < 0 when the
-    detection interval is non-empty, else None.  The midpoint of a bounded
-    interval is used; unbounded intervals fall back to 2 * lower endpoint
-    (or eps = 1 when the interval is all of (0, inf)).
+    detection interval is non-empty, else None.  eps is the vertex (2-a)/(2b),
+    or c/(2-a) + 1 when b = 0, in the parameters' own arithmetic (a Fraction
+    for exact input), so no rounding moves it onto an end of the interval.
     """
-    interval = detects_rho_family(p)
-    if interval is None:
+    if detects_rho_family(p) is None:
         return None
-    lo, hi = interval
-    if hi != inf:
-        eps = (lo + hi) / 2.0
-    elif lo > 0:
-        eps = 2.0 * lo
-    else:
-        eps = 1.0
+    a, b, c = p.astuple()
+    eps = (2 - a) / (2 * b) if b else c / (2 - a) + 1
     return eps, detection_value(p, eps)

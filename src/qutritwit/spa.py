@@ -65,15 +65,15 @@ def spa_mix(W: WitnessMatrix | Array, p: float) -> Array:
 
 
 def critical_p(p: MapParams) -> float:
-    """Closed-form critical weight on the plane a+b+c = 2.
+    """Closed-form critical weight on the plane a+b+c = 2, rounded once from exact input.
 
     Returns 0 for a >= 2, where the witness is already PSD.
     """
     _require_slice(p)
     if _side(p.a, 2, 1) >= 0:
         return 0.0
-    a = float(p.a)
-    return 3 * (2 - a) / (2 + 3 * (2 - a))
+    t = 3 * (2 - p.a)
+    return float(t / (2 + t))
 
 
 def critical_p_from_witness(W: WitnessMatrix | Array) -> float:
@@ -100,10 +100,9 @@ def spa_state(p: MapParams) -> SpaResult:
     scale * (sigma_12 + sigma_13 + sigma_23 + sigma_d) with
     scale = 1 / (3 (2 + 3(2-a))); outside it no separability claim is made.
     """
-    _require_slice(p)
-    if _side(p.a, 2, 1) >= 0:
-        raise ValueError("requires a < 2; the witness is already PSD")
     star = critical_p(p)
+    if star == 0.0:
+        raise ValueError("requires a < 2; the witness is already PSD")
     state = BipartiteState(spa_mix(witness_matrix(p), star))
     certified = spa_region(p.b, p.c)
     components = None

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import DOUBLES, Array, partial_transpose
-from .maps import MapParams, _decomposable_side, _require_slice, _side, n_abc
+from .maps import MapParams, Number, _decomposable_side, _require_slice, _side, n_abc
 from .witnesses import witness_matrix
 
 
@@ -57,20 +57,18 @@ def is_ppt(state) -> bool:
     return linalg.is_psd(partial_transpose(linalg.as_matrix(state)))
 
 
-def detection_value(p: MapParams, eps: float) -> float:
+def detection_value(p: MapParams, eps: Number) -> float:
     """Closed form of Tr(rho_eps W[a,b,c]): N (b eps^2 + (a-2) eps + c) / eps.
 
-    Exact parameters are evaluated in Fraction at the given eps and rounded once, so the
-    sign survives the cancellation at the parabola's vertex, which nears zero as b -> c.
+    One expression in the parameters' own arithmetic, rounded once: for exact parameters
+    eps becomes a Fraction, so the sign survives the cancellation near the vertex as b -> c.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     if p.is_exact:
-        a, b, c = p.astuple()
-        e = Fraction(eps.item() if isinstance(eps, np.generic) else eps)
-        return float(n_abc(p) * (b * e * e + (a - 2) * e + c) / e)
-    a, b, c = p.asfloats()
-    return float(n_abc(p)) * (b * eps * eps + (a - 2.0) * eps + c) / eps
+        eps = Fraction(eps.item() if isinstance(eps, np.generic) else eps)
+    a, b, c = p.astuple()
+    return float(n_abc(p) * (b * eps * eps + (a - 2) * eps + c) / eps)
 
 
 def detects_rho_family(p: MapParams) -> Optional[tuple[float, float]]:
@@ -79,16 +77,16 @@ def detects_rho_family(p: MapParams) -> Optional[tuple[float, float]]:
     The sign of the detection value is that of q(eps) = b eps^2 + (a-2) eps
     + c, negative somewhere on eps > 0 iff a < 2 and bc < (2-a)^2/4 (a
     positive discriminant): classify's _side decisions, so a positive non-CP
-    map has an interval iff it is indecomposable.  For b = 0 q is a line.
+    map has an interval iff it is indecomposable.  Its ends are the roots 2c/s
+    and s/(2b), s = (2-a) + sqrt((2-a)^2 - 4bc), so neither cancels; the upper
+    end is inf when b is 0 in float.
     """
     a, b, c = p.astuple()
     if _side(a, 2, 1) >= 0 or _decomposable_side(p) >= 0:
         return None
-    af, bf = float(a), float(b)
-    if b == 0:
-        return (float(c) / (2.0 - af), inf)
-    root = 2 * sqrt(float((2 - a) ** 2 / 4 - b * c))
-    return (max(((2.0 - af) - root) / (2.0 * bf), 0.0), ((2.0 - af) + root) / (2.0 * bf))
+    bf = float(b)
+    s = (2.0 - float(a)) + 2 * sqrt(float((2 - a) ** 2 / 4 - b * c))
+    return (2.0 * float(c) / s, s / (2.0 * bf) if bf else inf)
 
 
 def sigma_pair(i: int, j: int) -> BipartiteState:

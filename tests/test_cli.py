@@ -244,6 +244,12 @@ class TestDetect:
         values = run_json(capsys, argv)["results"]["values"]
         assert len(values) == 3 and all(v < 0 for v in values), values
 
+    @pytest.mark.parametrize("command", ["classify", "detect"])
+    def test_upper_end_beyond_the_float_range_is_null(self, capsys, command):
+        # b = 1e-400 is positive but 0 in float.
+        results = run_json(capsys, [command, "--bc", f"1/{10**400}", "1"])["results"]
+        assert results["detection_interval"] == [1.0, None]
+
     def test_csv(self, capsys):
         code = main(["detect", "1", "1", "0", "--eps-grid", "0.5", "1.5", "3", "--format", "csv"])
         out = capsys.readouterr().out.strip().splitlines()
@@ -272,6 +278,11 @@ class TestSpa:
         assert results["components"] is not None
         assert results["state_min_eigenvalue"] > -1e-9
 
+    def test_exact_point_next_to_the_cp_corner(self, capsys):
+        # a = 2 - 1e-20 rounds to 2.0 in float, but the map is not CP: p* = 1.5e-20.
+        results = run_json(capsys, ["spa", "--bc", f"1/{10**20}", "0"])["results"]
+        assert results["p_star"] == 1.5e-20
+
     def test_outside_region(self, capsys):
         record = run_json(capsys, ["spa", "--bc", "0.1", "0.1"])
         assert record["results"]["separable_certified"] is False
@@ -297,6 +308,29 @@ class TestCertify:
     def test_decomposable_point_yields_none(self, capsys):
         record = run_json(capsys, ["certify", "0", "1", "1", "--indecomposable"])
         assert record["results"]["certificate"] is None
+        assert record["results"]["eps_exact"] is None
+
+    def test_exact_vertex_near_b_equals_c(self, capsys):
+        # |b - c| = 1e-16: the float eps rounds to 1.0, so the value is rounded from
+        # the exact vertex, which eps_exact carries.
+        argv = ["certify", "--indecomposable", "--bc", "1/2", "5000000000000001/10000000000000000"]
+        results = run_json(capsys, argv)["results"]
+        assert results["eps"] == 1.0
+        assert results["eps_exact"] == "10000000000000001/10000000000000000"
+        assert results["value"] < 0
+
+    def test_float_input_has_no_exact_eps(self, capsys):
+        results = run_json(capsys, ["certify", "--indecomposable", "--alpha", "0.5"])["results"]
+        assert results["certificate"] == "ppt_state"
+        assert isinstance(results["eps"], float)
+        assert results["eps_exact"] is None
+
+    def test_vertex_beyond_the_float_range_exits_2(self, capsys):
+        assert main(["certify", "--indecomposable", "--bc", f"1/{10**400}", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
     def test_requires_exactly_one_mode(self, capsys):
         assert main(["certify", "1", "1", "0"]) == 2
@@ -320,6 +354,10 @@ class TestFigure:
         assert points["iv"] == [1 / 3, 1 / 3]
         assert points["v"] == [0.0, 0.0]
         assert results["decomposable_line"] == [[0.0, 0.0], [1.0, 1.0]]
+
+    def test_vertices_lie_in_the_simplex(self, capsys):
+        for b, c in run_json(capsys, ["figure", "--resolution", "360"])["results"]["ellipse"]:
+            assert b >= 0 and c >= 0
 
     def test_resolution_floor(self, capsys):
         assert main(["figure", "--resolution", "7"]) == 2

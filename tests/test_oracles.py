@@ -357,16 +357,24 @@ class TestIndecomposabilityCertificate:
     def test_reduction_map(self):
         assert indecomposability_certificate(MapParams(0, 1, 1)) is None
 
-    @pytest.mark.parametrize("k", range(1, 16))
+    @pytest.mark.parametrize("k", [*range(1, 18), 100, 161])
     def test_negative_near_b_equals_c(self, k):
         # The detection value has its minimum -N (b-c)^2 / 2 (to leading order) at the
-        # interval's midpoint, far below the roundoff of its three terms in floats.
+        # parabola's vertex, far below the roundoff of its three terms in floats.  The
+        # vertex is held as a Fraction: a float one rounds to 1.0, an end of the interval,
+        # once |b - c| is about 1e-16.  At k = 161 the value is subnormal, about -2.5e-323.
         p = slice_params(Fraction(1, 2), Fraction(1, 2) + Fraction(1, 10**k))
         eps, value = indecomposability_certificate(p)
+        assert eps == (2 - p.a) / (2 * p.b)
         assert value < 0
-        e = Fraction(eps)
-        exact = (p.b * e * e + (p.a - 2) * e + p.c) / (2 * e)
-        assert abs(value - exact) <= 1e-9 * abs(exact)
+        exact = (p.b * eps * eps + (p.a - 2) * eps + p.c) / (2 * eps)
+        assert value == float(exact)
+
+    def test_linear_case_takes_eps_past_the_root(self):
+        # b = 0: the value is negative on (c/(2-a), inf) and eps = c/(2-a) + 1.
+        eps, value = indecomposability_certificate(MapParams(1, 0, Fraction(1, 2)))
+        assert eps == Fraction(3, 2)
+        assert value == float(Fraction(-4, 9))
 
     def test_asymmetric_slice_points(self):
         rng = np.random.default_rng(12)

@@ -55,6 +55,12 @@ class TestCriticalP:
     def test_cp_corner(self):
         assert critical_p(MapParams(2, 0, 0)) == 0.0
 
+    def test_exact_input_rounds_once(self):
+        # At a = 17/9, p* = 1/7; rounding a first misses it by 2 ulp, and a = 2 - 1e-20,
+        # not CP, would give 0.
+        assert critical_p(slice_params(Fraction(1, 9), 0)) == 1 / 7
+        assert critical_p(slice_params(Fraction(1, 10**20), 0)) == 1.5e-20
+
     def test_rejects_off_slice(self):
         with pytest.raises(ValueError):
             critical_p(MapParams(1, 1, 1))

@@ -1,12 +1,13 @@
+from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import inf
+from math import inf, pi, ulp
 
 import numpy as np
 import pytest
 
 from conftest import random_slice_params
 from qutritwit.linalg import eigenvalues, min_eigenvalue, partial_transpose, trace_pair
-from qutritwit.maps import Decomposability, MapParams, classify, improper_coeffs, slice_params
+from qutritwit.maps import Decomposability, MapParams, classify, improper_coeffs, slice_params, so2_coeffs
 from qutritwit.states import (
     detection_value,
     detection_value_numeric,
@@ -127,6 +128,26 @@ class TestDetectionInterval:
         lo, hi = detects_rho_family(p)
         assert lo < 2.0 < hi == inf
         assert detection_value(p, 2.0) < 0
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            slice_params(Fraction(1, 10**13), 1),
+            slice_params(Fraction(1, 10**17), 1),
+            so2_coeffs(pi / 3),
+            so2_coeffs(5 * pi / 3),
+        ],
+        ids=["b=1e-13", "b=1e-17", "alpha=pi/3", "alpha=5pi/3"],
+    )
+    def test_lower_end_does_not_cancel(self, p):
+        # With bc << (2-a)^2/4 the lower root ((2-a) - sqrt(D)) / (2b) cancels to
+        # nothing (1.5 for 1.0 at the Choi angle pi/3); 2c / ((2-a) + sqrt(D)) does not.
+        with localcontext() as ctx:
+            ctx.prec = 60
+            a, b, c = (Decimal(x.numerator) / x.denominator for x in map(Fraction, p.astuple()))
+            stable = 2 * c / ((2 - a) + ((2 - a) ** 2 - 4 * b * c).sqrt())
+        lo, _ = detects_rho_family(p)
+        assert abs(Decimal(lo) - stable) <= 2 * Decimal(ulp(float(stable)))
 
     def test_interval_sign_scan(self):
         # Sampled detection values are negative inside the interval and
