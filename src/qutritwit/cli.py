@@ -14,6 +14,10 @@ entries are emitted as "p/q" strings; `witness` and `detect` also take
 a usage error (such as an option the subcommand does not take), invalid input,
 float overflow or an unwritable --output path or stdout, exits with status 2,
 nothing on stdout and one `error:` line on stderr.
+
+Only the commands that build a matrix (witness, detect, spa, certify --tilde,
+sweep --what witness|rank) import numpy and the matrix modules; the rest run
+on geometry's scalar formulas and start without them.
 """
 
 from __future__ import annotations
@@ -23,52 +27,70 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
-from . import linalg
-from .maps import (
+from .geometry import (
     MapParams,
     classify,
+    critical_p,
+    detection_value,
+    detection_value_exact,
+    detects_rho_family,
     dual,
     improper_coeffs,
+    indecomposability_certificate,
     on_ellipse,
     slice_params,
     so2_coeffs,
-)
-from .oracles import (
-    SeeSawConfig,
-    indecomposability_certificate,
-    min_product_expectation,
-    span_rank,
-    zero_product_vectors,
-)
-from .spa import critical_p, spa_state
-from .states import detection_value, detects_rho_family, rho_eps
-from .witnesses import (
-    WitnessMatrix,
-    decompose_tilde,
-    exact_witness_entries,
-    matrix_entries,
-    witness_matrix,
-    witness_tilde_matrix,
-    witness_u,
 )
 
 SCHEMA_VERSION = "1"
 SEED_ENV_VAR = "QUTRITWIT_SEED"
 DEFAULT_SEED = 7
+DEFAULT_RESTARTS = 200
 
-# --kind -> witness builder.
-_KINDS = {"standard": witness_matrix, "tilde": witness_tilde_matrix, "u": witness_u}
+# --kind -> name of the witness builder in the witnesses module.
+_KINDS = {"standard": "witness_matrix", "tilde": "witness_tilde_matrix", "u": "witness_u"}
 
-# --improper -> (family name, angle -> parameters, witness builder).
+# --improper -> (family name, angle -> parameters, --kind of its witness).
 _FAMILIES = {
-    False: ("proper", so2_coeffs, witness_matrix),
-    True: ("improper", improper_coeffs, witness_tilde_matrix),
+    False: ("proper", so2_coeffs, "standard"),
+    True: ("improper", improper_coeffs, "tilde"),
 }
+
+
+@contextmanager
+def _numpy():
+    """numpy, for the paths that build a matrix, with float overflow, invalid and divide raising."""
+    import numpy as np
+
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        yield np
+
+
+def _witness(kind: str, p: MapParams):
+    """The --kind witness at p; the witnesses module loads on the first call."""
+    from . import witnesses
+
+    return getattr(witnesses, _KINDS[kind])(p)
+
+
+def _angles(n: int) -> list[float]:
+    """n angles k 2 pi / n on [0, 2 pi), bit for bit those of np.linspace(0, 2 pi, n, endpoint=False).
+
+    The list is allocated whole before it is filled, so a count the address
+    space cannot hold fails at once with MemoryError, as numpy's array does.
+    """
+    try:
+        angles = [0.0] * n
+    except OverflowError:  # n beyond an index: no list can hold it
+        raise MemoryError from None
+    step = 2 * math.pi / n
+    for k in range(1, n):
+        angles[k] = k * step
+    return angles
 
 
 def _parse_number(text: str) -> Fraction:
@@ -116,15 +138,18 @@ def _resolve_params(args) -> tuple[MapParams, dict]:
     return _FAMILIES[args.improper][1](alpha), {"alpha": alpha, "improper": args.improper}
 
 
-def _seesaw_config(args, runs: bool) -> Optional[SeeSawConfig]:
-    """The see-saw settings, defaults of --seed and --restarts included; None for a run without one."""
+def _seesaw_config(args, runs: bool):
+    """The SeeSawConfig, defaults of --seed and --restarts included; None for a run without one.
+
+    Both settings are checked before the oracles module, and numpy, load.
+    """
     if not runs:
         given = [f"--{name}" for name in ("seed", "restarts") if getattr(args, name) is not None]
         if given:
             raise ValueError(f"{' and '.join(given)} not read: only witness (JSON) and sweep --what rank run a see-saw")
         return None
     if args.restarts is None:
-        args.restarts = SeeSawConfig.restarts  # kept on args: the out-of-memory message names it
+        args.restarts = DEFAULT_RESTARTS  # kept on args: the out-of-memory message names it
     if args.restarts < 1:
         raise ValueError(f"--restarts must be at least 1, got {args.restarts}")
     # The see-saw's first array holds restarts x 3 doubles; numpy refuses one the address space cannot hold.
@@ -137,10 +162,14 @@ def _seesaw_config(args, runs: bool) -> Optional[SeeSawConfig]:
         raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {seed!r}") from None
     if seed < 0:
         raise ValueError(f"{SEED_ENV_VAR if args.seed is None else '--seed'} must be non-negative, got {seed}")
+    from .oracles import SeeSawConfig
+
     return SeeSawConfig(restarts=args.restarts, rng_seed=seed)
 
 
-def _matrix_payload(W: WitnessMatrix) -> tuple[object, bool]:
+def _matrix_payload(W) -> tuple[object, bool]:
+    from .witnesses import exact_witness_entries, matrix_entries
+
     if W.params is not None and W.params.is_exact:
         return exact_witness_entries(W.params, W.kind), True
     return matrix_entries(W.matrix), False
@@ -163,6 +192,8 @@ def _emit(args, text: str) -> None:
 
 
 def _csv_matrix(M) -> str:
+    from . import linalg
+
     rows = []
     for row in linalg.as_matrix(M):
         cells = []
@@ -199,21 +230,24 @@ def _cmd_classify(args) -> tuple[dict, dict]:
 def _cmd_witness(args) -> tuple[dict, dict] | str:
     p, inputs = _resolve_params(args)
     inputs["kind"] = args.kind
-    W = _KINDS[args.kind](p)
     cfg = _seesaw_config(args, runs=args.format == "json")
-    if cfg is None:
-        return _csv_matrix(W.matrix)
-    entries, exact = _matrix_payload(W)
-    results = {
-        "params": _encode_params(p),
-        "kind": W.kind,
-        "matrix": entries,
-        "exact": exact,
-        "trace": W.trace(),
-        "min_eigenvalue": W.min_eigenvalue(),
-        "block_positivity_estimate": min_product_expectation(W.matrix, cfg).value,
-        "seesaw": {"restarts": cfg.restarts, "seed": cfg.rng_seed},
-    }
+    with _numpy():
+        W = _witness(args.kind, p)
+        if cfg is None:
+            return _csv_matrix(W.matrix)
+        from .oracles import min_product_expectation
+
+        entries, exact = _matrix_payload(W)
+        results = {
+            "params": _encode_params(p),
+            "kind": W.kind,
+            "matrix": entries,
+            "exact": exact,
+            "trace": W.trace(),
+            "min_eigenvalue": W.min_eigenvalue(),
+            "block_positivity_estimate": min_product_expectation(W.matrix, cfg).value,
+            "seesaw": {"restarts": cfg.restarts, "seed": cfg.rng_seed},
+        }
     return inputs, results
 
 
@@ -228,12 +262,16 @@ def _cmd_detect(args) -> tuple[dict, dict] | str:
         raise ValueError("--eps-grid requires 0 < LO < HI < inf, 1/LO < inf and N >= 2")
     inputs["kind"] = args.kind
     inputs["eps_grid"] = [lo, hi, count]
-    grid = np.linspace(lo, hi, count)
-    W = _KINDS[args.kind](p)
-    if args.kind == "standard":  # the closed form, exact for exact input: no cancellation as b -> c
-        values = [detection_value(p, float(e)) for e in grid]
-    else:
-        values = [float(linalg.trace_pair(rho_eps(e).matrix, W.matrix).real) for e in grid]
+    with _numpy() as np:
+        from . import linalg
+        from .states import rho_eps
+
+        grid = np.linspace(lo, hi, count)
+        W = _witness(args.kind, p)
+        if args.kind == "standard":  # the closed form, exact for exact input: no cancellation as b -> c
+            values = [detection_value(p, float(e)) for e in grid]
+        else:
+            values = [float(linalg.trace_pair(rho_eps(e).matrix, W.matrix).real) for e in grid]
     if args.format == "csv":
         return "\n".join(["eps,value"] + [f"{e:.17g},{v:.17g}" for e, v in zip(grid, values)])
     results = {
@@ -248,26 +286,31 @@ def _cmd_detect(args) -> tuple[dict, dict] | str:
 
 def _cmd_spa(args) -> tuple[dict, dict]:
     p, inputs = _resolve_params(args)
-    res = spa_state(p)
-    results = {
-        "params": _encode_params(p),
-        "p_star": res.p_star,
-        "region": res.separable_certified,
-        "separable_certified": res.separable_certified,
-        "state": matrix_entries(res.state.matrix),
-        "state_min_eigenvalue": linalg.min_eigenvalue(res.state.matrix),
-    }
-    if res.components is not None:
-        comp = res.components
-        results["components"] = {
-            "sigma_12": matrix_entries(comp.sigma_12.matrix),
-            "sigma_13": matrix_entries(comp.sigma_13.matrix),
-            "sigma_23": matrix_entries(comp.sigma_23.matrix),
-            "sigma_d": matrix_entries(comp.sigma_d.matrix),
-            "scale": comp.scale,
+    with _numpy():
+        from . import linalg
+        from .spa import spa_state
+        from .witnesses import matrix_entries
+
+        res = spa_state(p)
+        results = {
+            "params": _encode_params(p),
+            "p_star": res.p_star,
+            "region": res.separable_certified,
+            "separable_certified": res.separable_certified,
+            "state": matrix_entries(res.state.matrix),
+            "state_min_eigenvalue": linalg.min_eigenvalue(res.state.matrix),
         }
-    else:
-        results["components"] = None
+        if res.components is not None:
+            comp = res.components
+            results["components"] = {
+                "sigma_12": matrix_entries(comp.sigma_12.matrix),
+                "sigma_13": matrix_entries(comp.sigma_13.matrix),
+                "sigma_23": matrix_entries(comp.sigma_23.matrix),
+                "sigma_d": matrix_entries(comp.sigma_d.matrix),
+                "scale": comp.scale,
+            }
+        else:
+            results["components"] = None
     return inputs, results
 
 
@@ -276,18 +319,21 @@ def _cmd_certify(args) -> tuple[dict, dict]:
     if args.tilde == args.indecomposable:
         raise ValueError("choose exactly one of --tilde or --indecomposable")
     if args.tilde:
-        cert = decompose_tilde(p)
-        W = witness_tilde_matrix(p)
-        results = {
-            "params": _encode_params(p),
-            "certificate": "decomposition",
-            "P": matrix_entries(cert.P),
-            "Q": matrix_entries(cert.Q),
-            "scale": cert.scale,
-            "min_eig_P": linalg.min_eigenvalue(cert.P),
-            "min_eig_Q": linalg.min_eigenvalue(cert.Q),
-            "reconstruction_residual": cert.residual(W),
-        }
+        with _numpy():
+            from . import linalg
+            from .witnesses import decompose_tilde, matrix_entries, witness_tilde_matrix
+
+            cert = decompose_tilde(p)
+            results = {
+                "params": _encode_params(p),
+                "certificate": "decomposition",
+                "P": matrix_entries(cert.P),
+                "Q": matrix_entries(cert.Q),
+                "scale": cert.scale,
+                "min_eig_P": linalg.min_eigenvalue(cert.P),
+                "min_eig_Q": linalg.min_eigenvalue(cert.Q),
+                "reconstruction_residual": cert.residual(witness_tilde_matrix(p)),
+            }
     else:
         eps, value = indecomposability_certificate(p) or (None, None)
         results = {
@@ -296,6 +342,7 @@ def _cmd_certify(args) -> tuple[dict, dict]:
             "eps": None if eps is None else float(eps),
             "eps_exact": str(eps) if isinstance(eps, Fraction) else None,
             "value": value,
+            "value_exact": str(detection_value_exact(p, eps)) if eps is not None and p.is_exact else None,
         }
     return inputs, results
 
@@ -305,7 +352,7 @@ def _cmd_figure(args) -> tuple[dict, dict]:
     if n < 8:
         raise ValueError("--resolution must be at least 8")
     # Starting at the reduction map (1, 1), the angle pi of the proper family.
-    ellipse = [so2_coeffs(t + math.pi) for t in np.linspace(0.0, 2 * math.pi, n, endpoint=False)]
+    ellipse = [so2_coeffs(t + math.pi) for t in _angles(n)]
     results = {
         "ellipse": [[p.b, p.c] for p in ellipse],
         "decomposable_line": [[0.0, 0.0], [1.0, 1.0]],
@@ -329,27 +376,32 @@ def _cmd_sweep(args) -> tuple[dict, dict]:
     n = args.alpha_grid
     if n < 1:
         raise ValueError("--alpha-grid must be positive")
-    family, coeffs, build = _FAMILIES[args.improper]
+    family, coeffs, kind = _FAMILIES[args.improper]
     cfg = _seesaw_config(args, runs=args.what == "rank")
     if cfg is not None:
         print("note: span-rank sweep runs a see-saw search per angle (slow)", file=sys.stderr)
     rows = []
-    for alpha in np.linspace(0.0, 2 * math.pi, n, endpoint=False):
-        p = coeffs(float(alpha))
+    for alpha in _angles(n):
+        p = coeffs(alpha)
         a, b, c = p.asfloats()
-        row = {"alpha": float(alpha), "a": a, "b": b, "c": c, "sum": a + b + c}
-        if args.what == "witness":
-            W = build(p)
-            row["matrix"] = matrix_entries(W.matrix)
-            row["trace"] = W.trace()
-            row["min_eigenvalue"] = W.min_eigenvalue()
-        elif args.what == "pstar":
+        row = {"alpha": alpha, "a": a, "b": b, "c": c, "sum": a + b + c}
+        if args.what == "pstar":
             row["p_star"] = critical_p(p)
+        elif args.what == "witness":
+            with _numpy():
+                from .witnesses import matrix_entries
+
+                W = _witness(kind, p)
+                row["matrix"] = matrix_entries(W.matrix)
+                row["trace"] = W.trace()
+                row["min_eigenvalue"] = W.min_eigenvalue()
         elif args.what == "rank":
-            W = build(p)
-            zeros = zero_product_vectors(W.matrix, cfg)
-            row["zero_count"] = len(zeros)
-            row["span_rank"] = span_rank(zeros)
+            with _numpy():
+                from .oracles import span_rank, zero_product_vectors
+
+                zeros = zero_product_vectors(_witness(kind, p).matrix, cfg)
+                row["zero_count"] = len(zeros)
+                row["span_rank"] = span_rank(zeros)
         rows.append(row)
     return {"alpha_grid": n, "family": family, "what": args.what}, {"rows": rows}
 
@@ -380,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     seesaw = _Parser(add_help=False)
     seesaw.add_argument("--seed", type=int, default=None, help=f"see-saw RNG seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})")
-    seesaw.add_argument("--restarts", type=int, default=None, help=f"see-saw restarts (default: {SeeSawConfig.restarts})")
+    seesaw.add_argument("--restarts", type=int, default=None, help=f"see-saw restarts (default: {DEFAULT_RESTARTS})")
 
     parser = _Parser(
         prog="qutritwit",
@@ -422,8 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            out = args.run(args)
+        out = args.run(args)
         if isinstance(out, tuple):
             record = {"schema_version": SCHEMA_VERSION, "command": args.command, "inputs": out[0], "results": out[1]}
             out = json.dumps(record, indent=2, allow_nan=False)

@@ -7,24 +7,23 @@ eigenvector.  Alternating the two factors yields a non-increasing value
 sequence; restarting from Haar-random products gives a block-positivity
 estimate that is an upper bound on the true product minimum.
 
-Also here: the Choi-matrix test for complete positivity, collection of
-zero-expectation product vectors with their span rank (the standard
-optimality evidence for a witness), and the constructive indecomposability
-certificate from the PPT probe family.
+Also here: the Choi-matrix test for complete positivity and the collection
+of zero-expectation product vectors with their span rank (the standard
+optimality evidence for a witness).  The constructive indecomposability
+certificate from the PPT probe family is a closed form and lives in geometry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf, isfinite
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import linalg
 from .linalg import Array
-from .maps import LinearMap3, MapParams, Number
-from .states import detection_value, detects_rho_family
+from .maps import LinearMap3
 from .witnesses import choi_witness
 
 BLOCK_POSITIVITY_TOL = 1e-7
@@ -256,18 +255,3 @@ def span_rank(pairs: Sequence[ProductVectorPair]) -> int:
     if top <= 0:
         return 0
     return int(np.sum(w > SPAN_RANK_TOL * top))
-
-
-def indecomposability_certificate(p: MapParams) -> Optional[tuple[Number, float]]:
-    """A PPT probe state with negative expectation against W[a,b,c].
-
-    Returns (eps, value) with value = Tr(rho_eps W[a,b,c]) < 0 when the
-    detection interval is non-empty, else None.  eps is the vertex (2-a)/(2b),
-    or c/(2-a) + 1 when b = 0, in the parameters' own arithmetic (a Fraction
-    for exact input), so no rounding moves it onto an end of the interval.
-    """
-    if detects_rho_family(p) is None:
-        return None
-    a, b, c = p.astuple()
-    eps = (2 - a) / (2 * b) if b else c / (2 - a) + 1
-    return eps, detection_value(p, eps)

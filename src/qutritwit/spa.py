@@ -20,8 +20,8 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
+from .geometry import MapParams, Number, _side, critical_p
 from .linalg import Array
-from .maps import MapParams, Number, _require_slice, _side
 from .states import BipartiteState, sigma_diag, sigma_pair
 from .witnesses import WitnessMatrix, witness_matrix
 
@@ -64,18 +64,6 @@ def spa_mix(W: WitnessMatrix | Array, p: float) -> Array:
     return (1.0 - p) * M + (p / 9.0) * np.eye(9)
 
 
-def critical_p(p: MapParams) -> float:
-    """Closed-form critical weight on the plane a+b+c = 2, rounded once from exact input.
-
-    Returns 0 for a >= 2, where the witness is already PSD.
-    """
-    _require_slice(p)
-    if _side(p.a, 2, 1) >= 0:
-        return 0.0
-    t = 3 * (2 - p.a)
-    return float(t / (2 + t))
-
-
 def critical_p_from_witness(W: WitnessMatrix | Array) -> float:
     """Critical weight of any trace-one witness via its smallest eigenvalue:
     p* = 9|lmin| / (1 + 9|lmin|) for lmin < 0, else 0."""
@@ -102,7 +90,9 @@ def spa_state(p: MapParams) -> SpaResult:
     """
     star = critical_p(p)
     if star == 0.0:
-        raise ValueError("requires a < 2; the witness is already PSD")
+        if _side(p.a, 2, 1) >= 0:
+            raise ValueError("requires a < 2; the witness is already PSD")
+        raise ValueError("the critical weight p* = 3(2-a)/(2+3(2-a)) underflows a float: 2-a is too small")
     state = BipartiteState(spa_mix(witness_matrix(p), star))
     certified = spa_region(p.b, p.c)
     components = None

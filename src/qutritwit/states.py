@@ -9,21 +9,20 @@ with the level arithmetic i+1, i+2 cyclic on {1,2,3}.  Every member is PPT,
 and it is entangled for eps != 1, which makes the family a probe for
 indecomposable witnesses: Tr(rho_eps W[a,b,c]) has the closed form
 N (b eps^2 + (a-2) eps + c) / eps, negative on an eps-interval exactly when
-the discriminant (a-2)^2 - 4bc is positive.
+the discriminant (a-2)^2 - 4bc is positive.  That closed form and its
+interval are scalar formulas and live in geometry (detection_value,
+detects_rho_family); this module builds the states as matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import inf, sqrt
-from typing import Optional
 
 import numpy as np
 
 from . import linalg
+from .geometry import MapParams, _require_slice
 from .linalg import DOUBLES, Array, partial_transpose
-from .maps import MapParams, Number, _decomposable_side, _require_slice, _side, n_abc
 from .witnesses import witness_matrix
 
 
@@ -55,38 +54,6 @@ def max_entangled_projector() -> BipartiteState:
 def is_ppt(state) -> bool:
     """Positive-partial-transpose test (Peres criterion)."""
     return linalg.is_psd(partial_transpose(linalg.as_matrix(state)))
-
-
-def detection_value(p: MapParams, eps: Number) -> float:
-    """Closed form of Tr(rho_eps W[a,b,c]): N (b eps^2 + (a-2) eps + c) / eps.
-
-    One expression in the parameters' own arithmetic, rounded once: for exact parameters
-    eps becomes a Fraction, so the sign survives the cancellation near the vertex as b -> c.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if p.is_exact:
-        eps = Fraction(eps.item() if isinstance(eps, np.generic) else eps)
-    a, b, c = p.astuple()
-    return float(n_abc(p) * (b * eps * eps + (a - 2) * eps + c) / eps)
-
-
-def detects_rho_family(p: MapParams) -> Optional[tuple[float, float]]:
-    """Open interval of eps with Tr(rho_eps W[a,b,c]) < 0, or None.
-
-    The sign of the detection value is that of q(eps) = b eps^2 + (a-2) eps
-    + c, negative somewhere on eps > 0 iff a < 2 and bc < (2-a)^2/4 (a
-    positive discriminant): classify's _side decisions, so a positive non-CP
-    map has an interval iff it is indecomposable.  Its ends are the roots 2c/s
-    and s/(2b), s = (2-a) + sqrt((2-a)^2 - 4bc), so neither cancels; the upper
-    end is inf when b is 0 in float.
-    """
-    a, b, c = p.astuple()
-    if _side(a, 2, 1) >= 0 or _decomposable_side(p) >= 0:
-        return None
-    bf = float(b)
-    s = (2.0 - float(a)) + 2 * sqrt(float((2 - a) ** 2 / 4 - b * c))
-    return (2.0 * float(c) / s, s / (2.0 * bf) if bf else inf)
 
 
 def sigma_pair(i: int, j: int) -> BipartiteState:

@@ -24,19 +24,9 @@ from typing import Callable, ClassVar, Optional, Sequence
 import numpy as np
 
 from . import linalg
+from .geometry import MapParams, Number, _ellipse_side, _require_slice, improper_coeffs, n_abc, so2_coeffs
 from .linalg import DOUBLES, PLUS_ONE, PLUS_TWO, Array, partial_transpose
-from .maps import (
-    _ROWS,
-    LinearMap3,
-    MapParams,
-    Number,
-    _ellipse_side,
-    _require_slice,
-    _rows,
-    improper_coeffs,
-    n_abc,
-    so2_coeffs,
-)
+from .maps import _ROWS, LinearMap3, _rows
 
 # Each witness kind: the map family whose rows fill its diagonal, and the flat indices carrying
 # the -1 grid.  U (x) I sends the |ii> to |11>, |32>, |23> and the circulant rows to the improper.

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from qutritwit.maps import MapParams, slice_params
+from qutritwit.geometry import MapParams, slice_params
 
 
 def rand_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -12,24 +12,29 @@ from math import pi
 import numpy as np
 
 from conftest import rand_complex, random_slice_params, random_tilde_region_params
-from qutritwit.linalg import min_eigenvalue, partial_transpose, trace_pair
-from qutritwit.maps import (
+from qutritwit.geometry import (
     MapParams,
     Positivity,
+    classify,
+    critical_p,
+    detection_value,
+    detects_rho_family,
+    improper_coeffs,
+    slice_params,
+    so2_coeffs,
+)
+from qutritwit.linalg import min_eigenvalue, partial_transpose, trace_pair
+from qutritwit.maps import (
     apply_phi,
     apply_phi_tilde,
-    classify,
-    improper_coeffs,
     improper_rotation,
     rotation_block,
     phi_from_rotation,
-    slice_params,
-    so2_coeffs,
     so2_rotation,
 )
 from qutritwit.oracles import SeeSawConfig, min_product_expectation, span_rank, zero_product_vectors
-from qutritwit.spa import critical_p, spa_mix, spa_region, spa_state
-from qutritwit.states import detects_rho_family, detection_value, detection_value_numeric, is_ppt, rho_eps
+from qutritwit.spa import spa_mix, spa_region, spa_state
+from qutritwit.states import detection_value_numeric, is_ppt, rho_eps
 from qutritwit.witnesses import (
     choi_witness,
     decompose_tilde,

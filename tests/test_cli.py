@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from qutritwit.cli import main
-from qutritwit.maps import improper_coeffs, so2_coeffs
+from qutritwit.geometry import improper_coeffs, so2_coeffs
 from qutritwit.witnesses import matrix_entries, witness_matrix, witness_tilde_matrix
 
 
@@ -47,6 +47,22 @@ class TestClassify:
         assert results["decomposability"] == "decomposable"
         assert results["on_ellipse"] is True
         assert results["detection_interval"] is None
+
+    @pytest.mark.parametrize(
+        "b, c, interval",
+        [
+            (f"1/{10**400}", "0", [0.0, 1.0]),
+            ("0", f"1/{10**400}", [1.0, None]),
+            (f"1/{10**20}", "0", [0.0, 1.0]),
+        ],
+        ids=["b=1e-400", "c=1e-400", "b=1e-20"],
+    )
+    def test_detection_interval_where_2_minus_a_underflows(self, capsys, b, c, interval):
+        # a = 2 - b - c is 2.0 in float, but 2 - a = b + c is not 0: on the plane the
+        # interval is (c/b, 1) or (1, c/b) at b != c, (1, inf) at b = 0.
+        results = run_json(capsys, ["classify", "--bc", b, c])["results"]
+        assert results["decomposability"] == "indecomposable"
+        assert results["detection_interval"] == interval
 
     def test_angle_input(self, capsys):
         record = run_json(capsys, ["classify", "--alpha", "3.14159265358979"])
@@ -169,8 +185,10 @@ class TestClassify:
             (["detect", "1", "1", "0", "--eps-grid", "0.1", "2", "10000000000000"], "--eps-grid"),
             (["detect", "1", "1", "0", "--eps-grid", "0.1", "2", str(10**18)], "--eps-grid"),
             (["sweep", "--alpha-grid", str(10**18)], "--alpha-grid"),
+            (["sweep", "--alpha-grid", str(10**19)], "--alpha-grid"),
+            (["figure", "--resolution", str(10**18)], "--resolution"),
         ],
-        ids=["detect-1e13", "detect-1e18", "sweep-1e18"],
+        ids=["detect-1e13", "detect-1e18", "sweep-1e18", "sweep-1e19", "figure-1e18"],
     )
     def test_unallocatable_grid_exits_2(self, capsys, argv, flag):
         assert main(argv) == 2
@@ -283,6 +301,15 @@ class TestSpa:
         results = run_json(capsys, ["spa", "--bc", f"1/{10**20}", "0"])["results"]
         assert results["p_star"] == 1.5e-20
 
+    def test_critical_weight_below_the_float_range_exits_2(self, capsys):
+        # a = 2 - 1e-400 < 2, so the witness is not PSD; p* = 1.5e-400 underflows.
+        assert main(["spa", "--bc", f"1/{10**400}", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "underflows" in lines[0]
+        assert "already PSD" not in lines[0]
+
     def test_outside_region(self, capsys):
         record = run_json(capsys, ["spa", "--bc", "0.1", "0.1"])
         assert record["results"]["separable_certified"] is False
@@ -324,6 +351,21 @@ class TestCertify:
         assert results["certificate"] == "ppt_state"
         assert isinstance(results["eps"], float)
         assert results["eps_exact"] is None
+
+    @pytest.mark.parametrize("k", [16, 17, 100])
+    def test_exact_value_near_b_equals_c(self, capsys, k):
+        # value_exact is the exact value that value rounds: about -2.5e-(2k+1), which
+        # rounds to a float but is far below the float spacing near the vertex eps = 1.
+        argv = ["certify", "--indecomposable", "--bc", "1/2", str(Fraction(1, 2) + Fraction(1, 10**k))]
+        results = run_json(capsys, argv)["results"]
+        exact = Fraction(results["value_exact"])
+        assert exact < 0
+        assert results["value"] == float(exact)
+
+    def test_float_input_has_no_exact_value(self, capsys):
+        results = run_json(capsys, ["certify", "--indecomposable", "--alpha", "0.5"])["results"]
+        assert results["value"] < 0
+        assert results["value_exact"] is None
 
     def test_vertex_beyond_the_float_range_exits_2(self, capsys):
         assert main(["certify", "--indecomposable", "--bc", f"1/{10**400}", "1"]) == 2

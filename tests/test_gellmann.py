@@ -3,7 +3,8 @@ import pytest
 
 from conftest import rand_complex
 from qutritwit.gellmann import build_gellmann, default_basis
-from qutritwit.maps import MapParams, phi_from_rotation, phi_map, rotation_block, so2_rotation
+from qutritwit.geometry import MapParams
+from qutritwit.maps import phi_from_rotation, phi_map, rotation_block, so2_rotation
 
 
 def test_n2_is_scaled_pauli_set():

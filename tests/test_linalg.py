@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import rand_hermitian
+from qutritwit.geometry import MapParams
 from qutritwit.linalg import eigenvalues, is_psd, min_eigenvalue, partial_transpose, trace_pair
-from qutritwit.maps import MapParams, apply_phi
+from qutritwit.maps import apply_phi
 from qutritwit.states import rho_eps
 from qutritwit.witnesses import choi_witness, witness_matrix
 

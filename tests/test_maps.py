@@ -6,31 +6,34 @@ import numpy as np
 import pytest
 
 from conftest import rand_complex, random_slice_params
-from qutritwit.maps import (
+from qutritwit.geometry import (
     Decomposability,
     MapParams,
     Positivity,
+    classify,
+    critical_p,
+    detects_rho_family,
+    dual,
+    improper_coeffs,
+    n_abc,
+    on_ellipse,
+    slice_params,
+    so2_coeffs,
+)
+from qutritwit.maps import (
     apply_D,
     apply_phi,
     apply_phi_tilde,
-    classify,
-    dual,
-    improper_coeffs,
     improper_rotation,
-    n_abc,
-    on_ellipse,
     phi_from_rotation,
     phi_map,
     phi_tilde_map,
     rotation_block,
-    slice_params,
-    so2_coeffs,
     so2_rotation,
     stochastic_matrix,
 )
 from qutritwit.linalg import trace_pair
-from qutritwit.spa import critical_p, spa_region, spa_state
-from qutritwit.states import detects_rho_family
+from qutritwit.spa import spa_region, spa_state
 from qutritwit.witnesses import decompose_tilde, exact_witness_entries, witness_matrix
 
 

@@ -5,17 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import random_slice_params
-from qutritwit.maps import (
-    MapParams,
-    apply_phi,
-    improper_coeffs,
-    phi_from_rotation,
-    phi_map,
-    rotation_block,
-    slice_params,
-    so2_coeffs,
-    so2_rotation,
-)
+from qutritwit.geometry import MapParams, improper_coeffs, indecomposability_certificate, slice_params, so2_coeffs
+from qutritwit.maps import apply_phi, phi_from_rotation, phi_map, rotation_block, so2_rotation
 from qutritwit.oracles import (
     DEDUP_TOL,
     SPAN_RANK_TOL,
@@ -26,7 +17,6 @@ from qutritwit.oracles import (
     _random_units,
     _run_seesaw,
     _seesaw_batch,
-    indecomposability_certificate,
     is_block_positive,
     is_cp_choi,
     min_product_expectation,

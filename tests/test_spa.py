@@ -4,9 +4,9 @@ import pytest
 from fractions import Fraction
 
 from conftest import random_slice_params
+from qutritwit.geometry import MapParams, critical_p, slice_params
 from qutritwit.linalg import min_eigenvalue
-from qutritwit.maps import MapParams, slice_params
-from qutritwit.spa import critical_p, critical_p_from_witness, spa_mix, spa_region, spa_state
+from qutritwit.spa import critical_p_from_witness, spa_mix, spa_region, spa_state
 from qutritwit.states import is_ppt
 from qutritwit.witnesses import witness_matrix
 

@@ -1,0 +1,89 @@
+"""The scalar commands and `import qutritwit` load no numpy.
+
+Each check runs in a fresh interpreter, since this one has numpy loaded.
+"""
+
+import json
+import math
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from qutritwit import cli
+from qutritwit.geometry import so2_coeffs
+from qutritwit.oracles import SeeSawConfig
+
+# The commands that print only geometry's closed forms, with the witness argv
+# that fails on its seed before it builds a matrix.
+_SCALAR_ARGVS = [
+    (["classify", "--bc", "1", "1"], {}),
+    (["classify", "1", "1", "0"], {}),
+    (["classify", "--bc", "0.3712", "1.0405"], {}),
+    (["classify", "--bc", "1/2", "1/2"], {}),
+    (["classify", "--alpha", "nan"], {}),
+    (["classify", "1", "1", "1e400"], {}),
+    (["classify", "1", "1"], {}),
+    (["certify", "--indecomposable", "1", "1", "0"], {}),
+    (["figure", "--resolution", "72"], {}),
+    (["sweep", "--alpha-grid", "12", "--what", "pstar"], {}),
+    (["witness", "--bc", "1", "1", "--restarts", "16"], {"QUTRITWIT_SEED": "abc"}),
+]
+
+_RUN_EACH = """
+import io, json, os, sys
+from contextlib import redirect_stderr, redirect_stdout
+from qutritwit.cli import main
+loaded = []
+for argv, env in json.loads(sys.argv[1]):
+    os.environ.pop("QUTRITWIT_SEED", None)
+    os.environ.update(env)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        main(argv)
+    if "numpy" in sys.modules:
+        loaded.append(argv)
+        break
+print(json.dumps(loaded))
+"""
+
+
+def _fresh(code: str, *args: str) -> str:
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_scalar_commands_load_no_numpy():
+    # Checked after each argv, so the first one that loads numpy is named.
+    assert json.loads(_fresh(_RUN_EACH, json.dumps(_SCALAR_ARGVS))) == []
+
+
+def test_package_import_loads_no_numpy():
+    code = "import sys, qutritwit; qutritwit.classify(qutritwit.MapParams(1, 1, 0)); print('numpy' in sys.modules)"
+    assert _fresh(code).strip() == "False"
+
+
+def test_matrix_names_load_on_access():
+    code = "import sys, qutritwit; qutritwit.witness_matrix; print('numpy' in sys.modules)"
+    assert _fresh(code).strip() == "True"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 12, 36, 72, 360, 1000, 4097])
+def test_angle_grid_is_numpy_linspace_bitwise(n):
+    grid = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
+    assert np.array(cli._angles(n)).tobytes() == grid.tobytes()
+
+
+def test_figure_and_sweep_read_the_linspace_grid(capsys):
+    grid = np.linspace(0.0, 2 * math.pi, 72, endpoint=False)
+    assert cli.main(["sweep", "--alpha-grid", "72"]) == 0
+    rows = json.loads(capsys.readouterr().out)["results"]["rows"]
+    assert np.array([row["alpha"] for row in rows]).tobytes() == grid.tobytes()
+    assert cli.main(["figure", "--resolution", "72"]) == 0
+    ellipse = json.loads(capsys.readouterr().out)["results"]["ellipse"]
+    assert ellipse == [[p.b, p.c] for p in (so2_coeffs(t + math.pi) for t in grid)]
+
+
+def test_cli_restarts_default_is_the_library_default():
+    assert cli.DEFAULT_RESTARTS == SeeSawConfig.restarts

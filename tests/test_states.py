@@ -6,12 +6,19 @@ import numpy as np
 import pytest
 
 from conftest import random_slice_params
-from qutritwit.linalg import eigenvalues, min_eigenvalue, partial_transpose, trace_pair
-from qutritwit.maps import Decomposability, MapParams, classify, improper_coeffs, slice_params, so2_coeffs
-from qutritwit.states import (
+from qutritwit.geometry import (
+    Decomposability,
+    MapParams,
+    classify,
     detection_value,
-    detection_value_numeric,
     detects_rho_family,
+    improper_coeffs,
+    slice_params,
+    so2_coeffs,
+)
+from qutritwit.linalg import eigenvalues, min_eigenvalue, partial_transpose, trace_pair
+from qutritwit.states import (
+    detection_value_numeric,
     is_ppt,
     max_entangled_projector,
     rho_eps,

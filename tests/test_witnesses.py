@@ -7,19 +7,9 @@ import pytest
 
 from conftest import rand_hermitian, random_slice_params, random_tilde_region_params
 from qutritwit.gellmann import default_basis
+from qutritwit.geometry import MapParams, Positivity, classify, improper_coeffs, slice_params, so2_coeffs
 from qutritwit.linalg import is_psd, partial_transpose
-from qutritwit.maps import (
-    MapParams,
-    Positivity,
-    apply_phi,
-    apply_phi_tilde,
-    classify,
-    improper_coeffs,
-    phi_map,
-    phi_tilde_map,
-    slice_params,
-    so2_coeffs,
-)
+from qutritwit.maps import apply_phi, apply_phi_tilde, phi_map, phi_tilde_map
 from qutritwit.oracles import SeeSawConfig, min_product_expectation
 from qutritwit.witnesses import (
     choi_witness,
