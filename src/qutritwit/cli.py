@@ -15,9 +15,12 @@ a usage error (such as an option the subcommand does not take), invalid input,
 float overflow or an unwritable --output path or stdout, exits with status 2,
 nothing on stdout and one `error:` line on stderr.
 
-Only the commands that build a matrix (witness, detect, spa, certify --tilde,
-sweep --what witness|rank) import numpy and the matrix modules; the rest run
-on geometry's scalar formulas and start without them.
+Only the commands that build a matrix (witness, detect --kind tilde|u, spa,
+certify --tilde, sweep --what witness|rank) load numpy and the matrix
+modules, on first access to the package's names; the rest run on geometry's
+scalar formulas and start without them.  One guard in `main` turns numpy's
+float overflow, invalid and divide warnings, like Python's OverflowError,
+into the exit 2.
 """
 
 from __future__ import annotations
@@ -27,9 +30,11 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
+import warnings
 from fractions import Fraction
 from typing import Optional
+
+import qutritwit
 
 from .geometry import (
     MapParams,
@@ -51,7 +56,7 @@ SEED_ENV_VAR = "QUTRITWIT_SEED"
 DEFAULT_SEED = 7
 DEFAULT_RESTARTS = 200
 
-# --kind -> name of the witness builder in the witnesses module.
+# --kind -> name of the witness builder in the package.
 _KINDS = {"standard": "witness_matrix", "tilde": "witness_tilde_matrix", "u": "witness_u"}
 
 # --improper -> (family name, angle -> parameters, --kind of its witness).
@@ -61,36 +66,30 @@ _FAMILIES = {
 }
 
 
-@contextmanager
-def _numpy():
-    """numpy, for the paths that build a matrix, with float overflow, invalid and divide raising."""
-    import numpy as np
-
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        yield np
-
-
 def _witness(kind: str, p: MapParams):
-    """The --kind witness at p; the witnesses module loads on the first call."""
-    from . import witnesses
-
-    return getattr(witnesses, _KINDS[kind])(p)
+    """The --kind witness at p."""
+    return getattr(qutritwit, _KINDS[kind])(p)
 
 
-def _angles(n: int) -> list[float]:
-    """n angles k 2 pi / n on [0, 2 pi), bit for bit those of np.linspace(0, 2 pi, n, endpoint=False).
+def _linspace(lo: float, hi: float, n: int, endpoint: bool = True) -> list[float]:
+    """n points from lo to hi, bit for bit those of np.linspace(lo, hi, n, endpoint=endpoint).
 
     The list is allocated whole before it is filled, so a count the address
     space cannot hold fails at once with MemoryError, as numpy's array does.
     """
     try:
-        angles = [0.0] * n
+        grid = [0.0] * n
     except OverflowError:  # n beyond an index: no list can hold it
         raise MemoryError from None
-    step = 2 * math.pi / n
-    for k in range(1, n):
-        angles[k] = k * step
-    return angles
+    div = n - 1 if endpoint else n
+    delta = hi - lo
+    step = delta / div if div > 0 else delta  # no interval to divide: numpy scales k = 0 by delta
+    subnormal = step == 0 and div > 0  # delta / div underflows: numpy divides k by div first
+    for k in range(n):
+        grid[k] = (k / div * delta if subnormal else k * step) + lo
+    if endpoint and n > 1:
+        grid[-1] = hi
+    return grid
 
 
 def _parse_number(text: str) -> Fraction:
@@ -162,17 +161,24 @@ def _seesaw_config(args, runs: bool):
         raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {seed!r}") from None
     if seed < 0:
         raise ValueError(f"{SEED_ENV_VAR if args.seed is None else '--seed'} must be non-negative, got {seed}")
-    from .oracles import SeeSawConfig
-
-    return SeeSawConfig(restarts=args.restarts, rng_seed=seed)
+    return qutritwit.SeeSawConfig(restarts=args.restarts, rng_seed=seed)
 
 
 def _matrix_payload(W) -> tuple[object, bool]:
-    from .witnesses import exact_witness_entries, matrix_entries
-
     if W.params is not None and W.params.is_exact:
-        return exact_witness_entries(W.params, W.kind), True
-    return matrix_entries(W.matrix), False
+        return qutritwit.exact_witness_entries(W.params, W.kind), True
+    return qutritwit.matrix_entries(W.matrix), False
+
+
+def _print(text: str, stream) -> Optional[OSError]:
+    """Print text to stream; if that fails, point the stream at devnull, so the
+    flush at exit cannot fail a second time, and return the error."""
+    try:
+        print(text, file=stream, flush=True)
+    except OSError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        return exc
+    return None
 
 
 def _emit(args, text: str) -> None:
@@ -183,19 +189,20 @@ def _emit(args, text: str) -> None:
         except OSError as exc:
             raise ValueError(f"cannot write --output {args.output!r}: {exc.strerror}") from None
     else:
-        try:
-            print(text, flush=True)
-        except OSError as exc:
-            # Point stdout at devnull, so the interpreter's flush at exit cannot fail a second time.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            raise ValueError(f"cannot write stdout: {exc.strerror}") from None
+        exc = _print(text, sys.stdout)
+        if exc is not None:
+            raise ValueError(f"cannot write stdout: {exc.strerror}")
+
+
+def _fail(message: str) -> int:
+    """The exit status 2, after one `error:` line on stderr if stderr can take it."""
+    _print(f"error: {message}", sys.stderr)
+    return 2
 
 
 def _csv_matrix(M) -> str:
-    from . import linalg
-
     rows = []
-    for row in linalg.as_matrix(M):
+    for row in M:
         cells = []
         for z in row:
             if abs(z.imag) > 0:
@@ -231,23 +238,20 @@ def _cmd_witness(args) -> tuple[dict, dict] | str:
     p, inputs = _resolve_params(args)
     inputs["kind"] = args.kind
     cfg = _seesaw_config(args, runs=args.format == "json")
-    with _numpy():
-        W = _witness(args.kind, p)
-        if cfg is None:
-            return _csv_matrix(W.matrix)
-        from .oracles import min_product_expectation
-
-        entries, exact = _matrix_payload(W)
-        results = {
-            "params": _encode_params(p),
-            "kind": W.kind,
-            "matrix": entries,
-            "exact": exact,
-            "trace": W.trace(),
-            "min_eigenvalue": W.min_eigenvalue(),
-            "block_positivity_estimate": min_product_expectation(W.matrix, cfg).value,
-            "seesaw": {"restarts": cfg.restarts, "seed": cfg.rng_seed},
-        }
+    W = _witness(args.kind, p)
+    if cfg is None:
+        return _csv_matrix(W.matrix)
+    entries, exact = _matrix_payload(W)
+    results = {
+        "params": _encode_params(p),
+        "kind": W.kind,
+        "matrix": entries,
+        "exact": exact,
+        "trace": W.trace(),
+        "min_eigenvalue": W.min_eigenvalue(),
+        "block_positivity_estimate": qutritwit.min_product_expectation(W.matrix, cfg).value,
+        "seesaw": {"restarts": cfg.restarts, "seed": cfg.rng_seed},
+    }
     return inputs, results
 
 
@@ -262,22 +266,18 @@ def _cmd_detect(args) -> tuple[dict, dict] | str:
         raise ValueError("--eps-grid requires 0 < LO < HI < inf, 1/LO < inf and N >= 2")
     inputs["kind"] = args.kind
     inputs["eps_grid"] = [lo, hi, count]
-    with _numpy() as np:
-        from . import linalg
-        from .states import rho_eps
-
-        grid = np.linspace(lo, hi, count)
+    grid = _linspace(lo, hi, count)
+    if args.kind == "standard":  # the closed form, exact for exact input: no cancellation as b -> c
+        kind, values = "standard", [detection_value(p, e) for e in grid]
+    else:
         W = _witness(args.kind, p)
-        if args.kind == "standard":  # the closed form, exact for exact input: no cancellation as b -> c
-            values = [detection_value(p, float(e)) for e in grid]
-        else:
-            values = [float(linalg.trace_pair(rho_eps(e).matrix, W.matrix).real) for e in grid]
+        kind, values = W.kind, [float(qutritwit.trace_pair(qutritwit.rho_eps(e).matrix, W.matrix).real) for e in grid]
     if args.format == "csv":
         return "\n".join(["eps,value"] + [f"{e:.17g},{v:.17g}" for e, v in zip(grid, values)])
     results = {
         "params": _encode_params(p),
-        "kind": W.kind,
-        "eps": [float(e) for e in grid],
+        "kind": kind,
+        "eps": grid,
         "values": values,
         "detection_interval": _encode_interval(detects_rho_family(p)) if args.kind == "standard" else None,
     }
@@ -286,31 +286,26 @@ def _cmd_detect(args) -> tuple[dict, dict] | str:
 
 def _cmd_spa(args) -> tuple[dict, dict]:
     p, inputs = _resolve_params(args)
-    with _numpy():
-        from . import linalg
-        from .spa import spa_state
-        from .witnesses import matrix_entries
-
-        res = spa_state(p)
-        results = {
-            "params": _encode_params(p),
-            "p_star": res.p_star,
-            "region": res.separable_certified,
-            "separable_certified": res.separable_certified,
-            "state": matrix_entries(res.state.matrix),
-            "state_min_eigenvalue": linalg.min_eigenvalue(res.state.matrix),
+    res = qutritwit.spa_state(p)
+    results = {
+        "params": _encode_params(p),
+        "p_star": res.p_star,
+        "region": res.separable_certified,
+        "separable_certified": res.separable_certified,
+        "state": qutritwit.matrix_entries(res.state.matrix),
+        "state_min_eigenvalue": qutritwit.min_eigenvalue(res.state.matrix),
+    }
+    if res.components is not None:
+        comp = res.components
+        results["components"] = {
+            "sigma_12": qutritwit.matrix_entries(comp.sigma_12.matrix),
+            "sigma_13": qutritwit.matrix_entries(comp.sigma_13.matrix),
+            "sigma_23": qutritwit.matrix_entries(comp.sigma_23.matrix),
+            "sigma_d": qutritwit.matrix_entries(comp.sigma_d.matrix),
+            "scale": comp.scale,
         }
-        if res.components is not None:
-            comp = res.components
-            results["components"] = {
-                "sigma_12": matrix_entries(comp.sigma_12.matrix),
-                "sigma_13": matrix_entries(comp.sigma_13.matrix),
-                "sigma_23": matrix_entries(comp.sigma_23.matrix),
-                "sigma_d": matrix_entries(comp.sigma_d.matrix),
-                "scale": comp.scale,
-            }
-        else:
-            results["components"] = None
+    else:
+        results["components"] = None
     return inputs, results
 
 
@@ -319,21 +314,17 @@ def _cmd_certify(args) -> tuple[dict, dict]:
     if args.tilde == args.indecomposable:
         raise ValueError("choose exactly one of --tilde or --indecomposable")
     if args.tilde:
-        with _numpy():
-            from . import linalg
-            from .witnesses import decompose_tilde, matrix_entries, witness_tilde_matrix
-
-            cert = decompose_tilde(p)
-            results = {
-                "params": _encode_params(p),
-                "certificate": "decomposition",
-                "P": matrix_entries(cert.P),
-                "Q": matrix_entries(cert.Q),
-                "scale": cert.scale,
-                "min_eig_P": linalg.min_eigenvalue(cert.P),
-                "min_eig_Q": linalg.min_eigenvalue(cert.Q),
-                "reconstruction_residual": cert.residual(witness_tilde_matrix(p)),
-            }
+        cert = qutritwit.decompose_tilde(p)
+        results = {
+            "params": _encode_params(p),
+            "certificate": "decomposition",
+            "P": qutritwit.matrix_entries(cert.P),
+            "Q": qutritwit.matrix_entries(cert.Q),
+            "scale": cert.scale,
+            "min_eig_P": qutritwit.min_eigenvalue(cert.P),
+            "min_eig_Q": qutritwit.min_eigenvalue(cert.Q),
+            "reconstruction_residual": cert.residual(qutritwit.witness_tilde_matrix(p)),
+        }
     else:
         eps, value = indecomposability_certificate(p) or (None, None)
         results = {
@@ -352,7 +343,7 @@ def _cmd_figure(args) -> tuple[dict, dict]:
     if n < 8:
         raise ValueError("--resolution must be at least 8")
     # Starting at the reduction map (1, 1), the angle pi of the proper family.
-    ellipse = [so2_coeffs(t + math.pi) for t in _angles(n)]
+    ellipse = [so2_coeffs(t + math.pi) for t in _linspace(0.0, 2 * math.pi, n, endpoint=False)]
     results = {
         "ellipse": [[p.b, p.c] for p in ellipse],
         "decomposable_line": [[0.0, 0.0], [1.0, 1.0]],
@@ -379,29 +370,23 @@ def _cmd_sweep(args) -> tuple[dict, dict]:
     family, coeffs, kind = _FAMILIES[args.improper]
     cfg = _seesaw_config(args, runs=args.what == "rank")
     if cfg is not None:
-        print("note: span-rank sweep runs a see-saw search per angle (slow)", file=sys.stderr)
+        _print("note: span-rank sweep runs a see-saw search per angle (slow)", sys.stderr)
     rows = []
-    for alpha in _angles(n):
+    for alpha in _linspace(0.0, 2 * math.pi, n, endpoint=False):
         p = coeffs(alpha)
         a, b, c = p.asfloats()
         row = {"alpha": alpha, "a": a, "b": b, "c": c, "sum": a + b + c}
         if args.what == "pstar":
             row["p_star"] = critical_p(p)
         elif args.what == "witness":
-            with _numpy():
-                from .witnesses import matrix_entries
-
-                W = _witness(kind, p)
-                row["matrix"] = matrix_entries(W.matrix)
-                row["trace"] = W.trace()
-                row["min_eigenvalue"] = W.min_eigenvalue()
+            W = _witness(kind, p)
+            row["matrix"] = qutritwit.matrix_entries(W.matrix)
+            row["trace"] = W.trace()
+            row["min_eigenvalue"] = W.min_eigenvalue()
         elif args.what == "rank":
-            with _numpy():
-                from .oracles import span_rank, zero_product_vectors
-
-                zeros = zero_product_vectors(_witness(kind, p).matrix, cfg)
-                row["zero_count"] = len(zeros)
-                row["span_rank"] = span_rank(zeros)
+            zeros = qutritwit.zero_product_vectors(_witness(kind, p).matrix, cfg)
+            row["zero_count"] = len(zeros)
+            row["span_rank"] = qutritwit.span_rank(zeros)
         rows.append(row)
     return {"alpha_grid": n, "family": family, "what": args.what}, {"rows": rows}
 
@@ -474,24 +459,23 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        out = args.run(args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # numpy's float overflow, invalid and divide
+            out = args.run(args)
         if isinstance(out, tuple):
             record = {"schema_version": SCHEMA_VERSION, "command": args.command, "inputs": out[0], "results": out[1]}
             out = json.dumps(record, indent=2, allow_nan=False)
         _emit(args, out)
         return 0
-    except (OverflowError, FloatingPointError) as exc:
-        print(f"error: a value overflows a float ({exc}); the input is too large or too small", file=sys.stderr)
-        return 2
+    except (OverflowError, RuntimeWarning) as exc:
+        return _fail(f"a value overflows a float ({exc}); the input is too large or too small")
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(str(exc))
     except MemoryError:
         flags = {"detect": ["--eps-grid"], "figure": ["--resolution"], "sweep": ["--alpha-grid"]}.get(args.command, [])
         if getattr(args, "restarts", None) is not None:  # set once a see-saw runs
             flags.append(f"--restarts {args.restarts}")
-        print(f"error: out of memory: {' or '.join(flags) or 'the input'} is too large", file=sys.stderr)
-        return 2
+        return _fail(f"out of memory: {' or '.join(flags) or 'the input'} is too large")
 
 
 def console_main() -> None:

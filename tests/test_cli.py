@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -117,6 +118,8 @@ class TestClassify:
             ["detect", "1", "1", "0", "--eps-grid", "1e-320", "1", "3"],
             ["detect", "1", "1", "0", "--eps-grid", "1e-320", "1", "3", "--format", "csv"],
             ["detect", "0", "0", "1e-308"],
+            # Inside numpy: the see-saw's product overflows.
+            ["witness", "0", "0", "1e-308", "--restarts", "4"],
             # Usage errors.
             ["witness", "--kind", "bogus", "1", "1", "0"],
             ["classify", "--restarts", "abc", "1", "1", "0"],
@@ -140,6 +143,12 @@ class TestClassify:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+
+    def test_float_guard_leaves_warning_filters_as_found(self, capsys):
+        before = list(warnings.filters)
+        assert main(["witness", "0", "0", "1e-308", "--restarts", "4"]) == 2
+        assert main(["classify", "1", "1", "0"]) == 0
+        assert warnings.filters == before
 
     @pytest.mark.parametrize(
         "argv",
@@ -514,6 +523,49 @@ class TestOutputHandling:
         assert proc.returncode == 2
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: cannot write stdout: "), proc.stderr
+
+    # With no -W option, numpy only warns on a float overflow: main's guard makes it exit 2.
+    def test_numpy_float_error_exits_2_in_a_plain_process(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        env.pop("PYTHONWARNINGS", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "qutritwit.cli", "witness", "0", "0", "1e-308", "--restarts", "4"],
+            capture_output=True, env=env, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and "overflow encountered in dot" in lines[0], proc.stderr
+
+    # stderr on /dev/full or, with stdout, on a closed pipe: the status is the
+    # run's own, 2 for a failure and 0 for a run whose only stderr line is a note.
+    @pytest.mark.parametrize(
+        "argv, stdout, status",
+        [
+            (["classify", "--alpha", "nan"], "captured", 2),
+            (["classify", "1", "1"], "same as stderr", 2),
+            (["sweep", "--alpha-grid", "1", "--what", "rank", "--restarts", "4"], "captured", 0),
+        ],
+    )
+    @pytest.mark.parametrize("stderr", ["/dev/full", "closed pipe"])
+    def test_unwritable_stderr_keeps_the_status(self, argv, stdout, status, stderr):
+        if stderr == "closed pipe":
+            read_end, fd = os.pipe()
+            os.close(read_end)
+        elif os.path.exists(stderr):
+            fd = os.open(stderr, os.O_WRONLY)
+        else:
+            pytest.skip(f"{stderr} does not exist on this platform")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "qutritwit.cli", *argv],
+                stdout=subprocess.PIPE if stdout == "captured" else fd, stderr=fd, env=env, text=True, timeout=60,
+            )
+        finally:
+            os.close(fd)
+        assert proc.returncode == status
+        if status == 0:
+            assert json.loads(proc.stdout)["command"] == argv[0]
 
     def test_env_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("QUTRITWIT_SEED", "123")

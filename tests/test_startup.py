@@ -16,7 +16,8 @@ from qutritwit.geometry import so2_coeffs
 from qutritwit.oracles import SeeSawConfig
 
 # The commands that print only geometry's closed forms, with the witness argv
-# that fails on its seed before it builds a matrix.
+# that fails on its seed before it builds a matrix.  detect's standard kind
+# takes its values from the closed form.
 _SCALAR_ARGVS = [
     (["classify", "--bc", "1", "1"], {}),
     (["classify", "1", "1", "0"], {}),
@@ -26,6 +27,8 @@ _SCALAR_ARGVS = [
     (["classify", "1", "1", "1e400"], {}),
     (["classify", "1", "1"], {}),
     (["certify", "--indecomposable", "1", "1", "0"], {}),
+    (["detect", "--bc", "1/3", "1"], {}),
+    (["detect", "--bc", "1/3", "1", "--format", "csv"], {}),
     (["figure", "--resolution", "72"], {}),
     (["sweep", "--alpha-grid", "12", "--what", "pstar"], {}),
     (["witness", "--bc", "1", "1", "--restarts", "16"], {"QUTRITWIT_SEED": "abc"}),
@@ -69,10 +72,46 @@ def test_matrix_names_load_on_access():
     assert _fresh(code).strip() == "True"
 
 
+def _bits(grid) -> bytes:
+    return np.array(grid, dtype=float).tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 12, 36, 72, 360, 1000, 4097])
 def test_angle_grid_is_numpy_linspace_bitwise(n):
-    grid = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
-    assert np.array(cli._angles(n)).tobytes() == grid.tobytes()
+    for endpoint in (False, True):
+        grid = np.linspace(0.0, 2 * math.pi, n, endpoint=endpoint)
+        assert _bits(cli._linspace(0.0, 2 * math.pi, n, endpoint=endpoint)) == grid.tobytes()
+
+
+# detect's default grid, a step that underflows to 0 (numpy then divides k by
+# the interval count first), a grid of equal ends and the counts below 2.
+_GRIDS = [(0.1, 2.0, 20), (5.6e-309, 5.6e-309 + 5e-324, 3), (5e-324, 1e-323, 7), (1.5, 1.5, 4), (-3.0, 1e300, 5),
+          (0.25, 4.0, 1), (0.25, 4.0, 0)]
+
+
+@pytest.mark.parametrize("lo, hi, n", _GRIDS)
+@pytest.mark.parametrize("endpoint", [True, False])
+def test_linspace_is_numpy_linspace_bitwise(lo, hi, n, endpoint):
+    assert _bits(cli._linspace(lo, hi, n, endpoint)) == np.linspace(lo, hi, n, endpoint=endpoint).tobytes()
+
+
+def test_linspace_matches_numpy_on_random_grids():
+    rng = np.random.default_rng(18)
+    for _ in range(300):
+        lo = float(rng.choice([rng.normal(), rng.uniform(0, 1e-300), 5e-324 * rng.integers(0, 40)]))
+        hi = lo + float(rng.choice([rng.exponential(), 5e-324 * rng.integers(0, 40), rng.exponential() * 1e-310]))
+        n, endpoint = int(rng.integers(0, 60)), bool(rng.integers(0, 2))
+        assert _bits(cli._linspace(lo, hi, n, endpoint)) == np.linspace(lo, hi, n, endpoint=endpoint).tobytes()
+
+
+@pytest.mark.parametrize("lo, hi, n", _GRIDS[:2])
+def test_detect_reads_the_linspace_grid(capsys, lo, hi, n):
+    argv = ["detect", "1", "1", "0", "--eps-grid", repr(lo), repr(hi), str(n)]
+    grid = np.linspace(lo, hi, n).tobytes()
+    assert cli.main(argv) == 0
+    assert _bits(json.loads(capsys.readouterr().out)["results"]["eps"]) == grid
+    assert cli.main([*argv, "--format", "csv"]) == 0
+    assert _bits([float(line.split(",")[0]) for line in capsys.readouterr().out.split()[1:]]) == grid
 
 
 def test_figure_and_sweep_read_the_linspace_grid(capsys):
