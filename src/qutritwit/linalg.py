@@ -11,6 +11,7 @@ structured operator: the witnesses, the probe states and the SPA pieces.
 
 from __future__ import annotations
 
+from math import isfinite
 from operator import itemgetter
 
 import numpy as np
@@ -57,9 +58,14 @@ def structured(diagonal, grid=0.0, block: tuple[int, ...] = ()) -> Array:
 
 
 def require_hermitian(M, tol: float = DEFAULT_HERMITICITY_TOL) -> Array:
+    """The Hermitian part (A + A^dagger)/2, after checking that A is finite and Hermitian within tol."""
     A = as_matrix(M)
     Ah = A.conj().T
-    if float(np.linalg.norm(A - Ah)) > tol * max(1.0, float(np.linalg.norm(A))):
+    size = float(np.linalg.norm(A))
+    # A NaN would pass the comparison below; a finite matrix can still overflow the norm.
+    if not isfinite(size) and not np.isfinite(A).all():
+        raise ValueError("matrix has a non-finite entry")
+    if float(np.linalg.norm(A - Ah)) > tol * max(1.0, size):
         raise ValueError("matrix is not Hermitian within tolerance")
     return (A + Ah) / 2.0
 

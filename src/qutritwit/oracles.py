@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf, isfinite
+from numbers import Integral
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,8 +41,10 @@ class SeeSawConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1 or self.max_iters < 1:
-            raise ValueError("restarts and max_iters must be positive")
+        for name, least in (("restarts", 1), ("max_iters", 1), ("rng_seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if not (isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
 
@@ -93,12 +96,16 @@ def _contract(x: Array, M: Array) -> Array:
 
 
 def _extrapolate(old: Array, new: Array, step: Array) -> Array:
-    """Rows normalize(new + step (new - old)), each old row phase-aligned to its new one."""
-    overlap = np.sum(old.conj() * new, axis=1)
+    """Rows normalize(new + step (new - old)), each old row phase-aligned to its new one.
+
+    ``old`` and ``new`` stack (factor, restart, 3); ``step`` has one entry per restart.
+    """
+    overlap = (old.conj() * new).sum(-1)
     size = np.abs(overlap)
-    phase = np.divide(overlap, size, out=np.zeros_like(overlap), where=size > 0)
-    trial = new + step[:, None] * (new - phase[:, None] * old)
-    return trial / np.linalg.norm(trial, axis=1, keepdims=True)
+    phase = np.divide(overlap, size, out=np.zeros(overlap.shape, complex), where=size > 0)
+    trial = new + step[:, None] * (new - phase[..., None] * old)
+    # The row 2-norm exactly as numpy.linalg.norm computes it, without its Python-level argument handling.
+    return trial / np.sqrt((trial.conj() * trial).real.sum(-1, keepdims=True))
 
 
 def _seesaw_batch(W4: Array, psi: Array, phi: Array, max_iters: int, tol: float) -> SeeSawResult:
@@ -117,48 +124,57 @@ def _seesaw_batch(W4: Array, psi: Array, phi: Array, max_iters: int, tol: float)
     one.
 
     Each restart stops at its own first iteration whose value drop is below
-    tol; only the restarts still running are contracted and diagonalized, so
-    a restart's result depends on its own start alone.
+    tol.  Every alternation runs on the compacted set of running restarts:
+    their factors in one (2, n, 3) stack, with their betas and values beside
+    it, in batch order.  A restart's factors, iteration count and converged
+    flag are written to the result once, when it stops or reaches max_iters.
+    Its result depends on its own start alone, up to the roundoff of the
+    batched 9x9 products, which round differently for a different number of
+    rows; for a given batch it is bitwise reproducible.
     """
     # <psi (x) phi|W|psi (x) phi> as a form in psi (phi frozen) and in phi.
     M_psi = W4.transpose(1, 3, 0, 2).reshape(9, 9)
     M_phi = W4.transpose(0, 2, 1, 3).reshape(9, 9)
     W = W4.reshape(9, 9)
-    psi, phi = psi.copy(), phi.copy()
     count = psi.shape[0]
+    factors = np.empty((2, count, 3), complex)
     values = np.full(count, inf)
-    beta = np.ones(count)
     iterations = np.zeros(count, dtype=int)
     converged = np.zeros(count, dtype=bool)
-    active = np.arange(count)
+    # The running restarts: their rows in the result, factors, betas and values.
+    rows = np.arange(count)
+    x = np.array((psi, phi))
+    beta = np.ones(count)
+    value = values.copy()
     history = []
     for t in range(1, max_iters + 1):
-        _, vecs = np.linalg.eigh(_contract(phi[active], M_psi))
+        _, vecs = np.linalg.eigh(_contract(x[1], M_psi))
         new_psi = vecs[:, :, 0]
         w, vecs = np.linalg.eigh(_contract(new_psi, M_phi))
-        new_phi, new_value = vecs[:, :, 0], w[:, 0]
+        new, new_value = np.array((new_psi, vecs[:, :, 0])), w[:, 0]
         if t > 1:
-            step = beta[active]
-            trial_psi = _extrapolate(psi[active], new_psi, step)
-            trial_phi = _extrapolate(phi[active], new_phi, step)
-            u = _products(trial_psi, trial_phi)
+            trial = _extrapolate(x, new, beta)
+            u = _products(trial[0], trial[1])
             trial_value = ((u.conj() @ W) * u).sum(1).real
             accept = trial_value < new_value
-            new_psi = np.where(accept[:, None], trial_psi, new_psi)
-            new_phi = np.where(accept[:, None], trial_phi, new_phi)
+            new = np.where(accept[:, None], trial, new)
             new_value = np.where(accept, trial_value, new_value)
-            beta[active] = np.where(accept, 1.5 * step, np.maximum(0.5 * step, 0.1))
-        psi[active] = new_psi
-        phi[active] = new_phi
-        stop = values[active] - new_value < tol
-        values[active] = new_value
-        iterations[active] = t
-        converged[active[stop]] = True
+            beta = np.where(accept, 1.5 * beta, np.maximum(0.5 * beta, 0.1))
+        stop = value - new_value < tol
+        x, value = new, new_value
+        values[rows] = value
         history.append(values.copy())
-        active = active[~stop]
-        if active.size == 0:
+        done = stop | (t == max_iters)
+        if np.count_nonzero(done):
+            out = rows[done]
+            factors[:, out] = x[:, done]
+            iterations[out] = t
+            converged[out] = stop[done]
+            keep = ~done
+            rows, x, beta, value = rows[keep], x[:, keep], beta[keep], value[keep]
+        if not rows.size:
             break
-    return SeeSawResult(psi, phi, values, iterations, converged, np.array(history))
+    return SeeSawResult(factors[0], factors[1], values, iterations, converged, np.array(history))
 
 
 def _products(psi: Array, phi: Array) -> Array:

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import rand_hermitian
 from qutritwit.geometry import MapParams
-from qutritwit.linalg import eigenvalues, is_psd, min_eigenvalue, partial_transpose, trace_pair
+from qutritwit.linalg import eigenvalues, is_psd, min_eigenvalue, partial_transpose, require_hermitian, trace_pair
 from qutritwit.maps import apply_phi
 from qutritwit.states import rho_eps
 from qutritwit.witnesses import choi_witness, witness_matrix
@@ -53,6 +53,26 @@ class TestHermitianEigen:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(1, np.inf)], ids=str)
+@pytest.mark.parametrize("where", [(0, 0), (2, 7)], ids=["diagonal", "off-diagonal"])
+def test_non_finite_entry_is_rejected(entry, where):
+    # A NaN made the Hermiticity comparison false, so min_eigenvalue returned nan
+    # and is_psd answered False without an error.
+    M = np.eye(9, dtype=complex)
+    M[where] = entry
+    for check in (require_hermitian, eigenvalues, min_eigenvalue, is_psd):
+        with pytest.raises(ValueError, match="non-finite"):
+            check(M)
+
+
+def test_finite_matrix_whose_norm_overflows_is_accepted():
+    # Only a norm that is not finite looks at the entries, and these are all finite.
+    A = np.full((3, 3), 1e200)
+    with np.errstate(over="ignore"):
+        assert np.array_equal(require_hermitian(A), A)
+        assert eigenvalues(A)[-1] == pytest.approx(3e200)
 
 
 class TestPsd:

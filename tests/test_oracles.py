@@ -6,6 +6,7 @@ import pytest
 
 from conftest import random_slice_params
 from qutritwit.geometry import MapParams, improper_coeffs, indecomposability_certificate, slice_params, so2_coeffs
+from qutritwit.linalg import require_hermitian
 from qutritwit.maps import apply_phi, phi_from_rotation, phi_map, rotation_block, so2_rotation
 from qutritwit.oracles import (
     DEDUP_TOL,
@@ -13,7 +14,9 @@ from qutritwit.oracles import (
     ZERO_VALUE_TOL,
     ProductVectorPair,
     SeeSawConfig,
+    _contract,
     _ordered,
+    _products,
     _random_units,
     _run_seesaw,
     _seesaw_batch,
@@ -42,6 +45,21 @@ class TestConfig:
         for tol in (float("nan"), float("inf"), -1e-11):
             with pytest.raises(ValueError):
                 SeeSawConfig(tol=tol)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("restarts", 2.5), ("max_iters", 2.5), ("restarts", True), ("max_iters", False),
+         ("rng_seed", -1), ("rng_seed", 1.0), ("rng_seed", True), ("rng_seed", "3")],
+        ids=str,
+    )
+    def test_integer_fields(self, field, value):
+        # Each of these constructed, then failed inside numpy or ran (True as one restart).
+        with pytest.raises(ValueError, match=field):
+            SeeSawConfig(**{field: value})
+
+    def test_numpy_integers_are_integers(self):
+        cfg = SeeSawConfig(restarts=np.int64(3), max_iters=np.int32(5), rng_seed=np.uint8(0))
+        assert _run_seesaw(np.eye(9), cfg).values.shape == (3,)
 
 
 class TestMinProductExpectation:
@@ -164,6 +182,102 @@ def test_values_are_product_expectations(W):
     for r in range(len(res.values)):
         u = np.kron(res.psi[r], res.phi[r])
         assert abs(res.values[r] - np.vdot(u, W @ u).real) <= 1e-12, r
+
+
+def _reference_extrapolate(old, new, step):
+    """One factor's extrapolated trial, as the gather/scatter loop below computes it."""
+    overlap = np.sum(old.conj() * new, axis=1)
+    size = np.abs(overlap)
+    phase = np.divide(overlap, size, out=np.zeros_like(overlap), where=size > 0)
+    trial = new + step[:, None] * (new - phase[:, None] * old)
+    return trial / np.linalg.norm(trial, axis=1, keepdims=True)
+
+
+def _reference_seesaw_batch(W4, psi, phi, max_iters, tol):
+    """The see-saw loop that gathers the running restarts' rows and scatters them back on every alternation."""
+    M_psi = W4.transpose(1, 3, 0, 2).reshape(9, 9)
+    M_phi = W4.transpose(0, 2, 1, 3).reshape(9, 9)
+    W = W4.reshape(9, 9)
+    psi, phi = psi.copy(), phi.copy()
+    count = psi.shape[0]
+    values = np.full(count, math.inf)
+    beta = np.ones(count)
+    iterations = np.zeros(count, dtype=int)
+    converged = np.zeros(count, dtype=bool)
+    active = np.arange(count)
+    history = []
+    for t in range(1, max_iters + 1):
+        _, vecs = np.linalg.eigh(_contract(phi[active], M_psi))
+        new_psi = vecs[:, :, 0]
+        w, vecs = np.linalg.eigh(_contract(new_psi, M_phi))
+        new_phi, new_value = vecs[:, :, 0], w[:, 0]
+        if t > 1:
+            step = beta[active]
+            trial_psi = _reference_extrapolate(psi[active], new_psi, step)
+            trial_phi = _reference_extrapolate(phi[active], new_phi, step)
+            u = _products(trial_psi, trial_phi)
+            trial_value = ((u.conj() @ W) * u).sum(1).real
+            accept = trial_value < new_value
+            new_psi = np.where(accept[:, None], trial_psi, new_psi)
+            new_phi = np.where(accept[:, None], trial_phi, new_phi)
+            new_value = np.where(accept, trial_value, new_value)
+            beta[active] = np.where(accept, 1.5 * step, np.maximum(0.5 * step, 0.1))
+        psi[active] = new_psi
+        phi[active] = new_phi
+        stop = values[active] - new_value < tol
+        values[active] = new_value
+        iterations[active] = t
+        converged[active[stop]] = True
+        history.append(values.copy())
+        active = active[~stop]
+        if active.size == 0:
+            break
+    return psi, phi, values, iterations, converged, np.array(history)
+
+
+@pytest.mark.parametrize(
+    "W, cfg",
+    [
+        pytest.param(witness_matrix(MapParams(1, 1, 0)).matrix, SeeSawConfig(), id="choi"),
+        pytest.param(witness_matrix(MapParams(0, 1, 1)).matrix, SeeSawConfig(), id="reduction"),
+        pytest.param(witness_matrix(MapParams(0.9, 0.8, 0.3)).matrix, SeeSawConfig(), id="interior"),
+        pytest.param(-max_entangled_projector().matrix, SeeSawConfig(), id="neg-projector"),
+        pytest.param(witness_matrix(MapParams(1, 1, 0)).matrix, SeeSawConfig(max_iters=3), id="capped"),
+        pytest.param(witness_matrix(MapParams(0.9, 0.8, 0.3)).matrix, SeeSawConfig(restarts=1), id="one-restart"),
+        pytest.param(np.eye(9) / 9, SeeSawConfig(restarts=2, max_iters=10**12), id="flat-huge-cap"),
+    ],
+)
+def test_engine_matches_gather_scatter_loop_bitwise(W, cfg):
+    # The compacted loop runs the same operations on the same rows in the same
+    # order as the loop that gathers and scatters every alternation.
+    rng = np.random.default_rng(cfg.rng_seed)
+    psi0 = _random_units(rng, cfg.restarts)
+    phi0 = _random_units(rng, cfg.restarts)
+    W4 = require_hermitian(W, 1e-9).reshape(3, 3, 3, 3)
+    expected = _reference_seesaw_batch(W4, psi0, phi0, cfg.max_iters, cfg.tol)
+    res = _run_seesaw(W, cfg)
+    for name, want in zip(("psi", "phi", "values", "iterations", "converged", "history"), expected):
+        got = getattr(res, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    if cfg.max_iters == 3:
+        assert not res.converged.all()  # restarts still running at the cap are written back at the end
+    if cfg.max_iters == 10**12:
+        assert res.iterations.tolist() == [2, 2]  # a flat form stops at once; nothing is sized by max_iters
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf], ids=str)
+def test_non_finite_witness_is_rejected(entry):
+    # A NaN entry used to give value nan, so is_block_positive answered False with no error.
+    W = witness_matrix(MapParams(1, 1, 0)).matrix.copy()
+    W[0, 0] = entry
+    for oracle in (min_product_expectation, is_block_positive, zero_product_vectors):
+        with pytest.raises(ValueError, match="non-finite"):
+            oracle(W, SeeSawConfig(restarts=4))
+
+
+def test_non_finite_choi_matrix_is_rejected():
+    with pytest.raises(ValueError, match="non-finite"):
+        is_cp_choi(lambda X: X + np.nan)
 
 
 def _reference_sort_key(value, psi, phi):
