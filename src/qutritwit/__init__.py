@@ -46,7 +46,6 @@ _LAZY = {
     "oracles": (
         "ProductVectorPair",
         "SeeSawConfig",
-        "is_block_positive",
         "is_cp_choi",
         "min_product_expectation",
         "span_rank",
@@ -70,7 +69,6 @@ _LAZY = {
         "exact_witness_entries",
         "matrix_entries",
         "mix_witnesses",
-        "permutation_unitary",
         "witness_matrix",
         "witness_tilde_matrix",
         "witness_u",

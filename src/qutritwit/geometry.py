@@ -224,6 +224,8 @@ def detection_value_exact(p: MapParams, eps: Number) -> Number:
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if not eps < inf:  # a NaN compares false; a Fraction beyond the float range is below inf
+        raise ValueError(f"eps must be finite, got {eps}")
     if p.is_exact:
         eps = Fraction(eps.item() if _numpy_scalar(eps) else eps)
     a, b, c = p.astuple()

@@ -32,7 +32,7 @@ from math import cos, sin
 
 import numpy as np
 
-from .gellmann import OrthonormalBasis, default_basis
+from .gellmann import default_basis
 from .geometry import MapParams, _require_slice, n_abc
 from .linalg import Array
 
@@ -109,30 +109,29 @@ class LinearMap3:
     Gell-Mann basis: if x_l = Tr(f_l X) then Phi(X) has coefficients S x; X may be a stack."""
 
     superop: Array
-    kind: str
-    basis: OrthonormalBasis
 
     def __call__(self, X) -> Array:
-        return self.basis.from_coefficients(self.basis.coefficients(X) @ self.superop.T)
+        basis = default_basis()
+        return basis.from_coefficients(basis.coefficients(X) @ self.superop.T)
 
     @classmethod
-    def _from_stack_map(cls, fn, kind: str) -> "LinearMap3":
+    def _from_stack_map(cls, fn) -> "LinearMap3":
         """The map whose images of the stacked basis (m, n, n) fn returns in one call."""
         basis = default_basis()
         S = basis.coefficients(fn(basis.stacked.reshape(len(basis), basis.n, basis.n))).T
         if np.max(np.abs(S.imag)) > 1e-12:
             raise ValueError("map is not Hermiticity-preserving")
-        return cls(S.real, kind, basis)
+        return cls(S.real)
 
 
 def phi_map(p: MapParams) -> LinearMap3:
     """Circulant-family map packaged with its basis-action matrix."""
-    return LinearMap3._from_stack_map(lambda F: apply_phi(p, F), "circulant")
+    return LinearMap3._from_stack_map(lambda F: apply_phi(p, F))
 
 
 def phi_tilde_map(p: MapParams) -> LinearMap3:
     """Improper-family map packaged with its basis-action matrix."""
-    return LinearMap3._from_stack_map(lambda F: apply_phi_tilde(p, F), "improper")
+    return LinearMap3._from_stack_map(lambda F: apply_phi_tilde(p, F))
 
 
 def phi_from_rotation(R: Array) -> LinearMap3:
@@ -153,7 +152,7 @@ def phi_from_rotation(R: Array) -> LinearMap3:
         raise ValueError("rotation matrix is not orthogonal within tolerance")
     S = np.eye(m + 1)
     S[1:, 1:] = R / (n - 1)
-    return LinearMap3(S, "rotation-general", basis)
+    return LinearMap3(S)
 
 
 def stochastic_matrix(p: MapParams, kind: str = "circulant") -> Array:

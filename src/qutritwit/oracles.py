@@ -16,7 +16,7 @@ certificate from the PPT probe family is a closed form and lives in geometry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, isfinite
+from math import inf
 from numbers import Integral
 from typing import Callable, Sequence
 
@@ -27,7 +27,7 @@ from .linalg import Array
 from .maps import LinearMap3
 from .witnesses import choi_witness
 
-BLOCK_POSITIVITY_TOL = 1e-7
+SEESAW_TOL = 1e-11  # a restart stops at its first alternation that lowers its value by less
 ZERO_VALUE_TOL = 1e-9
 DEDUP_TOL = 1e-6
 SPAN_RANK_TOL = 1e-8
@@ -37,7 +37,6 @@ SPAN_RANK_TOL = 1e-8
 class SeeSawConfig:
     restarts: int = 200
     max_iters: int = 500
-    tol: float = 1e-11
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -45,8 +44,6 @@ class SeeSawConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        if not (isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
 
 
 @dataclass(frozen=True)
@@ -56,9 +53,6 @@ class ProductVectorPair:
     psi: Array
     phi: Array
     value: float
-
-    def product(self) -> Array:
-        return np.kron(self.psi, self.phi)
 
 
 def _random_units(rng: np.random.Generator, count: int) -> Array:
@@ -207,7 +201,7 @@ def _run_seesaw(W, cfg: SeeSawConfig) -> SeeSawResult:
     rng = np.random.default_rng(cfg.rng_seed)
     psi0 = _random_units(rng, cfg.restarts)
     phi0 = _random_units(rng, cfg.restarts)
-    return _seesaw_batch(W4, psi0, phi0, cfg.max_iters, cfg.tol)
+    return _seesaw_batch(W4, psi0, phi0, cfg.max_iters, SEESAW_TOL)
 
 
 def min_product_expectation(W, cfg: SeeSawConfig | None = None) -> ProductVectorPair:
@@ -221,11 +215,6 @@ def min_product_expectation(W, cfg: SeeSawConfig | None = None) -> ProductVector
     res = _run_seesaw(W, cfg)
     best = _ordered(res.values, res.psi, res.phi)[0][0]
     return ProductVectorPair(res.psi[best], res.phi[best], float(res.values[best]))
-
-
-def is_block_positive(W, cfg: SeeSawConfig | None = None) -> bool:
-    """Heuristic block-positivity: see-saw minimum >= -1e-7."""
-    return min_product_expectation(W, cfg).value >= -BLOCK_POSITIVITY_TOL
 
 
 def is_cp_choi(phi: LinearMap3 | Callable[[Array], Array]) -> bool:

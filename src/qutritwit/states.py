@@ -17,6 +17,7 @@ detects_rho_family); this module builds the states as matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
@@ -40,9 +41,12 @@ class BipartiteState:
 
 
 def rho_eps(eps: float) -> BipartiteState:
-    """The PPT probe state at parameter eps > 0 (kept unnormalized)."""
+    """The PPT probe state at parameter eps > 0 (kept unnormalized); eps and 1/eps must be finite floats."""
     if eps <= 0:
         raise ValueError("eps must be positive")
+    x = float(eps)
+    if not (0 < x < inf and 1 / x < inf):  # a NaN fails the first test
+        raise ValueError(f"eps and 1/eps must be finite floats, got {eps}")
     return BipartiteState(linalg.structured(linalg.group_diagonal(1.0, eps, 1.0 / eps), 1.0, DOUBLES))
 
 

@@ -18,7 +18,6 @@ W~ but keeps the detection power of W.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
 from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
@@ -36,8 +35,6 @@ _KINDS = {
     "u_conjugated": ("improper", (DOUBLES[0], PLUS_ONE[1], PLUS_TWO[2])),
 }
 
-# The kind of a family map's Choi operator: the -1 grid sits on the |ii>.
-_CHOI_KINDS = {family: kind for kind, (family, doubles) in _KINDS.items() if doubles == DOUBLES}
 _J_MINUS_I = 1 - np.eye(3)  # made once: np.eye costs as much as the rest of the P block
 
 
@@ -104,11 +101,6 @@ def witness_tilde_matrix(p: MapParams) -> WitnessMatrix:
     return _witness(p, "tilde")
 
 
-def permutation_unitary() -> Array:
-    """Permutation of the qutrit levels (1,2,3) -> (1,3,2); U = U^-1 = U^T."""
-    return np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-
-
 def witness_u(p: MapParams) -> WitnessMatrix:
     """Local-unitary conjugation (U (x) I) W[a,b,c] (U (x) I)^dagger.
 
@@ -118,23 +110,20 @@ def witness_u(p: MapParams) -> WitnessMatrix:
     return _witness(p, "u_conjugated")
 
 
-def max_entangled_ket() -> Array:
-    """|psi+> = 3^{-1/2} (|11> + |22> + |33>) as a flat 9-vector."""
-    return np.array(linalg.group_diagonal(1.0 / sqrt(3), 0.0, 0.0), dtype=complex)
-
-
 def choi_witness(phi: LinearMap3 | Callable[[Array], Array]) -> WitnessMatrix:
     """Choi operator (1/3) sum_ij Phi(|i><j|) (x) |i><j| of a map.
 
     The map is applied to the first tensor factor of the maximally entangled
     projector, matching the row-major composite convention.
     """
-    kind = _CHOI_KINDS.get(getattr(phi, "kind", None), "standard")
     units = np.eye(9, dtype=complex).reshape(9, 3, 3)  # E_ij, (i, j) row-major
     images = phi(units) if isinstance(phi, LinearMap3) else np.array([phi(E) for E in units], dtype=complex)
+    # Complex division turns an inf into NaN, with a RuntimeWarning: check first.
+    if not np.isfinite(images).all():
+        raise ValueError("map image has a non-finite entry")
     # Phi(E_ij)[k, l] lands at row 3k + i, column 3l + j.
     W = images.reshape(3, 3, 3, 3).transpose(2, 0, 3, 1).reshape(9, 9)
-    return WitnessMatrix(W / 3.0, None, kind)
+    return WitnessMatrix(W / 3.0, None, "choi")
 
 
 def decompose_tilde(p: MapParams) -> DecompositionCertificate:

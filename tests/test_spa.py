@@ -89,6 +89,10 @@ class TestCriticalP:
         p = MapParams(0, 1, 1)
         assert abs(critical_p_from_witness(witness_matrix(p)) - 0.75) < 1e-12
 
+    def test_positive_definite_witness_needs_no_noise(self):
+        # a > 2 with b, c > 0: every eigenvalue is positive, so no roundoff reaches below zero.
+        assert critical_p_from_witness(witness_matrix(MapParams(4, 1, 1))) == 0.0
+
 
 class TestSpaRegion:
     def test_examples(self):

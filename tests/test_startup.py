@@ -3,6 +3,7 @@
 Each check runs in a fresh interpreter, since this one has numpy loaded.
 """
 
+import importlib
 import json
 import math
 import subprocess
@@ -11,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+import qutritwit
 from qutritwit import cli
 from qutritwit.geometry import so2_coeffs
 from qutritwit.oracles import SeeSawConfig
@@ -126,3 +128,15 @@ def test_figure_and_sweep_read_the_linspace_grid(capsys):
 
 def test_cli_restarts_default_is_the_library_default():
     assert cli.DEFAULT_RESTARTS == SeeSawConfig.restarts
+
+
+def test_lazy_names_match_their_modules():
+    listed = dir(qutritwit)
+    for module, names in qutritwit._LAZY.items():
+        source = importlib.import_module(f"qutritwit.{module}")
+        for name in names:
+            assert getattr(qutritwit, name) is getattr(source, name), name
+            assert name in listed, name
+    for gone in ("is_block_positive", "permutation_unitary"):
+        with pytest.raises(AttributeError):
+            getattr(qutritwit, gone)

@@ -44,6 +44,15 @@ class TestRhoEps:
             with pytest.raises(ValueError):
                 rho_eps(eps)
 
+    @pytest.mark.parametrize(
+        "eps", [np.nan, inf, 5e-324, np.float64(5e-324), Fraction(1, 10**400)],
+        ids=["nan", "inf", "5e-324", "float64-5e-324", "1/10^400"],
+    )
+    def test_rejects_eps_or_reciprocal_beyond_floats(self, eps):
+        # Each built a matrix with a NaN or inf entry.
+        with pytest.raises(ValueError, match="must be finite"):
+            rho_eps(eps)
+
 
 class TestPptCheck:
     def test_maximally_entangled_fails(self):
@@ -93,6 +102,22 @@ class TestDetectionValue:
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ValueError):
             detection_value(MapParams(1, 1, 0), 0.0)
+
+    @pytest.mark.parametrize("p", [MapParams(1.0, 1.0, 0.0), MapParams(1, 1, 0)], ids=str)
+    @pytest.mark.parametrize(
+        "eps", [np.nan, inf, np.float32(np.nan), np.float64(inf)], ids=["nan", "inf", "float32-nan", "float64-inf"]
+    )
+    def test_rejects_non_finite_eps(self, p, eps):
+        # Float parameters returned nan; exact ones raised OverflowError for inf.
+        with pytest.raises(ValueError, match="eps must be finite"):
+            detection_value(p, eps)
+
+    def test_exact_eps_beyond_floats(self):
+        # The certificate's vertex (2-a)/(2b) is 5e399 here: finite, only not a float.
+        p = MapParams(1, Fraction(1, 10**400), 1)
+        eps = Fraction(10**400, 2)
+        assert detection_value(p, eps) == -0.25
+        assert detection_value(p, 10**400) == 0.0  # an int: N 10^-400, below the float range
 
 
 class TestDetectionInterval:

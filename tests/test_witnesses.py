@@ -11,20 +11,21 @@ from qutritwit.geometry import MapParams, Positivity, classify, improper_coeffs,
 from qutritwit.linalg import is_psd, partial_transpose
 from qutritwit.maps import apply_phi, apply_phi_tilde, phi_map, phi_tilde_map
 from qutritwit.oracles import SeeSawConfig, min_product_expectation
+from qutritwit.states import max_entangled_projector
 from qutritwit.witnesses import (
     choi_witness,
     decompose_tilde,
     exact_witness_entries,
     matrix_entries,
-    max_entangled_ket,
     mix_witnesses,
-    permutation_unitary,
     witness_matrix,
     witness_tilde_matrix,
     witness_u,
 )
 
 DOUBLES = (0, 4, 8)
+# U (x) I, with U the permutation of the qutrit levels that swaps the second and third.
+U9 = np.kron(np.eye(3)[[0, 2, 1]], np.eye(3))
 # Upper root c of bc = (1-a)^2 at b = 1/10 on the plane a+b+c = 2, and a float
 # point 1.6e-12 past it: outside the region by more than roundoff.
 C0 = (1.9 + 0.37**0.5) / 2
@@ -102,16 +103,15 @@ class TestChoiOperator:
         assert np.max(np.abs(standard)) < 1e-14
         assert np.max(np.abs(tilde)) < 1e-14
 
-    def test_kind_follows_map_family(self):
+    def test_tag_names_the_construction(self):
         p = MapParams(1, 1, 0)
-        assert choi_witness(phi_map(p)).kind == "standard"
-        assert choi_witness(phi_tilde_map(p)).kind == "tilde"
-        assert choi_witness(lambda X: X).kind == "standard"
+        for phi in (phi_map(p), phi_tilde_map(p), lambda X: X):
+            W = choi_witness(phi)
+            assert W.kind == "choi" and W.params is None
 
     def test_identity_map_gives_projector(self):
         W = choi_witness(lambda X: X).matrix
-        ket = max_entangled_ket()
-        assert np.linalg.norm(W - np.outer(ket, ket.conj())) < 1e-15
+        assert np.linalg.norm(W - max_entangled_projector().matrix) < 1e-15
 
     def test_reduction_witness_display(self):
         W = choi_witness(lambda X: apply_phi(MapParams(0, 1, 1), X)).matrix
@@ -160,12 +160,6 @@ class TestTildeWitness:
 
 
 class TestPermutedWitness:
-    def test_permutation_unitary(self):
-        U = permutation_unitary()
-        assert np.array_equal(U @ U, np.eye(3))
-        assert np.array_equal(U @ np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0]))
-        assert abs(np.linalg.det(U) + 1) < 1e-15
-
     def test_matches_display(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
@@ -185,7 +179,6 @@ class TestPermutedWitness:
         p = so2_coeffs(0.9)
         W = witness_matrix(p).matrix
         WU = witness_u(p).matrix
-        U9 = np.kron(permutation_unitary(), np.eye(3))
         for _ in range(5):
             rho = rand_hermitian(rng, 9)
             lhs = np.trace(WU @ U9 @ rho @ U9.conj().T)
@@ -332,7 +325,6 @@ class TestSerialization:
     def test_exact_entries_match_floats(self):
         # (2/3, 2/3, 2/3) has a = b = c and cannot tell the row patterns apart;
         # the asymmetric fixtures can.
-        U9 = np.kron(permutation_unitary(), np.eye(3))
         kinds = (("standard", witness_matrix), ("tilde", witness_tilde_matrix), ("u_conjugated", witness_u))
         fixtures = ["2/3 2/3 2/3", "1 1 0", "0 1 1", "1/2 1 1/2", "1/3 1/2 7/6"]
         # The 190 lattice points (i, j)/9 of the plane.
@@ -357,3 +349,7 @@ class TestSerialization:
     def test_exact_entries_reject_off_slice(self, kind):
         with pytest.raises(ValueError, match="off the plane"):
             exact_witness_entries(MapParams(1, 1, 1), kind)
+
+    def test_unsupported_kind_is_rejected(self):
+        with pytest.raises(ValueError, match="unsupported kind 'bogus'"):
+            exact_witness_entries(MapParams(1, 1, 0), "bogus")
