@@ -107,6 +107,14 @@ def _encode_number(x) -> object:
     return x
 
 
+def _float_or_none(x) -> Optional[float]:
+    """x rounded to a float, or None (JSON null) where it is beyond the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return None
+
+
 def _encode_params(p: MapParams) -> dict:
     return {k: _encode_number(v) for k, v in zip("abc", p.astuple())}
 
@@ -322,7 +330,7 @@ def _cmd_certify(args) -> tuple[dict, dict]:
         results = {
             "params": _encode_params(p),
             "certificate": None if eps is None else "ppt_state",
-            "eps": None if eps is None else float(eps),
+            "eps": None if eps is None else _float_or_none(eps),
             "eps_exact": str(eps) if isinstance(eps, Fraction) else None,
             "value": value,
             "value_exact": str(detection_value_exact(p, eps)) if eps is not None and p.is_exact else None,

@@ -237,6 +237,11 @@ def detection_value(p: MapParams, eps: Number) -> float:
     return float(detection_value_exact(p, eps))
 
 
+def _detects(p: MapParams) -> bool:
+    """Whether q(eps) = b eps^2 + (a-2) eps + c is negative somewhere on eps > 0: a < 2 and bc < (2-a)^2/4."""
+    return _side(p.a, 2, 1) < 0 and _decomposable_side(p) < 0
+
+
 def detects_rho_family(p: MapParams) -> Optional[tuple[float, float]]:
     """Open interval of eps with Tr(rho_eps W[a,b,c]) < 0, or None.
 
@@ -251,9 +256,9 @@ def detects_rho_family(p: MapParams) -> Optional[tuple[float, float]]:
     in both ends and, where 2-a is a normal float, changes no bit of them.  The
     upper end is inf when the scaled b is 0 in float.
     """
-    a, b, c = p.astuple()
-    if _side(a, 2, 1) >= 0 or _decomposable_side(p) >= 0:
+    if not _detects(p):
         return None
+    a, b, c = p.astuple()
     d = 2 - a
     k = d.denominator.bit_length() - d.numerator.bit_length() if p.is_exact else 0
     if k > 0:
@@ -281,9 +286,10 @@ def indecomposability_certificate(p: MapParams) -> Optional[tuple[Number, float]
     Returns (eps, value) with value = Tr(rho_eps W[a,b,c]) < 0 when the
     detection interval is non-empty, else None.  eps is the vertex (2-a)/(2b),
     or c/(2-a) + 1 when b = 0, in the parameters' own arithmetic (a Fraction
-    for exact input), so no rounding moves it onto an end of the interval.
+    for exact input), so no rounding moves it onto an end of the interval;
+    for exact input it may lie beyond the float range.
     """
-    if detects_rho_family(p) is None:
+    if not _detects(p):
         return None
     a, b, c = p.astuple()
     eps = (2 - a) / (2 * b) if b else c / (2 - a) + 1

@@ -91,13 +91,21 @@ def improper_rotation(alpha: float) -> Array:
     return np.array([[ca, sa], [sa, -ca]])
 
 
+def _require_orthogonal(R: Array, name: str) -> None:
+    """Reject a square R that is not finite (a NaN passes the norm test, an inf warns) or not orthogonal:
+    an entry beyond 2 cannot be one of an orthogonal matrix, and would overflow R^T R from about 1e154 on."""
+    if not np.isfinite(R).all():
+        raise ValueError(f"{name} has a non-finite entry")
+    if np.abs(R).max() > 2 or np.linalg.norm(R.T @ R - np.eye(len(R))) > ORTHOGONALITY_TOL:
+        raise ValueError(f"{name} is not orthogonal within tolerance")
+
+
 def rotation_block(T: Array) -> Array:
     """Embed T in O(2) as diag(T, -I_6) acting on (d_1, d_2, u.., v..)."""
     T = np.asarray(T, dtype=float)
     if T.shape != (2, 2):
         raise ValueError("expected a 2x2 matrix")
-    if np.linalg.norm(T.T @ T - np.eye(2)) > ORTHOGONALITY_TOL:
-        raise ValueError("matrix is not orthogonal within tolerance")
+    _require_orthogonal(T, "matrix")
     R = -np.eye(8)
     R[:2, :2] = T
     return R
@@ -114,24 +122,25 @@ class LinearMap3:
         basis = default_basis()
         return basis.from_coefficients(basis.coefficients(X) @ self.superop.T)
 
-    @classmethod
-    def _from_stack_map(cls, fn) -> "LinearMap3":
-        """The map whose images of the stacked basis (m, n, n) fn returns in one call."""
-        basis = default_basis()
-        S = basis.coefficients(fn(basis.stacked.reshape(len(basis), basis.n, basis.n))).T
-        if np.max(np.abs(S.imag)) > 1e-12:
-            raise ValueError("map is not Hermiticity-preserving")
-        return cls(S.real)
+
+def _family_map(p: MapParams, kind: str) -> LinearMap3:
+    """Superoperator 1 (+) N D^T R D (+) (-N) I_6, R the row table, D's columns the diagonals of d_1, d_2:
+    R's rows and columns all sum to a+b+c, so f_0 is fixed, span{d_1, d_2} kept and each u, v scaled by -N."""
+    Dt = default_basis().stacked[1:3, ::4].real  # in a row-major vec the diagonal is every 4th entry
+    N = float(n_abc(p))
+    S = np.diag([1.0] + [-N] * 8)
+    S[1:3, 1:3] = N * (Dt @ _rows(p, kind) @ Dt.T)
+    return LinearMap3(S)
 
 
 def phi_map(p: MapParams) -> LinearMap3:
     """Circulant-family map packaged with its basis-action matrix."""
-    return LinearMap3._from_stack_map(lambda F: apply_phi(p, F))
+    return _family_map(p, "circulant")
 
 
 def phi_tilde_map(p: MapParams) -> LinearMap3:
     """Improper-family map packaged with its basis-action matrix."""
-    return LinearMap3._from_stack_map(lambda F: apply_phi_tilde(p, F))
+    return _family_map(p, "improper")
 
 
 def phi_from_rotation(R: Array) -> LinearMap3:
@@ -148,8 +157,7 @@ def phi_from_rotation(R: Array) -> LinearMap3:
     R = np.asarray(R, dtype=float)
     if R.shape != (m, m):
         raise ValueError(f"rotation must be {m}x{m} for n = {n}")
-    if np.linalg.norm(R.T @ R - np.eye(m)) > ORTHOGONALITY_TOL:
-        raise ValueError("rotation matrix is not orthogonal within tolerance")
+    _require_orthogonal(R, "rotation matrix")
     S = np.eye(m + 1)
     S[1:, 1:] = R / (n - 1)
     return LinearMap3(S)

@@ -15,6 +15,7 @@ blocks sigma_12, sigma_13, sigma_23 plus a diagonal remainder whenever
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import ulp
 from typing import Optional
 
 import numpy as np
@@ -23,7 +24,7 @@ from . import linalg
 from .geometry import MapParams, Number, _side, critical_p
 from .linalg import Array
 from .states import BipartiteState, sigma_diag, sigma_pair
-from .witnesses import WitnessMatrix, witness_matrix
+from .witnesses import WitnessMatrix, _form
 
 
 @dataclass(frozen=True)
@@ -66,12 +67,14 @@ def spa_mix(W: WitnessMatrix | Array, p: float) -> Array:
 
 def critical_p_from_witness(W: WitnessMatrix | Array) -> float:
     """Critical weight of any trace-one witness via its smallest eigenvalue:
-    p* = 9|lmin| / (1 + 9|lmin|) for lmin < 0, else 0."""
+    p* = 9|lmin| / (1 + 9|lmin|) for lmin < 0, else 0.  An lmin within 16 ulp
+    of the spectral norm below zero is the eigensolver's roundoff of a zero eigenvalue."""
     M = linalg.as_matrix(W)
     if abs(np.trace(M).real - 1.0) > 1e-10:
         raise ValueError("requires Tr W = 1")
-    lmin = linalg.min_eigenvalue(M)
-    if lmin >= 0:
+    spectrum = linalg.eigenvalues(M)
+    lmin = float(spectrum[0])
+    if lmin >= -16 * ulp(1.0) * max(-lmin, float(spectrum[-1])):
         return 0.0
     return 9 * abs(lmin) / (1 + 9 * abs(lmin))
 
@@ -93,7 +96,11 @@ def spa_state(p: MapParams) -> SpaResult:
         if _side(p.a, 2, 1) >= 0:
             raise ValueError("requires a < 2; the witness is already PSD")
         raise ValueError("the critical weight p* = 3(2-a)/(2+3(2-a)) underflows a float: 2-a is too small")
-    state = BipartiteState(spa_mix(witness_matrix(p), star))
+    # spa_mix(witness_matrix(p), star), built entry by entry in the same float operations.
+    pref, scaled, rows, doubles = _form(p, "standard")
+    mixed = [(1.0 - star) * float(x) + star / 9.0 for x in scaled]
+    diagonal = [mixed[k] for row in rows for k in row]
+    state = BipartiteState(linalg.structured(diagonal, (1.0 - star) * -float(pref), doubles))
     certified = spa_region(p.b, p.c)
     components = None
     if certified:

@@ -23,6 +23,7 @@ from typing import Callable, ClassVar, Optional, Sequence
 import numpy as np
 
 from . import linalg
+from .gellmann import default_basis
 from .geometry import MapParams, Number, _ellipse_side, _require_slice, improper_coeffs, n_abc, so2_coeffs
 from .linalg import DOUBLES, PLUS_ONE, PLUS_TWO, Array, partial_transpose
 from .maps import _ROWS, LinearMap3, _rows
@@ -114,10 +115,16 @@ def choi_witness(phi: LinearMap3 | Callable[[Array], Array]) -> WitnessMatrix:
     """Choi operator (1/3) sum_ij Phi(|i><j|) (x) |i><j| of a map.
 
     The map is applied to the first tensor factor of the maximally entangled
-    projector, matching the row-major composite convention.
+    projector, matching the row-major composite convention.  For a LinearMap3
+    this is (1/3) sum_ab S_ab f_a (x) conj(f_b), one contraction with the basis.
     """
-    units = np.eye(9, dtype=complex).reshape(9, 3, 3)  # E_ij, (i, j) row-major
-    images = phi(units) if isinstance(phi, LinearMap3) else np.array([phi(E) for E in units], dtype=complex)
+    if isinstance(phi, LinearMap3):
+        if not np.isfinite(phi.superop).all():  # the contraction would warn first
+            raise ValueError("superoperator has a non-finite entry")
+        F = default_basis().stacked
+        images = (F.T @ phi.superop @ F.conj()).T  # row 3i + j: Phi(E_ij) = sum_ab S_ab (f_b)_ji f_a
+    else:
+        images = np.array([phi(E) for E in np.eye(9, dtype=complex).reshape(9, 3, 3)], dtype=complex)
     # Complex division turns an inf into NaN, with a RuntimeWarning: check first.
     if not np.isfinite(images).all():
         raise ValueError("map image has a non-finite entry")

@@ -376,12 +376,21 @@ class TestCertify:
         assert results["value"] < 0
         assert results["value_exact"] is None
 
-    def test_vertex_beyond_the_float_range_exits_2(self, capsys):
-        assert main(["certify", "--indecomposable", "--bc", f"1/{10**400}", "1"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:")
+    def test_vertex_beyond_the_float_range_is_null(self, capsys):
+        # eps = (2-a)/(2b) is about 5e399: the float eps is null, as an interval end beyond
+        # the float range is; the exact vertex and value stay.
+        results = run_json(capsys, ["certify", "--indecomposable", "--bc", f"1/{10**400}", "1"])["results"]
+        assert results["certificate"] == "ppt_state" and results["eps"] is None
+        assert Fraction(results["eps_exact"]) == (1 + Fraction(1, 10**400)) * 10**400 / 2
+        assert results["value"] < 0 and results["value"] == float(Fraction(results["value_exact"]))
+
+    def test_certificate_where_2_minus_a_is_below_the_float_range(self, capsys):
+        # a = 2 - 1e-400, b = 0, c = 1: classify says indecomposable, and certify used to
+        # exit 2 when its existence test scaled c by 2^1330.  The vertex c/(2-a) + 1 is 10^400 + 1.
+        results = run_json(capsys, ["certify", "--indecomposable", str(2 - Fraction(1, 10**400)), "0", "1"])["results"]
+        assert results["certificate"] == "ppt_state" and results["eps"] is None
+        assert results["eps_exact"] == str(10**400 + 1)
+        assert Fraction(results["value_exact"]) < 0
 
     def test_requires_exactly_one_mode(self, capsys):
         assert main(["certify", "1", "1", "0"]) == 2

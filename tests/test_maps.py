@@ -339,17 +339,36 @@ class TestRotationConstruction:
                 assert abs(np.linalg.det(R) - np.linalg.det(T)) < 1e-12
                 assert np.linalg.norm(R.T @ R - np.eye(8)) < 1e-12
 
+    @pytest.mark.filterwarnings("error")
     def test_rotation_block_rejects_non_orthogonal(self):
         with pytest.raises(ValueError):
             rotation_block(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="not orthogonal"):  # T^T T would overflow
+            rotation_block(np.array([[1e200, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf], ids=str)
+    def test_non_finite_rotation_is_rejected(self, entry):
+        # A NaN passed the orthogonality test (the norm comparison is False); an inf warned in T^T T.
+        T = np.eye(2)
+        T[0, 1] = entry
+        with pytest.raises(ValueError, match="non-finite"):
+            rotation_block(T)
+        R = np.eye(8)
+        R[3, 3] = entry
+        with pytest.raises(ValueError, match="non-finite"):
+            phi_from_rotation(R)
 
     def test_phi_from_identity_rotation_unital(self):
         m = phi_from_rotation(np.eye(8))
         assert np.linalg.norm(m(np.eye(3)) - np.eye(3)) < 1e-12
 
+    @pytest.mark.filterwarnings("error")
     def test_phi_from_rotation_rejects_non_orthogonal(self):
         with pytest.raises(ValueError):
             phi_from_rotation(1.1 * np.eye(8))
+        with pytest.raises(ValueError, match="not orthogonal"):  # R^T R would overflow
+            phi_from_rotation(1e200 * np.eye(8))
 
     def test_reduction_at_pi(self):
         rng = np.random.default_rng(8)

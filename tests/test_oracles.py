@@ -7,7 +7,7 @@ import pytest
 from conftest import random_slice_params
 from qutritwit.geometry import MapParams, improper_coeffs, indecomposability_certificate, slice_params, so2_coeffs
 from qutritwit.linalg import require_hermitian
-from qutritwit.maps import apply_phi, phi_from_rotation, phi_map, rotation_block, so2_rotation
+from qutritwit.maps import LinearMap3, apply_phi, phi_from_rotation, phi_map, rotation_block, so2_rotation
 from qutritwit.oracles import (
     DEDUP_TOL,
     SEESAW_TOL,
@@ -272,10 +272,15 @@ def test_non_finite_witness_is_rejected(entry):
 
 @pytest.mark.filterwarnings("error")
 def test_non_finite_choi_matrix_is_rejected():
-    # An inf image used to become NaN in the division by 3, with a RuntimeWarning.
+    # An inf image used to become NaN in the division by 3, with a RuntimeWarning; a
+    # superoperator is checked before its contraction with the basis, which would warn.
     for entry in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="non-finite"):
             is_cp_choi(lambda X: X + entry)
+        S = np.eye(9)
+        S[4, 1] = entry
+        with pytest.raises(ValueError, match="non-finite"):
+            is_cp_choi(LinearMap3(S))
 
 
 def _reference_sort_key(value, psi, phi):
@@ -475,6 +480,14 @@ class TestIndecomposabilityCertificate:
         assert value < 0
         exact = (p.b * eps * eps + (p.a - 2) * eps + p.c) / (2 * eps)
         assert value == float(exact)
+
+    def test_vertex_beyond_the_float_range(self):
+        # 2 - a = 1e-400 and b = 0: eps = c/(2-a) + 1 = 10^400 + 1, held exactly; the value
+        # -N (2-a)/eps is below the float range.  The existence test used to scale c by 2^1330.
+        p = MapParams(2 - Fraction(1, 10**400), 0, 1)
+        eps, value = indecomposability_certificate(p)
+        assert eps == 10**400 + 1
+        assert value == 0.0 and math.copysign(1.0, value) == -1.0
 
     def test_linear_case_takes_eps_past_the_root(self):
         # b = 0: the value is negative on (c/(2-a), inf) and eps = c/(2-a) + 1.

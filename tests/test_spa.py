@@ -93,6 +93,12 @@ class TestCriticalP:
         # a > 2 with b, c > 0: every eigenvalue is positive, so no roundoff reaches below zero.
         assert critical_p_from_witness(witness_matrix(MapParams(4, 1, 1))) == 0.0
 
+    @pytest.mark.parametrize("a", [2, 4])
+    def test_zero_eigenvalue_roundoff_needs_no_noise(self, a):
+        # W(a, 0, 0) is PSD with zero eigenvalues, which LAPACK returns as tiny negatives:
+        # p* was 4.4e-16 at a = 2 and 6.7e-32 at a = 4.
+        assert critical_p_from_witness(witness_matrix(MapParams(a, 0, 0))) == 0.0
+
 
 class TestSpaRegion:
     def test_examples(self):
@@ -155,6 +161,18 @@ class TestSpaState:
         res = spa_state(slice_params(0.1, 0.1))
         assert not res.separable_certified
         assert res.components is None
+
+    @pytest.mark.parametrize("kind", [Fraction, float])
+    def test_state_is_the_noisy_witness_bitwise(self, kind):
+        # spa_state builds the mixture entry by entry; spa_mix of the witness is the reference.
+        n = 6
+        for i in range(n + 1):
+            for j in range(n + 1 - i):
+                p = slice_params(kind(Fraction(2 * i, n)), kind(Fraction(2 * j, n)))
+                if p.a >= 2:
+                    continue
+                res = spa_state(p)
+                assert res.state.matrix.tobytes() == spa_mix(witness_matrix(p), res.p_star).tobytes(), p
 
     def test_rejects_cp_corner(self):
         with pytest.raises(ValueError):

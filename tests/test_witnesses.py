@@ -9,7 +9,7 @@ from conftest import rand_hermitian, random_slice_params, random_tilde_region_pa
 from qutritwit.gellmann import default_basis
 from qutritwit.geometry import MapParams, Positivity, classify, improper_coeffs, slice_params, so2_coeffs
 from qutritwit.linalg import is_psd, partial_transpose
-from qutritwit.maps import apply_phi, apply_phi_tilde, phi_map, phi_tilde_map
+from qutritwit.maps import LinearMap3, apply_phi, apply_phi_tilde, phi_map, phi_tilde_map
 from qutritwit.oracles import SeeSawConfig, min_product_expectation
 from qutritwit.states import max_entangled_projector
 from qutritwit.witnesses import (
@@ -102,6 +102,14 @@ class TestChoiOperator:
         tilde = phi_tilde_map(p).superop - reference_superop(lambda X: apply_phi_tilde(p, X))
         assert np.max(np.abs(standard)) < 1e-14
         assert np.max(np.abs(tilde)) < 1e-14
+
+    def test_superop_contraction_matches_callable_path(self):
+        # A random real non-symmetric S: a swapped reshuffle of the contraction would show.
+        rng = np.random.default_rng(21)
+        for _ in range(5):
+            m = LinearMap3(rng.standard_normal((9, 9)))
+            direct = choi_witness(m).matrix
+            assert np.max(np.abs(direct - choi_witness(lambda X: m(X)).matrix)) < 1e-14
 
     def test_tag_names_the_construction(self):
         p = MapParams(1, 1, 0)
