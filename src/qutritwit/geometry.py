@@ -8,6 +8,14 @@ the PPT probe family rho_eps detects the witness, the critical weight of the
 structural physical approximation and the indecomposability certificate.
 The module imports no numpy, so commands that print only these numbers start
 without it; the matrix constructions live in maps, witnesses, states and spa.
+
+An exact point is held as integers over one denominator, MapParams.ints =
+(A, B, C, D) with (a, b, c) = (A, B, C)/D, and every exact formula is read
+from them: each decision is the sign of an integer polynomial (B*C against
+(D-A)^2, 4*B*C against (2D-A)^2, A+B+C against 2D), each exact value one
+Fraction(n, d), and each rounded float one int/int true division n / d.
+Python rounds that division correctly, so it has the bits of float() of the
+same value taken in Fraction arithmetic.  Float input keeps float arithmetic.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ import enum
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import cos, inf, isfinite, pi, sin, sqrt, ulp
+from math import cos, gcd, inf, isfinite, lcm, pi, sin, sqrt, ulp
 from typing import Optional
 
 # Inputs of size <= 2 built on a boundary miss it by at most 2 ulp(2) per unit
@@ -38,7 +46,9 @@ class MapParams:
 
     Entries may be floats or fractions (an int is stored as a Fraction);
     exact rational arithmetic is preserved wherever the construction formulas
-    allow it.  The attribute total holds a + b + c.
+    allow it.  The attribute total holds a + b + c.  The attribute ints holds
+    an all-Fraction point as integers (A, B, C, D) with (a, b, c) = (A, B, C)/D,
+    D the lcm of the three denominators, and is None when any entry is a float.
     """
 
     a: Number
@@ -60,11 +70,20 @@ class MapParams:
                 raise ValueError(f"parameter {name} is too large for a float") from None
             if not finite:
                 raise ValueError(f"parameter {name} must be finite, got {x}")
-        if min(self.a, self.b, self.c) < 0:
+        a, b, c = self.astuple()
+        if min(a, b, c) < 0:
             raise ValueError(f"parameters must be non-negative, got {self}")
-        # Kept as an attribute, not a field: equality, hash and repr stay those of (a, b, c).
-        object.__setattr__(self, "total", self.a + self.b + self.c)
-        if self.total == 0:
+        # A float is tested first: the Fraction test of a float goes through ABCMeta and is slow.
+        if not isinstance(a, float) and isinstance(a, Fraction) and isinstance(b, Fraction) and isinstance(c, Fraction):
+            D = lcm(a.denominator, b.denominator, c.denominator)
+            A, B, C = (x.numerator * (D // x.denominator) for x in (a, b, c))
+            ints, total = (A, B, C, D), Fraction(A + B + C, D)
+        else:
+            ints, total = None, a + b + c
+        # Kept as attributes, not fields: equality, hash and repr stay those of (a, b, c).
+        object.__setattr__(self, "ints", ints)
+        object.__setattr__(self, "total", total)
+        if total == 0:
             raise ValueError("parameter sum must be positive")
 
     def __str__(self) -> str:
@@ -74,15 +93,18 @@ class MapParams:
         return (self.a, self.b, self.c)
 
     def asfloats(self) -> tuple[float, float, float]:
-        return (float(self.a), float(self.b), float(self.c))
+        if self.ints is None:
+            return (float(self.a), float(self.b), float(self.c))
+        A, B, C, D = self.ints
+        return (A / D, B / D, C / D)
 
     @property
     def is_exact(self) -> bool:
-        return isinstance(self.total, Fraction)  # a Fraction exactly when a, b and c all are
+        return self.ints is not None
 
     def on_slice(self) -> bool:
-        """Whether the point lies on the plane a+b+c = 2: the _side decision classify reads."""
-        return _side(self.total, 2, 3) == 0
+        """Whether the point lies on the plane a+b+c = 2: the _plane_side decision classify reads."""
+        return _plane_side(self) == 0
 
 
 class Positivity(enum.Enum):
@@ -105,7 +127,10 @@ class MapClass:
 
 def n_abc(p: MapParams) -> Number:
     """Normalization 1/(a+b+c) that makes the map unital."""
-    return 1 / p.total
+    if p.ints is None:
+        return 1 / p.total
+    A, B, C, D = p.ints
+    return Fraction(D, A + B + C)
 
 
 def _require_slice(p: MapParams) -> None:
@@ -128,8 +153,30 @@ def _side(lhs: Number, rhs: Number, slope: Number) -> int:
     return int(lhs > rhs) - int(lhs < rhs)
 
 
+def _sign(x: int) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _plane_side(p: MapParams) -> int:
+    """Side of the plane a+b+c = 2."""
+    if p.ints is None:
+        return _side(p.total, 2, 3)
+    A, B, C, D = p.ints
+    return _sign(A + B + C - 2 * D)
+
+
+def _cp_side(p: MapParams) -> int:
+    """Side of the line a = 2; 0 and +1 are the completely positive maps."""
+    if p.ints is None:
+        return _side(p.a, 2, 1)
+    return _sign(p.ints[0] - 2 * p.ints[3])
+
+
 def _ellipse_side(p: MapParams) -> int:
     """Side of the ellipse bc = (1-a)^2; +1 is the region bc > (1-a)^2."""
+    if p.ints is not None:
+        A, B, C, D = p.ints
+        return _sign(B * C - (D - A) ** 2)
     a, b, c = p.astuple()
     fa, fb, fc = p.asfloats()
     return _side(b * c, (1 - a) ** 2, fb + fc + 2 * abs(1 - fa))
@@ -137,6 +184,9 @@ def _ellipse_side(p: MapParams) -> int:
 
 def _decomposable_side(p: MapParams) -> int:
     """Side of the line 4bc = (2-a)^2; -1 is the region bc < (2-a)^2/4, indecomposable when positive not CP."""
+    if p.ints is not None:
+        A, B, C, D = p.ints
+        return _sign(4 * B * C - (2 * D - A) ** 2)
     a, b, c = p.astuple()
     fa, fb, fc = p.asfloats()
     return _side(b * c, (2 - a) ** 2 / 4, fb + fc + abs(2 - fa) / 2)
@@ -149,15 +199,15 @@ def classify(p: MapParams) -> MapClass:
     (but not CP) iff a+b+c >= 2 and, when a <= 1, bc >= (1-a)^2.  A positive
     non-CP member is indecomposable iff bc < (2-a)^2 / 4; completely positive
     maps are decomposable outright, so the criterion is not applied to them.
-    Each boundary comparison is a _side decision, so a float within roundoff
-    of a boundary gets the verdict of a point on it.
+    Each boundary comparison is exact for exact input (the sign of an integer
+    polynomial) and a _side decision otherwise, so a float within roundoff of
+    a boundary gets the verdict of a point on it.
     """
-    a, b, c = p.astuple()
-    if _side(a, 2, 1) >= 0:
+    if _cp_side(p) >= 0:
         return MapClass(Positivity.COMPLETELY_POSITIVE, Decomposability.DECOMPOSABLE)
-    if not p.on_slice() and p.total < 2:  # off the plane, on its lower side
+    if _plane_side(p) < 0:  # off the plane, on its lower side
         return MapClass(Positivity.NOT_POSITIVE, Decomposability.UNKNOWN)
-    if a <= 1 and _ellipse_side(p) < 0:
+    if (p.a <= 1 if p.ints is None else p.ints[0] <= p.ints[3]) and _ellipse_side(p) < 0:
         return MapClass(Positivity.NOT_POSITIVE, Decomposability.UNKNOWN)
     if _decomposable_side(p) < 0:
         return MapClass(Positivity.POSITIVE_NOT_CP, Decomposability.INDECOMPOSABLE)
@@ -215,21 +265,29 @@ def improper_coeffs(alpha: float) -> MapParams:
     return MapParams(max(a, 0.0), max(b, 0.0), max(c, 0.0))
 
 
+def _detection_ratio(p: MapParams, e: int, f: int) -> tuple[int, int]:
+    """The detection value at eps = e/f > 0 for exact parameters, as integers (n, d) with value n/d:
+    N (b eps^2 + (a-2) eps + c) / eps = (B e^2 + (A-2D) e f + C f^2) / ((A+B+C) e f)."""
+    A, B, C, D = p.ints
+    return B * e * e + (A - 2 * D) * e * f + C * f * f, (A + B + C) * e * f
+
+
 def detection_value_exact(p: MapParams, eps: Number) -> Number:
     """Closed form of Tr(rho_eps W[a,b,c]), N (b eps^2 + (a-2) eps + c) / eps, unrounded.
 
-    One expression in the parameters' own arithmetic: for exact parameters eps
-    becomes a Fraction and so does the value, so its sign survives the
-    cancellation near the vertex as b -> c.
+    For exact parameters eps is read as the exact ratio it holds and the value
+    is a Fraction, so its sign survives the cancellation near the vertex as
+    b -> c; otherwise it is one expression in the parameters' own arithmetic.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     if not eps < inf:  # a NaN compares false; a Fraction beyond the float range is below inf
         raise ValueError(f"eps must be finite, got {eps}")
-    if p.is_exact:
-        eps = Fraction(eps.item() if _numpy_scalar(eps) else eps)
-    a, b, c = p.astuple()
-    return n_abc(p) * (b * eps * eps + (a - 2) * eps + c) / eps
+    if p.ints is None:
+        a, b, c = p.astuple()
+        return n_abc(p) * (b * eps * eps + (a - 2) * eps + c) / eps
+    e, f = (eps.item() if _numpy_scalar(eps) else eps).as_integer_ratio()
+    return Fraction(*_detection_ratio(p, e, f))
 
 
 def detection_value(p: MapParams, eps: Number) -> float:
@@ -239,7 +297,15 @@ def detection_value(p: MapParams, eps: Number) -> float:
 
 def _detects(p: MapParams) -> bool:
     """Whether q(eps) = b eps^2 + (a-2) eps + c is negative somewhere on eps > 0: a < 2 and bc < (2-a)^2/4."""
-    return _side(p.a, 2, 1) < 0 and _decomposable_side(p) < 0
+    return _cp_side(p) < 0 and _decomposable_side(p) < 0
+
+
+def _ratio(n: int, d: int) -> float:
+    """n / d rounded once; inf where it is beyond the float range."""
+    try:
+        return n / d
+    except OverflowError:
+        return inf
 
 
 def detects_rho_family(p: MapParams) -> Optional[tuple[float, float]]:
@@ -254,18 +320,30 @@ def detects_rho_family(p: MapParams) -> Optional[tuple[float, float]]:
     first scaled by a power of two that brings 2-a to at least 1/2, so that
     neither end is lost where 2-a is below the float range; the scale cancels
     in both ends and, where 2-a is a normal float, changes no bit of them.  The
-    upper end is inf when the scaled b is 0 in float.
+    upper end is inf when the scaled b is 0 in float.  Where the scaled b or c
+    is beyond the float range, both ends are rounded once from their ratios to
+    s, and an end beyond the float range is inf.
     """
     if not _detects(p):
         return None
-    a, b, c = p.astuple()
-    d = 2 - a
-    k = d.denominator.bit_length() - d.numerator.bit_length() if p.is_exact else 0
-    if k > 0:
-        d, b, c = d * (1 << k), b * (1 << k), c * (1 << k)
-    bf = float(b)
-    s = float(d) + 2 * sqrt(float(d**2 / 4 - b * c))
-    return (2 * float(c) / s, s / (2 * bf) if bf else inf)
+    if p.ints is None:
+        a, b, c = p.astuple()
+        d = 2 - a
+        bf = float(b)
+        s = float(d) + 2 * sqrt(float(d**2 / 4 - b * c))
+        return (2 * float(c) / s, s / (2 * bf) if bf else inf)
+    A, B, C, D = p.ints
+    N = 2 * D - A  # 2-a = N/D; k is read from it in lowest terms, as from the Fraction 2-a
+    g = gcd(N, D)
+    k = max((D // g).bit_length() - (N // g).bit_length(), 0)
+    Bk, Ck = B << k, C << k  # the scaled b and c, over D
+    s = (N << k) / D + 2 * sqrt(((N * N - 4 * B * C) << 2 * k) / (4 * D * D))
+    try:
+        bf, cf = Bk / D, Ck / D
+    except OverflowError:  # the scaled bc is below 1/4, so the other of the two is small
+        sn, sd = s.as_integer_ratio()
+        return (_ratio(2 * Ck * sd, D * sn), _ratio(D * sn, 2 * Bk * sd) if B else inf)
+    return (2 * cf / s, s / (2 * bf) if bf else inf)
 
 
 def critical_p(p: MapParams) -> float:
@@ -274,10 +352,14 @@ def critical_p(p: MapParams) -> float:
     Returns 0 for a >= 2, where the witness is already PSD.
     """
     _require_slice(p)
-    if _side(p.a, 2, 1) >= 0:
+    if _cp_side(p) >= 0:
         return 0.0
-    t = 3 * (2 - p.a)
-    return float(t / (2 + t))
+    if p.ints is None:
+        t = 3 * (2 - p.a)
+        return float(t / (2 + t))
+    A, _, _, D = p.ints
+    t = 3 * (2 * D - A)
+    return t / (2 * D + t)
 
 
 def indecomposability_certificate(p: MapParams) -> Optional[tuple[Number, float]]:
@@ -291,6 +373,11 @@ def indecomposability_certificate(p: MapParams) -> Optional[tuple[Number, float]
     """
     if not _detects(p):
         return None
-    a, b, c = p.astuple()
-    eps = (2 - a) / (2 * b) if b else c / (2 - a) + 1
-    return eps, detection_value(p, eps)
+    if p.ints is None:
+        a, b, c = p.astuple()
+        eps = (2 - a) / (2 * b) if b else c / (2 - a) + 1
+        return eps, detection_value(p, eps)
+    A, B, C, D = p.ints
+    e, f = (2 * D - A, 2 * B) if B else (C + 2 * D - A, 2 * D - A)
+    n, d = _detection_ratio(p, e, f)
+    return Fraction(e, f), n / d

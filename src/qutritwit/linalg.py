@@ -41,19 +41,15 @@ def group_diagonal(*values) -> tuple:
 
 
 def structured(diagonal, grid=0.0, block: tuple[int, ...] = ()) -> Array:
-    """The 9x9 operator with grid (a number or a square array) on block x block, block being
-    flat indices, then the 9 values diagonal, unless None, on the main diagonal; zero elsewhere."""
+    """The 9x9 operator with grid (a number, or a len(block) x len(block) array) on block x block,
+    block being flat indices, then the 9 values diagonal, unless None, on the main diagonal; zero
+    elsewhere."""
     M = np.zeros((9, 9), dtype=complex)
-    if isinstance(grid, np.ndarray):
-        index = np.array(block)
-        M[index[:, None], index] = grid
-    else:  # converted once, then entry by entry: faster than fancy indexing on blocks this small
-        grid = complex(grid)
-        for r in block:
-            for s in block:
-                M[r, s] = grid
+    flat = M.ravel()  # a view: entry (r, s) is flat[9r + s], the diagonal flat[::10]
+    if block:  # one flat fancy-index write: a number is repeated, an array read in row-major order
+        flat.put([9 * r + s for r in block for s in block], grid)
     if diagonal is not None:
-        M.ravel()[::10] = diagonal
+        flat[::10] = diagonal
     return M
 
 

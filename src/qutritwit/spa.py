@@ -21,9 +21,9 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .geometry import MapParams, Number, _side, critical_p
+from .geometry import MapParams, Number, _cp_side, _side, critical_p
 from .linalg import Array
-from .states import BipartiteState, sigma_diag, sigma_pair
+from .states import BipartiteState, _sigma_diag, sigma_pair
 from .witnesses import WitnessMatrix, _form
 
 
@@ -91,21 +91,26 @@ def spa_state(p: MapParams) -> SpaResult:
     scale * (sigma_12 + sigma_13 + sigma_23 + sigma_d) with
     scale = 1 / (3 (2 + 3(2-a))); outside it no separability claim is made.
     """
-    star = critical_p(p)
+    star = critical_p(p)  # the one plane check
     if star == 0.0:
-        if _side(p.a, 2, 1) >= 0:
+        if _cp_side(p) >= 0:
             raise ValueError("requires a < 2; the witness is already PSD")
         raise ValueError("the critical weight p* = 3(2-a)/(2+3(2-a)) underflows a float: 2-a is too small")
     # spa_mix(witness_matrix(p), star), built entry by entry in the same float operations.
     pref, scaled, rows, doubles = _form(p, "standard")
-    mixed = [(1.0 - star) * float(x) + star / 9.0 for x in scaled]
+    mixed = [(1.0 - star) * x + star / 9.0 for x in scaled]
     diagonal = [mixed[k] for row in rows for k in row]
-    state = BipartiteState(linalg.structured(diagonal, (1.0 - star) * -float(pref), doubles))
-    certified = spa_region(p.b, p.c)
+    state = BipartiteState(linalg.structured(diagonal, (1.0 - star) * -pref, doubles))
+    if p.ints is None:
+        certified = spa_region(p.b, p.c)
+    else:
+        _, B, C, D = p.ints
+        certified = 2 * B + C >= D and 2 * C + B >= D
     components = None
     if certified:
-        scale = 1.0 / (3.0 * (2.0 + 3.0 * (2.0 - float(p.a))))
+        fa, fb, fc = p.asfloats()
+        scale = 1.0 / (3.0 * (2.0 + 3.0 * (2.0 - fa)))
         components = SpaComponents(
-            sigma_pair(1, 2), sigma_pair(1, 3), sigma_pair(2, 3), sigma_diag(p), scale
+            sigma_pair(1, 2), sigma_pair(1, 3), sigma_pair(2, 3), _sigma_diag(fb, fc), scale
         )
     return SpaResult(star, state, certified, components)

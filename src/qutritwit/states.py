@@ -85,6 +85,11 @@ def sigma_diag(p: MapParams) -> BipartiteState:
     """
     _require_slice(p)
     _, b, c = p.asfloats()
+    return _sigma_diag(b, c)
+
+
+def _sigma_diag(b: float, c: float) -> BipartiteState:
+    """sigma_diag at float (b, c), the plane already checked."""
     return BipartiteState(linalg.structured(linalg.group_diagonal(0.0, 2 * b + c - 1, 2 * c + b - 1)))
 
 

@@ -18,13 +18,14 @@ W~ but keeps the detection power of W.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
 from . import linalg
 from .gellmann import default_basis
-from .geometry import MapParams, Number, _ellipse_side, _require_slice, improper_coeffs, n_abc, so2_coeffs
+from .geometry import MapParams, _ellipse_side, _require_slice, improper_coeffs, n_abc, so2_coeffs
 from .linalg import DOUBLES, PLUS_ONE, PLUS_TWO, Array, partial_transpose
 from .maps import _ROWS, LinearMap3, _rows
 
@@ -68,28 +69,38 @@ class DecompositionCertificate:
         return float(np.linalg.norm(self.P + partial_transpose(self.Q) - self.scale * W))
 
 
-def _form(p: MapParams, kind: str) -> tuple[Number, list[Number], tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """The structured form (pref, scaled, rows, doubles) of a witness kind: with
-    scaled = pref * (a, b, c), the 9x9 entries are scaled[rows[i][l]] at
-    (3i+l, 3i+l) and -pref off the diagonal of the doubles block, zero
-    elsewhere, with pref = N/3.  Evaluated in the parameters' own arithmetic
-    (exact for rationals).  The kinds other than "standard" are defined on the
-    plane a+b+c = 2.
-    """
+def _layout(p: MapParams, kind: str) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The row table and doubles block of a witness kind; the kinds other than
+    "standard" are defined on the plane a+b+c = 2."""
     if kind not in _KINDS:
         raise ValueError(f"unsupported kind {kind!r}")
     if kind != "standard":
         _require_slice(p)
     family, doubles = _KINDS[kind]
-    pref = n_abc(p) / 3
-    return pref, [pref * x for x in p.astuple()], _ROWS[family], doubles
+    return _ROWS[family], doubles
+
+
+def _form(p: MapParams, kind: str) -> tuple[float, list[float], tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The structured form (pref, scaled, rows, doubles) of a witness kind: with
+    scaled = pref * (a, b, c), the 9x9 entries are scaled[rows[i][l]] at
+    (3i+l, 3i+l) and -pref off the diagonal of the doubles block, zero
+    elsewhere, with pref = N/3.  pref and scaled are floats, each rounded once:
+    for exact parameters pref = D/T and scaled = (A, B, C)/T with T = 3(A+B+C),
+    each one int/int division.
+    """
+    rows, doubles = _layout(p, kind)
+    if p.ints is None:
+        pref = n_abc(p) / 3
+        return float(pref), [float(pref * x) for x in p.astuple()], rows, doubles
+    A, B, C, D = p.ints
+    T = 3 * (A + B + C)
+    return D / T, [A / T, B / T, C / T], rows, doubles
 
 
 def _witness(p: MapParams, kind: str) -> WitnessMatrix:
     pref, scaled, rows, doubles = _form(p, kind)
-    values = [float(x) for x in scaled]
-    diagonal = [values[k] for row in rows for k in row]
-    return WitnessMatrix(linalg.structured(diagonal, -float(pref), doubles), p, kind)
+    diagonal = [scaled[k] for row in rows for k in row]
+    return WitnessMatrix(linalg.structured(diagonal, -pref, doubles), p, kind)
 
 
 def witness_matrix(p: MapParams) -> WitnessMatrix:
@@ -201,10 +212,12 @@ def exact_witness_entries(p: MapParams, kind: str = "standard") -> list[list[str
     """
     if not p.is_exact:
         raise ValueError("exact entries require rational parameters")
-    pref, scaled, rows, doubles = _form(p, kind)
-    values = [str(x) for x in scaled]
+    rows, doubles = _layout(p, kind)
+    A, B, C, D = p.ints
+    T = 3 * (A + B + C)  # pref = N/3 = D/T
+    values = [str(Fraction(x, T)) for x in (A, B, C)]
     grid = [["0"] * 9 for _ in range(9)]
-    minus = str(-pref)
+    minus = str(Fraction(-D, T))
     for i in doubles:
         for j in doubles:
             grid[i][j] = minus

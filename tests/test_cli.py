@@ -277,6 +277,13 @@ class TestDetect:
         results = run_json(capsys, [command, "--bc", f"1/{10**400}", "1"])["results"]
         assert results["detection_interval"] == [1.0, None]
 
+    def test_lower_end_beyond_the_float_range_is_null(self, capsys):
+        # a = 2 - 1e-400, b = 0, c = 1: the interval is (10^400, inf), and scaling c by 2^1330
+        # used to overflow float(c) with exit 2.  Both ends print null; the values are finite.
+        results = run_json(capsys, ["detect", str(2 - Fraction(1, 10**400)), "0", "1"])["results"]
+        assert results["detection_interval"] == [None, None]
+        assert len(results["values"]) == 20 and all(math.isfinite(v) for v in results["values"])
+
     def test_csv(self, capsys):
         code = main(["detect", "1", "1", "0", "--eps-grid", "0.5", "1.5", "3", "--format", "csv"])
         out = capsys.readouterr().out.strip().splitlines()

@@ -1,0 +1,217 @@
+"""The integer form of exact parameters against the same formulas in Fraction arithmetic.
+
+An all-Fraction MapParams holds its point as integers (A, B, C) over one
+denominator D, and geometry and the witnesses read their exact decisions,
+values and roundings from them.  Each test below evaluates the formula in
+Fraction arithmetic, as the package did before it held that form, and asks
+for the same decision, the same Fraction and the same float bits.
+"""
+
+import copy
+import dataclasses
+import pickle
+import random
+from fractions import Fraction
+from math import inf, sqrt
+
+import numpy as np
+import pytest
+
+from qutritwit.geometry import (
+    MapParams,
+    classify,
+    critical_p,
+    detection_value,
+    detection_value_exact,
+    detects_rho_family,
+    indecomposability_certificate,
+    on_ellipse,
+)
+from qutritwit.witnesses import exact_witness_entries, witness_matrix, witness_tilde_matrix, witness_u
+
+TINY = Fraction(1, 10**400)
+
+
+def _lattice():
+    """The 190 exact lattice points (i, j)/9 of the simplex on a+b+c = 2."""
+    return [(2 - Fraction(i + j, 9), Fraction(i, 9), Fraction(j, 9)) for i in range(19) for j in range(19 - i)]
+
+
+def _random_rationals():
+    """200 seeded rational points with denominators up to 10^12: half on the plane, half anywhere."""
+    rng = random.Random(22)
+    points = []
+    for k in range(200):
+        d = [rng.randint(1, 10**12) for _ in range(3)]
+        if k % 2:
+            b, c = Fraction(rng.randint(0, d[1]), d[1]), Fraction(rng.randint(0, d[2]), d[2])
+            points.append((2 - b - c, b, c))
+        else:
+            points.append(tuple(Fraction(rng.randint(0, 3 * x), x) for x in d))
+    return points
+
+
+# The 10^400 points of the console-script smoke step.
+SMOKE = [(2 - TINY, TINY, 0), (2 - TINY, 0, 1), (2 - TINY, 0, TINY), (1 - TINY, TINY, 1), (2 - TINY, 1, 0)]
+# 2-a = 3/4 is 9*2^1020 / (3*2^1022) over the common denominator, a bit-length difference of 0
+# where lowest terms give 1, and b is subnormal: the upper end's last bits show which power of
+# two scaled it.
+SUBNORMAL = [(Fraction(5, 4), Fraction(1, 3 * 2**1022), Fraction(1, 3))]
+POINTS = _lattice() + _random_rationals() + SMOKE + SUBNORMAL
+
+
+def _fractions(t):
+    return tuple(Fraction(x) for x in t)
+
+
+def ref_class(a, b, c):
+    if a >= 2:
+        return "completely_positive", "decomposable"
+    if a + b + c < 2:
+        return "not_positive", "unknown"
+    if a <= 1 and b * c < (1 - a) ** 2:
+        return "not_positive", "unknown"
+    return "positive_not_cp", "indecomposable" if 4 * b * c < (2 - a) ** 2 else "decomposable"
+
+
+def ref_interval(a, b, c):
+    """The ends 2c/s and s/(2b) with 2-a, b and c scaled in Fraction by the power of two that brings 2-a to 1/2."""
+    if not (a < 2 and 4 * b * c < (2 - a) ** 2):
+        return None
+    d = 2 - a
+    k = d.denominator.bit_length() - d.numerator.bit_length()
+    if k > 0:
+        d, b, c = d * 2**k, b * 2**k, c * 2**k
+    bf = float(b)
+    s = float(d) + 2 * sqrt(float(d * d / 4 - b * c))
+    return 2 * float(c) / s, s / (2 * bf) if bf else inf
+
+
+def ref_value(a, b, c, eps):
+    eps = Fraction(eps)
+    return (b * eps * eps + (a - 2) * eps + c) / ((a + b + c) * eps)
+
+
+# Diagonal rows of each witness kind, as positions in (a, b, c), and its grid block.
+_DOUBLES, _U = (0, 4, 8), (0, 5, 7)
+_CIRCULANT, _IMPROPER = ((0, 1, 2), (2, 0, 1), (1, 2, 0)), ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+_KINDS = {"standard": (_CIRCULANT, _DOUBLES), "tilde": (_IMPROPER, _DOUBLES), "u_conjugated": (_IMPROPER, _U)}
+_BUILDERS = {"standard": witness_matrix, "tilde": witness_tilde_matrix, "u_conjugated": witness_u}
+
+
+def ref_entries(abc, kind):
+    """The 9x9 witness as Fractions: pref * (a, b, c) spread by the row table, -pref on the grid, pref = 1/(3(a+b+c))."""
+    rows, block = _KINDS[kind]
+    pref = 1 / (3 * sum(abc))
+    W = [[Fraction(0)] * 9 for _ in range(9)]
+    for r in block:
+        for s in block:
+            W[r][s] = -pref
+    for i, row in enumerate(rows):
+        for l, pos in enumerate(row):
+            W[3 * i + l][3 * i + l] = pref * abc[pos]
+    return W
+
+
+@pytest.mark.parametrize("t", POINTS)
+def test_decisions_match_fraction_arithmetic(t):
+    a, b, c = abc = _fractions(t)
+    p = MapParams(*t)
+    assert p.ints is not None and p.is_exact
+    A, B, C, D = p.ints
+    assert (Fraction(A, D), Fraction(B, D), Fraction(C, D)) == abc
+    cls = classify(p)
+    assert (cls.positivity.value, cls.decomposability.value) == ref_class(*abc)
+    assert p.on_slice() == (a + b + c == 2)
+    assert p.asfloats() == tuple(float(x) for x in abc)
+    if p.on_slice():
+        assert on_ellipse(p) == (b * c == (1 - a) ** 2)
+        t3 = 3 * (2 - a)
+        assert critical_p(p) == (0.0 if a >= 2 else float(t3 / (2 + t3)))
+    else:
+        with pytest.raises(ValueError):
+            critical_p(p)
+
+
+@pytest.mark.parametrize("t", POINTS)
+def test_detection_matches_fraction_arithmetic(t):
+    a, b, c = abc = _fractions(t)
+    p = MapParams(*t)
+    try:
+        want = ref_interval(*abc)
+    except OverflowError:  # only where 2-a is below the float range and c is not: tested below
+        want = "overflow"
+    if want != "overflow":
+        assert detects_rho_family(p) == want
+    cert = indecomposability_certificate(p)
+    if want is None:
+        assert cert is None
+    else:
+        eps = (2 - a) / (2 * b) if b else c / (2 - a) + 1
+        assert type(cert[0]) is Fraction and cert[0] == eps
+        assert cert[1] == float(ref_value(*abc, eps))
+    for eps in (Fraction(1, 3), 0.5, 7, np.float64(1.25), Fraction(10**30 + 1, 10**15)):
+        exact = detection_value_exact(p, eps)
+        assert type(exact) is Fraction and exact == ref_value(*abc, eps)
+        assert detection_value(p, eps) == float(exact)
+
+
+@pytest.mark.parametrize("t", _lattice()[::7] + _random_rationals()[::10] + SMOKE)
+@pytest.mark.parametrize("kind", _KINDS)
+def test_witness_entries_match_fraction_arithmetic(t, kind):
+    p = MapParams(*t)
+    abc = _fractions(t)
+    if kind != "standard" and sum(abc) != 2:  # the other kinds are defined on the plane
+        with pytest.raises(ValueError, match="off the plane"):
+            exact_witness_entries(p, kind)
+        return
+    ref = ref_entries(abc, kind)
+    assert exact_witness_entries(p, kind) == [[str(x) for x in row] for row in ref]
+    W = _BUILDERS[kind](p).matrix
+    assert W.tobytes() == np.array([[complex(float(x)) for x in row] for row in ref]).tobytes()
+
+
+def test_ends_beyond_the_float_range():
+    # a = 2 - 1e-400: with b = 0, c = 1 the interval is (10^400, inf); with b = 1, c = 0 it is
+    # (0, 1e-400).  Scaling 2-a to 1/2 puts the scaled c (or b) beyond the float range; each
+    # end is rounded once from its ratio instead.
+    assert detects_rho_family(MapParams(2 - TINY, 0, 1)) == (inf, inf)
+    assert detects_rho_family(MapParams(2 - TINY, 1, 0)) == (0.0, 0.0)
+    assert detects_rho_family(MapParams(2 - TINY, 0, TINY)) == (1.0, inf)
+
+
+class TestMapParamsRecord:
+    def test_ints_over_the_lcm(self):
+        p = MapParams(Fraction(1, 6), Fraction(3, 4), 2)
+        assert p.ints == (2, 9, 24, 12)
+        assert p.total == Fraction(35, 12) and type(p.total) is Fraction
+
+    def test_equality_hash_and_repr_are_those_of_abc(self):
+        p, q = MapParams(Fraction(1, 2), 1, Fraction(1, 2)), MapParams(0.5, 1.0, 0.5)
+        assert p == q and hash(p) == hash(q) == hash((Fraction(1, 2), Fraction(1), Fraction(1, 2)))
+        assert repr(p) == "MapParams(a=Fraction(1, 2), b=Fraction(1, 1), c=Fraction(1, 2))"
+        assert [f.name for f in dataclasses.fields(p)] == ["a", "b", "c"]
+
+    def test_replace_recomputes_the_form(self):
+        p = dataclasses.replace(MapParams(Fraction(1, 2), 1, Fraction(1, 2)), c=Fraction(1, 3))
+        assert p.ints == (3, 6, 2, 6) and p.total == Fraction(11, 6)
+        assert dataclasses.replace(p, c=0.5).ints is None
+
+    @pytest.mark.parametrize("clone", [lambda p: pickle.loads(pickle.dumps(p)), copy.copy, copy.deepcopy])
+    def test_pickle_and_copy_keep_the_form(self, clone):
+        p = MapParams(Fraction(1, 3), Fraction(2, 3), 1)
+        q = clone(p)
+        assert q == p and q.ints == p.ints and q.total == p.total and q.is_exact
+        assert classify(q) == classify(p) and detects_rho_family(q) == detects_rho_family(p)
+
+    @pytest.mark.parametrize(
+        "t", [(Fraction(1), 1.0, 0), (1.0, Fraction(1), 0), (Fraction(1, 3), Fraction(2, 3), 1.0)], ids=["a", "b", "c"]
+    )
+    def test_mixed_input_takes_the_float_path(self, t):
+        p = MapParams(*t)
+        assert p.ints is None and not p.is_exact and type(p.total) is float
+        with pytest.raises(ValueError, match="rational"):
+            exact_witness_entries(p)
+        q = MapParams(*(float(x) for x in t))
+        assert witness_matrix(p).matrix.tobytes() == witness_matrix(q).matrix.tobytes()
+        assert type(detection_value_exact(p, Fraction(1, 2))) is float

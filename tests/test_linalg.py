@@ -3,7 +3,18 @@ import pytest
 
 from conftest import rand_hermitian
 from qutritwit.geometry import MapParams
-from qutritwit.linalg import eigenvalues, is_psd, min_eigenvalue, partial_transpose, require_hermitian, trace_pair
+from qutritwit.linalg import (
+    DOUBLES,
+    PLUS_ONE,
+    PLUS_TWO,
+    eigenvalues,
+    is_psd,
+    min_eigenvalue,
+    partial_transpose,
+    require_hermitian,
+    structured,
+    trace_pair,
+)
 from qutritwit.maps import apply_phi
 from qutritwit.states import rho_eps
 from qutritwit.witnesses import choi_witness, witness_matrix
@@ -102,3 +113,44 @@ class TestTracePair:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             trace_pair(np.eye(3), np.eye(9))
+
+
+def _structured_reference(diagonal, grid, block):
+    """structured written entry by entry: grid[i][j] (or the number grid) at (block[i], block[j]), then the diagonal."""
+    M = np.zeros((9, 9), dtype=complex)
+    for i, r in enumerate(block):
+        for j, s in enumerate(block):
+            M[r, s] = grid[i, j] if isinstance(grid, np.ndarray) else grid
+    if diagonal is not None:
+        for k in range(9):
+            M[k, k] = diagonal[k]
+    return M
+
+
+class TestStructured:
+    # Every block in use: the |ii> of the witnesses, the witness_u triple and the sigma_pair pairs.
+    BLOCKS = {
+        "doubles": DOUBLES,
+        "u_triple": (DOUBLES[0], PLUS_ONE[1], PLUS_TWO[2]),
+        "pair_12": (0, 4),
+        "pair_13": (0, 8),
+        "pair_23": (4, 8),
+        "none": (),
+    }
+
+    @pytest.mark.parametrize("block", BLOCKS.values(), ids=BLOCKS.keys())
+    @pytest.mark.parametrize("grid", [-1 / 3, -0.0, 1.0, 7], ids=["third", "minus_zero", "one", "int"])
+    @pytest.mark.parametrize("with_diagonal", [True, False], ids=["diagonal", "no_diagonal"])
+    def test_number_grid_matches_entry_by_entry(self, block, grid, with_diagonal):
+        diagonal = [0.1 * k - 0.35 for k in range(9)] if with_diagonal else None
+        M, ref = structured(diagonal, grid, block), _structured_reference(diagonal, grid, block)
+        assert M.shape == (9, 9) and M.dtype == complex and M.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("with_diagonal", [True, False], ids=["diagonal", "no_diagonal"])
+    def test_array_grid_matches_entry_by_entry(self, with_diagonal):
+        # The P certificate's grid: R - (J - I) on the |ii> block, each entry in its own place.
+        rng = np.random.default_rng(5)
+        grid = rng.standard_normal((3, 3))
+        diagonal = list(rng.standard_normal(9)) if with_diagonal else None
+        M, ref = structured(diagonal, grid, DOUBLES), _structured_reference(diagonal, grid, DOUBLES)
+        assert M.tobytes() == ref.tobytes()
