@@ -133,6 +133,14 @@ def n_abc(p: MapParams) -> Number:
     return Fraction(D, A + B + C)
 
 
+def _n_float(p: MapParams) -> float:
+    """n_abc(p) as a float, rounded once: for exact parameters one int/int division D/(A+B+C)."""
+    if p.ints is None:
+        return float(1 / p.total)
+    A, B, C, D = p.ints
+    return D / (A + B + C)
+
+
 def _require_slice(p: MapParams) -> None:
     if not p.on_slice():
         raise ValueError(f"parameters {p} are off the plane a+b+c = 2")

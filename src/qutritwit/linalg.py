@@ -1,6 +1,7 @@
 """Dense complex matrix kernel: partial transposition on the second factor,
-Hermitian eigenvalues (LAPACK ``eigh``; the see-saw calls batched ``eigh``
-itself), PSD tests and trace pairings.
+Hermitian eigenvalues (LAPACK's eigenvalue-only driver ``eigvalsh``; the
+see-saw reads eigenvectors and calls batched ``eigh`` itself), PSD tests and
+trace pairings.
 
 All operators are numpy arrays with complex entries.  Two-qutrit operators
 use the row-major composite convention: the product ket |ij> (1-based labels
@@ -11,6 +12,7 @@ structured operator: the witnesses, the probe states and the SPA pieces.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import isfinite
 from operator import itemgetter
 
@@ -40,14 +42,22 @@ def group_diagonal(*values) -> tuple:
     return _SPREAD(values)
 
 
+@lru_cache(maxsize=None)
+def _block_index(block: tuple[int, ...]) -> Array:
+    """The len(block) x len(block) flat indices 9r + s of block x block, made once and read-only."""
+    index = np.array([[9 * r + s for s in block] for r in block])
+    index.flags.writeable = False
+    return index
+
+
 def structured(diagonal, grid=0.0, block: tuple[int, ...] = ()) -> Array:
     """The 9x9 operator with grid (a number, or a len(block) x len(block) array) on block x block,
     block being flat indices, then the 9 values diagonal, unless None, on the main diagonal; zero
-    elsewhere."""
+    elsewhere.  A grid array of another shape raises ValueError."""
     M = np.zeros((9, 9), dtype=complex)
     flat = M.ravel()  # a view: entry (r, s) is flat[9r + s], the diagonal flat[::10]
-    if block:  # one flat fancy-index write: a number is repeated, an array read in row-major order
-        flat.put([9 * r + s for r in block for s in block], grid)
+    if block:  # one fancy-index write: a number is broadcast, an array must fit the block's square
+        flat[_block_index(block)] = grid
     if diagonal is not None:
         flat[::10] = diagonal
     return M
@@ -75,11 +85,11 @@ def partial_transpose(M) -> Array:
 
 
 def eigenvalues(H) -> Array:
-    """Ascending eigenvalues of a Hermitian matrix (LAPACK ``numpy.linalg.eigh``).
+    """Ascending eigenvalues of a Hermitian matrix (LAPACK ``numpy.linalg.eigvalsh``, no eigenvectors).
 
     The input is checked for Hermiticity within DEFAULT_HERMITICITY_TOL and symmetrized first.
     """
-    return np.linalg.eigh(require_hermitian(H))[0]
+    return np.linalg.eigvalsh(require_hermitian(H))
 
 
 def min_eigenvalue(H) -> float:

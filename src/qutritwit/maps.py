@@ -33,7 +33,7 @@ from math import cos, sin
 import numpy as np
 
 from .gellmann import default_basis
-from .geometry import MapParams, _require_slice, n_abc
+from .geometry import MapParams, _n_float, _require_slice
 from .linalg import Array
 
 ORTHOGONALITY_TOL = 1e-10
@@ -70,13 +70,13 @@ def apply_D(p: MapParams, X) -> Array:
 def apply_phi(p: MapParams, X) -> Array:
     """Circulant-family map N (D[a,b,c] - id) applied to X."""
     X = np.asarray(X, dtype=complex)
-    return float(n_abc(p)) * (apply_D(p, X) - X)
+    return _n_float(p) * (apply_D(p, X) - X)
 
 
 def apply_phi_tilde(p: MapParams, X) -> Array:
     """Improper-family map applied to X."""
     X = np.asarray(X, dtype=complex)
-    return float(n_abc(p)) * (_diagonal_action(p, X, "improper") - X)
+    return _n_float(p) * (_diagonal_action(p, X, "improper") - X)
 
 
 def so2_rotation(alpha: float) -> Array:
@@ -127,7 +127,7 @@ def _family_map(p: MapParams, kind: str) -> LinearMap3:
     """Superoperator 1 (+) N D^T R D (+) (-N) I_6, R the row table, D's columns the diagonals of d_1, d_2:
     R's rows and columns all sum to a+b+c, so f_0 is fixed, span{d_1, d_2} kept and each u, v scaled by -N."""
     Dt = default_basis().stacked[1:3, ::4].real  # in a row-major vec the diagonal is every 4th entry
-    N = float(n_abc(p))
+    N = _n_float(p)
     S = np.diag([1.0] + [-N] * 8)
     S[1:3, 1:3] = N * (Dt @ _rows(p, kind) @ Dt.T)
     return LinearMap3(S)
@@ -170,7 +170,7 @@ def stochastic_matrix(p: MapParams, kind: str = "circulant") -> Array:
     family yields (1/2) * [[a,b,c],[b,c,a],[c,a,b]] and is not circulant.
     """
     if kind == "circulant":
-        scale = float(n_abc(p))
+        scale = _n_float(p)
     elif kind == "improper":
         _require_slice(p)
         scale = 0.5

@@ -15,6 +15,7 @@ blocks sigma_12, sigma_13, sigma_23 plus a diagonal remainder whenever
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import ulp
 from typing import Optional
 
@@ -84,6 +85,15 @@ def spa_region(b: Number, c: Number) -> bool:
     return _side(2 * b + c, 1, 3) >= 0 and _side(2 * c + b, 1, 3) >= 0
 
 
+@lru_cache(maxsize=None)
+def _sigma_pairs() -> tuple[BipartiteState, BipartiteState, BipartiteState]:
+    """sigma_12, sigma_13 and sigma_23, made once and read-only: every certificate shares them."""
+    pairs = (sigma_pair(1, 2), sigma_pair(1, 3), sigma_pair(2, 3))
+    for state in pairs:
+        state.matrix.flags.writeable = False
+    return pairs
+
+
 def spa_state(p: MapParams) -> SpaResult:
     """Critical noisy witness with its separability certificate when available.
 
@@ -110,7 +120,5 @@ def spa_state(p: MapParams) -> SpaResult:
     if certified:
         fa, fb, fc = p.asfloats()
         scale = 1.0 / (3.0 * (2.0 + 3.0 * (2.0 - fa)))
-        components = SpaComponents(
-            sigma_pair(1, 2), sigma_pair(1, 3), sigma_pair(2, 3), _sigma_diag(fb, fc), scale
-        )
+        components = SpaComponents(*_sigma_pairs(), _sigma_diag(fb, fc), scale)
     return SpaResult(star, state, certified, components)

@@ -19,12 +19,14 @@ import pytest
 
 from qutritwit.geometry import (
     MapParams,
+    _n_float,
     classify,
     critical_p,
     detection_value,
     detection_value_exact,
     detects_rho_family,
     indecomposability_certificate,
+    n_abc,
     on_ellipse,
 )
 from qutritwit.witnesses import exact_witness_entries, witness_matrix, witness_tilde_matrix, witness_u
@@ -124,6 +126,7 @@ def test_decisions_match_fraction_arithmetic(t):
     assert (cls.positivity.value, cls.decomposability.value) == ref_class(*abc)
     assert p.on_slice() == (a + b + c == 2)
     assert p.asfloats() == tuple(float(x) for x in abc)
+    assert _n_float(p).hex() == float(n_abc(p)).hex() == float(1 / (a + b + c)).hex()
     if p.on_slice():
         assert on_ellipse(p) == (b * c == (1 - a) ** 2)
         t3 = 3 * (2 - a)

@@ -1,8 +1,11 @@
+from fractions import Fraction
+from math import ulp
+
 import numpy as np
 import pytest
 
 from conftest import rand_hermitian
-from qutritwit.geometry import MapParams
+from qutritwit.geometry import MapParams, n_abc
 from qutritwit.linalg import (
     DOUBLES,
     PLUS_ONE,
@@ -15,9 +18,9 @@ from qutritwit.linalg import (
     structured,
     trace_pair,
 )
-from qutritwit.maps import apply_phi
+from qutritwit.maps import apply_phi, phi_map
 from qutritwit.states import rho_eps
-from qutritwit.witnesses import choi_witness, witness_matrix
+from qutritwit.witnesses import choi_witness, witness_matrix, witness_u
 
 
 class TestPartialTranspose:
@@ -58,8 +61,22 @@ class TestHermitianEigen:
         for _ in range(10):
             H = rand_hermitian(rng, 9)
             ours = eigenvalues(H)
-            ref = np.linalg.eigvalsh(H)
+            ref = np.linalg.eigh(H)[0]  # eigenvalues computes with eigvalsh: compare with the other driver
             assert np.max(np.abs(ours - ref)) < 1e-12 * max(1.0, np.linalg.norm(H))
+
+    @pytest.mark.parametrize("i", range(19))
+    def test_witness_spectra_are_exact_on_the_lattice(self, i):
+        # The spectrum of W[a,b,c] is N/3 {a-2, a+1, a+1, b, b, b, c, c, c}: the |ii> block is
+        # N/3 ((a+1) I - J), the rest diagonal.  W_U is W conjugated by a permutation and the
+        # Choi matrix of phi_map is W, so all three share it.  A check that uses no LAPACK.
+        for j in range(19 - i):
+            a, b, c = 2 - Fraction(i + j, 9), Fraction(i, 9), Fraction(j, 9)
+            p = MapParams(a, b, c)
+            exact = sorted(n_abc(p) / 3 * x for x in (a - 2, a + 1, a + 1, b, b, b, c, c, c))
+            for W in (witness_matrix(p), witness_u(p), choi_witness(phi_map(p))):
+                bound = 4 * ulp(1.0) * float(np.linalg.norm(W.matrix))
+                got = eigenvalues(W.matrix)
+                assert all(abs(Fraction(float(g)) - e) <= bound for g, e in zip(got, exact)), (a, b, c, W.kind)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
@@ -154,3 +171,9 @@ class TestStructured:
         diagonal = list(rng.standard_normal(9)) if with_diagonal else None
         M, ref = structured(diagonal, grid, DOUBLES), _structured_reference(diagonal, grid, DOUBLES)
         assert M.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_array_grid_of_another_size_is_rejected(self, n):
+        # A flat put repeated a 2x2 grid over the 3x3 block and cut a 4x4 one short.
+        with pytest.raises(ValueError):
+            structured(None, np.ones((n, n)), DOUBLES)

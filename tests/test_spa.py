@@ -6,8 +6,8 @@ from fractions import Fraction
 from conftest import random_slice_params
 from qutritwit.geometry import MapParams, critical_p, slice_params
 from qutritwit.linalg import min_eigenvalue
-from qutritwit.spa import critical_p_from_witness, spa_mix, spa_region, spa_state
-from qutritwit.states import is_ppt
+from qutritwit.spa import SpaComponents, critical_p_from_witness, spa_mix, spa_region, spa_state
+from qutritwit.states import is_ppt, sigma_pair
 from qutritwit.witnesses import witness_matrix
 
 
@@ -93,7 +93,7 @@ class TestCriticalP:
         # a > 2 with b, c > 0: every eigenvalue is positive, so no roundoff reaches below zero.
         assert critical_p_from_witness(witness_matrix(MapParams(4, 1, 1))) == 0.0
 
-    @pytest.mark.parametrize("a", [2, 4])
+    @pytest.mark.parametrize("a", [2, 3, 4, 2.0])
     def test_zero_eigenvalue_roundoff_needs_no_noise(self, a):
         # W(a, 0, 0) is PSD with zero eigenvalues, which LAPACK returns as tiny negatives:
         # p* was 4.4e-16 at a = 2 and 6.7e-32 at a = 4.
@@ -173,6 +173,29 @@ class TestSpaState:
                     continue
                 res = spa_state(p)
                 assert res.state.matrix.tobytes() == spa_mix(witness_matrix(p), res.p_star).tobytes(), p
+
+    def test_pair_blocks_are_shared_read_only(self):
+        first, second = spa_state(MapParams(0, 1, 1)), spa_state(slice_params(0.75, 0.75))
+        for name, (i, j) in (("sigma_12", (1, 2)), ("sigma_13", (1, 3)), ("sigma_23", (2, 3))):
+            fresh = sigma_pair(i, j).matrix.tobytes()
+            assert getattr(first.components, name).matrix.tobytes() == fresh
+            assert getattr(second.components, name).matrix.tobytes() == fresh
+        with pytest.raises(ValueError, match="read-only"):
+            first.components.sigma_12.matrix[0, 0] = 2.0
+        assert first.components.sigma_12.matrix[0, 0] == 1.0
+
+    @pytest.mark.parametrize("kind", [Fraction, float])
+    def test_reconstruct_matches_fresh_pair_blocks_bitwise(self, kind):
+        # The plane_scan lattice (i, j)/9, exact and as floats, wherever the certificate exists.
+        fresh = (sigma_pair(1, 2), sigma_pair(1, 3), sigma_pair(2, 3))
+        for i in range(19):
+            for j in range(19 - i):
+                p = slice_params(kind(Fraction(i, 9)), kind(Fraction(j, 9)))
+                if p.a >= 2 or not (res := spa_state(p)).separable_certified:
+                    continue
+                comp = res.components
+                want = SpaComponents(*fresh, comp.sigma_d, comp.scale).reconstruct()
+                assert comp.reconstruct().tobytes() == want.tobytes(), p
 
     def test_rejects_cp_corner(self):
         with pytest.raises(ValueError):
