@@ -3,6 +3,15 @@ Hermitian eigenvalues (LAPACK's eigenvalue-only driver ``eigvalsh``; the
 see-saw reads eigenvectors and calls batched ``eigh`` itself), PSD tests and
 trace pairings.
 
+Every spectrum passes the guard `require_hermitian`, which rejects a non-finite
+entry first.  Exactly Hermitian input, as every operator the package builds
+is, then goes to LAPACK as is: the guard may return the input array itself, so
+callers must not write to its result.  Only inexact input is checked against
+the tolerance and symmetrized, halved before adding; when its norm overflows
+but every entry is finite, the check compares norms scaled by the largest
+entry, so a huge non-Hermitian matrix is still rejected and a huge Hermitian
+one keeps a finite spectrum.
+
 All operators are numpy arrays with complex entries.  Two-qutrit operators
 use the row-major composite convention: the product ket |ij> (1-based labels
 i for the first factor, j for the second) sits at flat index 3*(i-1) + (j-1).
@@ -13,7 +22,7 @@ structured operator: the witnesses, the probe states and the SPA pieces.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import isfinite
+from math import isfinite, sqrt
 from operator import itemgetter
 
 import numpy as np
@@ -63,17 +72,38 @@ def structured(diagonal, grid=0.0, block: tuple[int, ...] = ()) -> Array:
     return M
 
 
+def _frobenius(A: Array) -> float:
+    """||A||_F as one real dot over the float view; it overflows to inf with numpy's warning."""
+    x = A.ravel().view(float)
+    return sqrt(x.dot(x))
+
+
 def require_hermitian(M, tol: float = DEFAULT_HERMITICITY_TOL) -> Array:
-    """The Hermitian part (A + A^dagger)/2, after checking that A is finite and Hermitian within tol."""
+    """The Hermitian part of a finite matrix A that is Hermitian within tol.
+
+    An exactly Hermitian A (A == A^dagger entry by entry) is its own Hermitian part and is
+    returned as is: the result may be the caller's array, so callers must not write to it.
+    Only inexact input is checked, ||A - A^dagger||_F <= tol max(1, ||A||_F), and symmetrized
+    as A/2 + A^dagger/2, halved before adding so that entries near the float maximum stay
+    finite.  When ||A||_F overflows but every entry is finite, both norms are taken of A / s,
+    s the largest real or imaginary part, so the check still applies.
+    """
     A = as_matrix(M)
-    Ah = A.conj().T
-    size = float(np.linalg.norm(A))
-    # A NaN would pass the comparison below; a finite matrix can still overflow the norm.
+    size = _frobenius(A)
+    # A NaN would pass the comparisons below; a finite matrix can still overflow the norm.
     if not isfinite(size) and not np.isfinite(A).all():
         raise ValueError("matrix has a non-finite entry")
-    if float(np.linalg.norm(A - Ah)) > tol * max(1.0, size):
+    Ah = A.conj().T
+    if not np.count_nonzero(A != Ah):
+        return A
+    if isfinite(size):
+        gap, bound = _frobenius(A - Ah), tol * max(1.0, size)
+    else:  # finite entries whose norm overflows
+        As = A / float(np.abs(A.ravel().view(float)).max())
+        gap, bound = _frobenius(As - As.conj().T), tol * _frobenius(As)
+    if gap > bound:
         raise ValueError("matrix is not Hermitian within tolerance")
-    return (A + Ah) / 2.0
+    return A / 2.0 + Ah / 2.0
 
 
 def partial_transpose(M) -> Array:
@@ -87,7 +117,8 @@ def partial_transpose(M) -> Array:
 def eigenvalues(H) -> Array:
     """Ascending eigenvalues of a Hermitian matrix (LAPACK ``numpy.linalg.eigvalsh``, no eigenvectors).
 
-    The input is checked for Hermiticity within DEFAULT_HERMITICITY_TOL and symmetrized first.
+    The input passes `require_hermitian` first: exactly Hermitian input goes to LAPACK as is,
+    and only inexact input is checked against DEFAULT_HERMITICITY_TOL and symmetrized.
     """
     return np.linalg.eigvalsh(require_hermitian(H))
 

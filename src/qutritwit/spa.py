@@ -57,8 +57,10 @@ class SpaResult:
 
 
 def spa_mix(W: WitnessMatrix | Array, p: float) -> Array:
-    """Noisy witness (1-p) W + (p/9) I; requires Tr W = 1 and p in [0, 1]."""
+    """Noisy witness (1-p) W + (p/9) I; requires a finite W with Tr W = 1 and p in [0, 1]."""
     M = linalg.as_matrix(W)
+    if not np.isfinite(M).all():  # a NaN trace would pass the test below
+        raise ValueError("matrix has a non-finite entry")
     if abs(np.trace(M).real - 1.0) > 1e-10:
         raise ValueError("structural physical approximation requires Tr W = 1")
     if not 0.0 <= p <= 1.0:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isfinite
 from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
@@ -175,12 +176,14 @@ def mix_witnesses(
 ) -> WitnessMatrix:
     """Convex combination of rotation-angle witnesses from both families.
 
-    Each entry is an (angle, weight) atom; weights must be non-negative and
-    sum to one.  The mixture is again a witness, but its (in)decomposability
+    Each entry is an (angle, weight) atom; weights must be finite, non-negative
+    and sum to one.  The mixture is again a witness, but its (in)decomposability
     is not controlled, so the result carries the 'mixed' tag and no
     parameters.
     """
     weights = [w for _, w in standard_weights] + [w for _, w in tilde_weights]
+    if not all(map(isfinite, weights)):  # a NaN would pass both tests below
+        raise ValueError("mixture weights must be finite")
     if any(w < 0 for w in weights):
         raise ValueError("mixture weights must be non-negative")
     if abs(sum(weights) - 1.0) > 1e-10:

@@ -18,9 +18,11 @@ from qutritwit.linalg import (
     structured,
     trace_pair,
 )
-from qutritwit.maps import apply_phi, phi_map
+from qutritwit.maps import apply_phi, phi_map, phi_tilde_map
+from qutritwit.oracles import SeeSawConfig, min_product_expectation, span_rank, zero_product_vectors
+from qutritwit.spa import critical_p_from_witness, spa_state
 from qutritwit.states import rho_eps
-from qutritwit.witnesses import choi_witness, witness_matrix, witness_u
+from qutritwit.witnesses import choi_witness, witness_matrix, witness_tilde_matrix, witness_u
 
 
 class TestPartialTranspose:
@@ -84,12 +86,15 @@ class TestHermitianEigen:
 
 
 @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(1, np.inf)], ids=str)
-@pytest.mark.parametrize("where", [(0, 0), (2, 7)], ids=["diagonal", "off-diagonal"])
+@pytest.mark.parametrize("where", [(0, 0), (2, 7), "pair"], ids=["diagonal", "off-diagonal", "hermitian pair"])
 def test_non_finite_entry_is_rejected(entry, where):
     # A NaN made the Hermiticity comparison false, so min_eigenvalue returned nan
     # and is_psd answered False without an error.
     M = np.eye(9, dtype=complex)
-    M[where] = entry
+    if where == "pair":  # an inf pair passes A == A^dagger: only the finiteness check ahead of the fast path stops it
+        M[2, 7], M[7, 2] = entry, np.conj(entry)
+    else:
+        M[where] = entry
     for check in (require_hermitian, eigenvalues, min_eigenvalue, is_psd):
         with pytest.raises(ValueError, match="non-finite"):
             check(M)
@@ -101,6 +106,77 @@ def test_finite_matrix_whose_norm_overflows_is_accepted():
     with np.errstate(over="ignore"):
         assert np.array_equal(require_hermitian(A), A)
         assert eigenvalues(A)[-1] == pytest.approx(3e200)
+
+
+def _plane_operators(i):
+    """The operators built at the lattice points (2 - (i+j)/9, i/9, j/9) of the plane, exact and
+    float: the three witness kinds, the Choi matrices of both families, rho_eps and the SPA state."""
+    for j in range(19 - i):
+        a, b, c = 2 - Fraction(i + j, 9), Fraction(i, 9), Fraction(j, 9)
+        for p in (MapParams(a, b, c), MapParams(float(a), float(b), float(c))):
+            yield from (kind(p).matrix for kind in (witness_matrix, witness_tilde_matrix, witness_u))
+            yield from (choi_witness(family(p)).matrix for family in (phi_map, phi_tilde_map))
+            if i:
+                yield rho_eps(float(b)).matrix
+            if i + j:
+                yield spa_state(p).state.matrix
+
+
+class TestExactHermitianFastPath:
+    @pytest.mark.parametrize("i", range(19))
+    def test_plane_operators_match_the_symmetrized_route_bitwise(self, i):
+        # Every operator the package builds is exactly Hermitian: the guard hands the array
+        # itself to LAPACK, with the bytes that (A + A^dagger)/2 had.
+        for A in _plane_operators(i):
+            old = (A + A.conj().T) / 2.0
+            assert require_hermitian(A) is A
+            assert A.tobytes() == old.tobytes()
+            assert eigenvalues(A).tobytes() == np.linalg.eigvalsh(old).tobytes()
+
+    def test_callers_only_read_the_array_the_guard_returns(self):
+        # The guard hands back the caller's own array, so every caller must take read-only input.
+        W = witness_matrix(MapParams(1, 1, 0)).matrix.copy()
+        W.flags.writeable = False
+        assert require_hermitian(W) is W
+        assert is_psd(W) is False and min_eigenvalue(W) == eigenvalues(W)[0]
+        assert critical_p_from_witness(W) > 0
+        cfg = SeeSawConfig(restarts=4, max_iters=50, rng_seed=1)
+        assert min_product_expectation(W, cfg).value > -1e-9
+        assert span_rank(zero_product_vectors(W, cfg)) >= 0
+
+    def test_input_hermitian_within_tol_is_symmetrized(self):
+        rng = np.random.default_rng(7)
+        H = rand_hermitian(rng, 9)
+        A = H + 1e-13 * (rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)))
+        old = (A + A.conj().T) / 2.0
+        got = require_hermitian(A)
+        assert got is not A and got.tobytes() == old.tobytes()
+        assert eigenvalues(A).tobytes() == np.linalg.eigvalsh(old).tobytes()
+        with pytest.raises(ValueError, match="not Hermitian"):
+            require_hermitian(H + 1e4 * (A - H))
+
+    def test_huge_non_hermitian_matrix_is_rejected(self):
+        # The norm overflowed to inf, tol * max(1, inf) waived the check, and the spectrum
+        # came back as [-2.07e199, 1.21e200].  The norms of A / 1e200 compare as usual.
+        with np.errstate(over="ignore"):
+            for check in (require_hermitian, eigenvalues):
+                with pytest.raises(ValueError, match="not Hermitian"):
+                    check(np.array([[1e200, 1e200], [0.0, 1.0]]))
+
+    def test_huge_hermitian_matrix_keeps_a_finite_spectrum(self):
+        # (A + A^dagger)/2 overflowed 1e308 + 1e308 to inf and the spectrum came back [nan, nan].
+        A = np.diag([1e308, -1e308])
+        with np.errstate(over="ignore"):
+            assert eigenvalues(A).tolist() == [-1e308, 1e308]
+            B = A.astype(complex)
+            B[0, 1], B[1, 0] = 1e290, 1e290 * (1 + 1e-14)  # Hermitian within tol only: halved, then added
+            half = require_hermitian(B)
+            assert np.isfinite(half).all() and np.array_equal(half, half.conj().T)
+            assert half[0, 0] == 1e308 and half[1, 1] == -1e308
+            assert np.allclose(eigenvalues(B), [-1e308, 1e308], rtol=1e-15, atol=0)
+            B[1, 0] = 1e299
+            with pytest.raises(ValueError, match="not Hermitian"):
+                require_hermitian(B)
 
 
 class TestPsd:

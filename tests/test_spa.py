@@ -44,6 +44,16 @@ class TestSpaMix:
         with pytest.raises(ValueError):
             spa_mix(witness_matrix(MapParams(1, 1, 0)), 1.5)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf], ids=str)
+    @pytest.mark.parametrize("where", [(0, 0), (2, 7)], ids=["diagonal", "off-diagonal pair"])
+    def test_rejects_non_finite_entry(self, entry, where):
+        # A NaN trace passed the trace test and the mixture came back NaN; an
+        # off-diagonal inf pair keeps the trace and gave inf+nanj with a warning.
+        M = witness_matrix(MapParams(1, 1, 0)).matrix.copy()
+        M[where] = M[where[::-1]] = entry
+        with pytest.raises(ValueError, match="non-finite"):
+            spa_mix(M, 0.5)
+
 
 class TestCriticalP:
     def test_reduction_map(self):

@@ -1,6 +1,6 @@
 import itertools
 from fractions import Fraction
-from math import pi
+from math import inf, nan, pi
 
 import numpy as np
 import pytest
@@ -310,6 +310,16 @@ class TestMixing:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             mix_witnesses([(0.5, 0.7)])
+
+    @pytest.mark.parametrize(
+        "standard, tilde",
+        [([(0.1, nan)], []), ([(0.1, 0.5), (0.2, nan)], [(0.3, 0.5)]), ([(0.1, 1.0)], [(0.3, nan)]), ([(0.1, inf)], [])],
+        ids=["nan", "nan among finite", "nan tilde", "inf"],
+    )
+    def test_rejects_non_finite_weight(self, standard, tilde):
+        # A NaN weight passed both the sign and the sum test and gave an all-NaN witness.
+        with pytest.raises(ValueError, match="finite"):
+            mix_witnesses(standard, tilde)
 
 
 class TestSerialization:
