@@ -9,13 +9,14 @@ structural physical approximation and the indecomposability certificate.
 The module imports no numpy, so commands that print only these numbers start
 without it; the matrix constructions live in maps, witnesses, states and spa.
 
-An exact point is held as integers over one denominator, MapParams.ints =
-(A, B, C, D) with (a, b, c) = (A, B, C)/D, and every exact formula is read
-from them: each decision is the sign of an integer polynomial (B*C against
-(D-A)^2, 4*B*C against (2D-A)^2, A+B+C against 2D), each exact value one
-Fraction(n, d), and each rounded float one int/int true division n / d.
-Python rounds that division correctly, so it has the bits of float() of the
-same value taken in Fraction arithmetic.  Float input keeps float arithmetic.
+Every point is held in one form, (A, B, C, D) with (a, b, c) = (A, B, C)/D:
+integers over one denominator for exact input, (a, b, c, 1.0) in float
+otherwise.  Each decision is one _side call on a difference written once on
+that form (B*C - (D-A)^2, 4*(B*C) - (2D-A)^2, A+B+C - 2D, A - 2D): the sign of
+an integer for exact input, the sign up to roundoff for float input.  Each
+exact value is one Fraction(n, d), and each rounded float one true division
+n / d; Python rounds an int/int division correctly, so it has the bits of
+float() of the same value taken in Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ class MapParams:
     allow it.  The attribute total holds a + b + c.  The attribute ints holds
     an all-Fraction point as integers (A, B, C, D) with (a, b, c) = (A, B, C)/D,
     D the lcm of the three denominators, and is None when any entry is a float.
+    Every decision and float formula reads _abcd, ints or else (float(a),
+    float(b), float(c), 1.0): input mixing floats and Fractions is its float twin.
     """
 
     a: Number
@@ -82,6 +85,7 @@ class MapParams:
             ints, total = None, a + b + c
         # Kept as attributes, not fields: equality, hash and repr stay those of (a, b, c).
         object.__setattr__(self, "ints", ints)
+        object.__setattr__(self, "_abcd", ints or (float(a), float(b), float(c), 1.0))
         object.__setattr__(self, "total", total)
         if total == 0:
             raise ValueError("parameter sum must be positive")
@@ -93,9 +97,7 @@ class MapParams:
         return (self.a, self.b, self.c)
 
     def asfloats(self) -> tuple[float, float, float]:
-        if self.ints is None:
-            return (float(self.a), float(self.b), float(self.c))
-        A, B, C, D = self.ints
+        A, B, C, D = self._abcd
         return (A / D, B / D, C / D)
 
     @property
@@ -127,17 +129,15 @@ class MapClass:
 
 def n_abc(p: MapParams) -> Number:
     """Normalization 1/(a+b+c) that makes the map unital."""
-    if p.ints is None:
-        return 1 / p.total
+    if p.ints is None:  # float input rounds D/(A+B+C); exact input keeps it a Fraction
+        return _n_float(p)
     A, B, C, D = p.ints
     return Fraction(D, A + B + C)
 
 
 def _n_float(p: MapParams) -> float:
     """n_abc(p) as a float, rounded once: for exact parameters one int/int division D/(A+B+C)."""
-    if p.ints is None:
-        return float(1 / p.total)
-    A, B, C, D = p.ints
+    A, B, C, D = p._abcd
     return D / (A + B + C)
 
 
@@ -146,58 +146,51 @@ def _require_slice(p: MapParams) -> None:
         raise ValueError(f"parameters {p} are off the plane a+b+c = 2")
 
 
-def _side(lhs: Number, rhs: Number, slope: Number) -> int:
-    """Sign of lhs - rhs (-1, 0 or +1), exact when both are int or Fraction.
+def _side(diff: Number, slope: Number) -> int:
+    """Sign of the difference diff = lhs - rhs (-1, 0 or +1), exact for an int or Fraction diff.
 
-    slope is the 1-norm of the gradient of lhs - rhs in (a, b, c) at the point;
-    only an inexact operand reads it, so callers may take it in float.  With any
-    other operand (a float or a numpy scalar), |lhs - rhs| <= 16 ulp(2) * slope
-    is roundoff: the point is on the boundary (0).
+    slope is the 1-norm of the gradient of diff in (A, B, C) at the point, taken
+    in the operands' own arithmetic; only an inexact diff reads it.  With any
+    other diff (a float or a numpy scalar), |diff| <= 16 ulp(2) * slope is
+    roundoff: the point is on the boundary (0).  A NaN diff reads 0 as well,
+    so input from outside the package is checked to be finite first.
     """
-    # A float is tested first: the Fraction test of a float goes through ABCMeta and is slow.
-    if isinstance(lhs, float) or not (isinstance(lhs, (int, Fraction)) and isinstance(rhs, (int, Fraction))):
-        if abs(lhs - rhs) <= _SIDE_TOL * slope:
+    # An int, then a float, is tested first: the Fraction test goes through ABCMeta and is slow.
+    if type(diff) is not int and (isinstance(diff, float) or not isinstance(diff, Fraction)):
+        if abs(diff) <= _SIDE_TOL * slope:
             return 0
-    return int(lhs > rhs) - int(lhs < rhs)
-
-
-def _sign(x: int) -> int:
-    return (x > 0) - (x < 0)
+    return 1 if diff > 0 else -1 if diff < 0 else 0
 
 
 def _plane_side(p: MapParams) -> int:
     """Side of the plane a+b+c = 2."""
-    if p.ints is None:
-        return _side(p.total, 2, 3)
-    A, B, C, D = p.ints
-    return _sign(A + B + C - 2 * D)
+    A, B, C, D = p._abcd
+    return _side(A + B + C - 2 * D, 3)
 
 
 def _cp_side(p: MapParams) -> int:
     """Side of the line a = 2; 0 and +1 are the completely positive maps."""
-    if p.ints is None:
-        return _side(p.a, 2, 1)
-    return _sign(p.ints[0] - 2 * p.ints[3])
+    A, _, _, D = p._abcd
+    return _side(A - 2 * D, 1)
 
 
 def _ellipse_side(p: MapParams) -> int:
     """Side of the ellipse bc = (1-a)^2; +1 is the region bc > (1-a)^2."""
-    if p.ints is not None:
-        A, B, C, D = p.ints
-        return _sign(B * C - (D - A) ** 2)
-    a, b, c = p.astuple()
-    fa, fb, fc = p.asfloats()
-    return _side(b * c, (1 - a) ** 2, fb + fc + 2 * abs(1 - fa))
+    A, B, C, D = p._abcd
+    return _side(B * C - (D - A) ** 2, B + C + 2 * abs(D - A))
 
 
 def _decomposable_side(p: MapParams) -> int:
     """Side of the line 4bc = (2-a)^2; -1 is the region bc < (2-a)^2/4, indecomposable when positive not CP."""
-    if p.ints is not None:
-        A, B, C, D = p.ints
-        return _sign(4 * B * C - (2 * D - A) ** 2)
-    a, b, c = p.astuple()
-    fa, fb, fc = p.asfloats()
-    return _side(b * c, (2 - a) ** 2 / 4, fb + fc + abs(2 - fa) / 2)
+    A, B, C, D = p._abcd
+    return _side(4 * (B * C) - (2 * D - A) ** 2, 4 * (B + C) + 2 * abs(2 * D - A))
+
+
+def _require_finite(**values: Number) -> None:
+    """Reject a NaN or infinite argument with a ValueError naming it; an int or Fraction always passes."""
+    for name, x in values.items():
+        if not -inf < x < inf:  # a NaN fails both comparisons
+            raise ValueError(f"parameter {name} must be finite, got {x}")
 
 
 def classify(p: MapParams) -> MapClass:
@@ -207,15 +200,15 @@ def classify(p: MapParams) -> MapClass:
     (but not CP) iff a+b+c >= 2 and, when a <= 1, bc >= (1-a)^2.  A positive
     non-CP member is indecomposable iff bc < (2-a)^2 / 4; completely positive
     maps are decomposable outright, so the criterion is not applied to them.
-    Each boundary comparison is exact for exact input (the sign of an integer
-    polynomial) and a _side decision otherwise, so a float within roundoff of
-    a boundary gets the verdict of a point on it.
+    Each boundary comparison is one _side decision: exact for exact input
+    (the sign of an integer polynomial), and for float input a point within
+    roundoff of a boundary gets the verdict of a point on it.
     """
     if _cp_side(p) >= 0:
         return MapClass(Positivity.COMPLETELY_POSITIVE, Decomposability.DECOMPOSABLE)
     if _plane_side(p) < 0:  # off the plane, on its lower side
         return MapClass(Positivity.NOT_POSITIVE, Decomposability.UNKNOWN)
-    if (p.a <= 1 if p.ints is None else p.ints[0] <= p.ints[3]) and _ellipse_side(p) < 0:
+    if p._abcd[0] <= p._abcd[3] and _ellipse_side(p) < 0:  # a <= 1
         return MapClass(Positivity.NOT_POSITIVE, Decomposability.UNKNOWN)
     if _decomposable_side(p) < 0:
         return MapClass(Positivity.POSITIVE_NOT_CP, Decomposability.INDECOMPOSABLE)
@@ -223,10 +216,11 @@ def classify(p: MapParams) -> MapClass:
 
 
 def slice_params(b: Number, c: Number) -> MapParams:
-    """Lift (b, c) to the plane a+b+c = 2, i.e. (2-b-c, b, c)."""
+    """Lift (b, c) to the plane a+b+c = 2, i.e. (2-b-c, b, c); b and c must be finite."""
     # As in MapParams, so that 2 - b - c of two float32 lands on the plane.
     b, c = (x.item() if _numpy_scalar(x) else x for x in (b, c))
-    if b < 0 or c < 0 or _side(b + c, 2, 2) > 0:
+    _require_finite(b=b, c=c)
+    if b < 0 or c < 0 or _side(b + c - 2, 2) > 0:
         raise ValueError(f"(b, c) = ({b}, {c}) is outside the simplex")
     return MapParams(max(2 - b - c, 0 * b), b, c)  # b + c may pass 2 by roundoff
 
@@ -285,14 +279,14 @@ def detection_value_exact(p: MapParams, eps: Number) -> Number:
 
     For exact parameters eps is read as the exact ratio it holds and the value
     is a Fraction, so its sign survives the cancellation near the vertex as
-    b -> c; otherwise it is one expression in the parameters' own arithmetic.
+    b -> c; otherwise it is one expression in float.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     if not eps < inf:  # a NaN compares false; a Fraction beyond the float range is below inf
         raise ValueError(f"eps must be finite, got {eps}")
-    if p.ints is None:
-        a, b, c = p.astuple()
+    if p.ints is None:  # float input rounds at every step; exact input is one Fraction of integers
+        a, b, c, _ = p._abcd
         return n_abc(p) * (b * eps * eps + (a - 2) * eps + c) / eps
     e, f = (eps.item() if _numpy_scalar(eps) else eps).as_integer_ratio()
     return Fraction(*_detection_ratio(p, e, f))
@@ -334,12 +328,11 @@ def detects_rho_family(p: MapParams) -> Optional[tuple[float, float]]:
     """
     if not _detects(p):
         return None
-    if p.ints is None:
-        a, b, c = p.astuple()
+    if p.ints is None:  # float input rounds 2-a and bc as they come; exact input scales integers first
+        a, b, c, _ = p._abcd
         d = 2 - a
-        bf = float(b)
-        s = float(d) + 2 * sqrt(float(d**2 / 4 - b * c))
-        return (2 * float(c) / s, s / (2 * bf) if bf else inf)
+        s = d + 2 * sqrt(d**2 / 4 - b * c)
+        return (2 * c / s, s / (2 * b) if b else inf)
     A, B, C, D = p.ints
     N = 2 * D - A  # 2-a = N/D; k is read from it in lowest terms, as from the Fraction 2-a
     g = gcd(N, D)
@@ -362,10 +355,7 @@ def critical_p(p: MapParams) -> float:
     _require_slice(p)
     if _cp_side(p) >= 0:
         return 0.0
-    if p.ints is None:
-        t = 3 * (2 - p.a)
-        return float(t / (2 + t))
-    A, _, _, D = p.ints
+    A, _, _, D = p._abcd
     t = 3 * (2 * D - A)
     return t / (2 * D + t)
 
@@ -381,8 +371,8 @@ def indecomposability_certificate(p: MapParams) -> Optional[tuple[Number, float]
     """
     if not _detects(p):
         return None
-    if p.ints is None:
-        a, b, c = p.astuple()
+    if p.ints is None:  # float input rounds eps; exact input keeps it a Fraction and rounds the value once
+        a, b, c, _ = p._abcd
         eps = (2 - a) / (2 * b) if b else c / (2 - a) + 1
         return eps, detection_value(p, eps)
     A, B, C, D = p.ints

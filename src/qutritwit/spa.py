@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .geometry import MapParams, Number, _cp_side, _side, critical_p
+from .geometry import MapParams, Number, _cp_side, _require_finite, _side, critical_p
 from .linalg import Array
 from .states import BipartiteState, _sigma_diag, sigma_pair
 from .witnesses import WitnessMatrix, _form
@@ -83,8 +83,14 @@ def critical_p_from_witness(W: WitnessMatrix | Array) -> float:
 
 
 def spa_region(b: Number, c: Number) -> bool:
-    """True when the diagonal remainder is PSD: 2b+c >= 1 and 2c+b >= 1."""
-    return _side(2 * b + c, 1, 3) >= 0 and _side(2 * c + b, 1, 3) >= 0
+    """True when the diagonal remainder is PSD: 2b+c >= 1 and 2c+b >= 1; b and c must be finite."""
+    _require_finite(b=b, c=c)
+    return _in_region(b, c, 1)
+
+
+def _in_region(B: Number, C: Number, D: Number) -> bool:
+    """spa_region at (b, c) = (B, C)/D, read from a point's form."""
+    return _side(2 * B + C - D, 3) >= 0 and _side(2 * C + B - D, 3) >= 0
 
 
 @lru_cache(maxsize=None)
@@ -113,11 +119,7 @@ def spa_state(p: MapParams) -> SpaResult:
     mixed = [(1.0 - star) * x + star / 9.0 for x in scaled]
     diagonal = [mixed[k] for row in rows for k in row]
     state = BipartiteState(linalg.structured(diagonal, (1.0 - star) * -pref, doubles))
-    if p.ints is None:
-        certified = spa_region(p.b, p.c)
-    else:
-        _, B, C, D = p.ints
-        certified = 2 * B + C >= D and 2 * C + B >= D
+    certified = _in_region(*p._abcd[1:])
     components = None
     if certified:
         fa, fb, fc = p.asfloats()

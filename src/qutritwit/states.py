@@ -44,7 +44,10 @@ def rho_eps(eps: float) -> BipartiteState:
     """The PPT probe state at parameter eps > 0 (kept unnormalized); eps and 1/eps must be finite floats."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    x = float(eps)
+    try:
+        x = float(eps)
+    except OverflowError:  # an int or Fraction beyond the float range
+        x = inf
     if not (0 < x < inf and 1 / x < inf):  # a NaN fails the first test
         raise ValueError(f"eps and 1/eps must be finite floats, got {eps}")
     return BipartiteState(linalg.structured(linalg.group_diagonal(1.0, eps, 1.0 / eps), 1.0, DOUBLES))

@@ -90,9 +90,9 @@ def _form(p: MapParams, kind: str) -> tuple[float, list[float], tuple[tuple[int,
     each one int/int division.
     """
     rows, doubles = _layout(p, kind)
-    if p.ints is None:
+    if p.ints is None:  # float input rounds pref, then each pref * x; exact input rounds each entry once
         pref = n_abc(p) / 3
-        return float(pref), [float(pref * x) for x in p.astuple()], rows, doubles
+        return pref, [pref * x for x in p._abcd[:3]], rows, doubles
     A, B, C, D = p.ints
     T = 3 * (A + B + C)
     return D / T, [A / T, B / T, C / T], rows, doubles

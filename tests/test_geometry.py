@@ -12,7 +12,7 @@ import dataclasses
 import pickle
 import random
 from fractions import Fraction
-from math import inf, sqrt
+from math import inf, sqrt, ulp
 
 import numpy as np
 import pytest
@@ -28,7 +28,9 @@ from qutritwit.geometry import (
     indecomposability_certificate,
     n_abc,
     on_ellipse,
+    slice_params,
 )
+from qutritwit.spa import spa_region, spa_state
 from qutritwit.witnesses import exact_witness_entries, witness_matrix, witness_tilde_matrix, witness_u
 
 TINY = Fraction(1, 10**400)
@@ -218,3 +220,140 @@ class TestMapParamsRecord:
         q = MapParams(*(float(x) for x in t))
         assert witness_matrix(p).matrix.tobytes() == witness_matrix(q).matrix.tobytes()
         assert type(detection_value_exact(p, Fraction(1, 2))) is float
+
+
+# ---------------------------------------------------------------------------
+# Float decisions at the edge of the tolerance, against the README's rule.
+# ---------------------------------------------------------------------------
+
+TOL = 16 * ulp(2.0)
+
+
+def ref_side(lhs, rhs, slope):
+    """The README's rule in float: |lhs - rhs| <= 16 ulp(2) * slope is on the boundary."""
+    d = lhs - rhs
+    return 0 if abs(d) <= TOL * slope else 1 if d > 0 else -1
+
+
+# Each boundary as (lhs, rhs, slope) at a float point (a, b, c); the decomposability line in its
+# unscaled form bc against (2-a)^2/4, with slope b + c + |2-a|/2.
+RULES = {
+    "plane": lambda a, b, c: (a + b + c, 2, 3),
+    "a=2": lambda a, b, c: (a, 2, 1),
+    "ellipse": lambda a, b, c: (b * c, (1 - a) ** 2, b + c + 2 * abs(1 - a)),
+    "decomposable": lambda a, b, c: (b * c, (2 - a) ** 2 / 4, b + c + abs(2 - a) / 2),
+    "b+c=2": lambda a, b, c: (b + c, 2, 2),
+    "2b+c=1": lambda a, b, c: (2 * b + c, 1, 3),
+    "2c+b=1": lambda a, b, c: (2 * c + b, 1, 3),
+}
+
+
+def ref_decisions(a, b, c):
+    side = {name: ref_side(*rule(a, b, c)) for name, rule in RULES.items()}
+    if side["a=2"] >= 0:
+        cls = ("completely_positive", "decomposable")
+    elif side["plane"] < 0 or (a <= 1 and side["ellipse"] < 0):
+        cls = ("not_positive", "unknown")
+    else:
+        cls = ("positive_not_cp", "indecomposable" if side["decomposable"] < 0 else "decomposable")
+    on_slice = side["plane"] == 0
+    region = side["2b+c=1"] >= 0 and side["2c+b=1"] >= 0
+    return {
+        "classify": cls,
+        "on_slice": on_slice,
+        "on_ellipse": side["ellipse"] == 0 if on_slice else ValueError,
+        "spa_region": region,
+        "certified": region if on_slice and side["a=2"] < 0 else ValueError,
+        "detects": side["a=2"] < 0 and side["decomposable"] < 0,
+    }
+
+
+def _attempt(f):
+    try:
+        return f()
+    except ValueError:
+        return ValueError
+
+
+def decisions(p):
+    cls = classify(p)
+    return {
+        "classify": (cls.positivity.value, cls.decomposability.value),
+        "on_slice": p.on_slice(),
+        "on_ellipse": _attempt(lambda: on_ellipse(p)),
+        "spa_region": spa_region(p.b, p.c),
+        "certified": _attempt(lambda: spa_state(p).separable_certified),
+        "detects": detects_rho_family(p) is not None,
+    }
+
+
+# (boundary, base point on it, direction of the offset): a point (a, b, c), or a pair (b, c)
+# lifted to the plane by slice_params.
+EDGES = {
+    "plane": ("plane", (1.25, 0.5, 0.25), (1, 0, 0)),
+    "a=2": ("a=2", (2.0, 0.5, 0.25), (1, 0, 0)),
+    "a=2-corner": ("a=2", (2.0, 0.0, 0.0), (-1, 0, 0)),
+    "ellipse-plane": ("ellipse", (1.0, 0.0, 1.0), (0, 1, 0)),
+    "ellipse-along-plane": ("ellipse", (1.0, 0.0, 1.0), (-1, 0, 1)),
+    "ellipse-reduction": ("ellipse", (0.0, 1.0, 1.0), (0, 1, 0)),
+    "decomposable": ("decomposable", (1.0, 0.5, 0.5), (1, 0, 0)),
+    "decomposable-along-plane": ("decomposable", (1.0, 0.5, 0.5), (0, 1, -1)),
+    "b+c=2": ("b+c=2", (1.5, 0.5), (1, 0)),
+    "2b+c=1": ("2b+c=1", (0.25, 0.5), (1, 0)),
+    "2c+b=1": ("2c+b=1", (0.5, 0.25), (0, 1)),
+}
+
+
+def _abc(x):
+    return x if len(x) == 3 else (2 - x[0] - x[1], *x)
+
+
+def _offset(base, direction, t):
+    return tuple(x + t * d for x, d in zip(base, direction))
+
+
+def _edge(rule, base, direction):
+    """The adjacent offsets t_in < t_out of base + t * direction, t >= 0, inside and outside the tolerance."""
+
+    def inside(t):
+        lhs, rhs, slope = rule(*_abc(_offset(base, direction, t)))
+        return abs(lhs - rhs) <= TOL * slope
+
+    lo, hi = 0.0, 1e-3
+    assert inside(lo) and not inside(hi)
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        lo, hi = (mid, hi) if inside(mid) else (lo, mid)
+    return lo, hi
+
+
+# Both offsets along each direction, where the point stays non-negative.
+EDGE_PARAMS = [
+    pytest.param(case, sign, id=f"{case}-{'up' if sign > 0 else 'down'}")
+    for case, (_, base, direction) in EDGES.items()
+    for sign in (1, -1)
+    if min(_offset(base, direction, sign * 1e-3)) >= 0
+]
+
+
+@pytest.mark.parametrize("case, sign", EDGE_PARAMS)
+def test_float_decisions_at_the_tolerance_edge(case, sign):
+    name, base, direction = EDGES[case]
+    rule, direction = RULES[name], tuple(sign * d for d in direction)
+    t_in, t_out = _edge(rule, base, direction)
+    seen = []
+    for t in (0.0, t_in, t_out):
+        x = _offset(base, direction, t)
+        lhs, rhs, slope = rule(*_abc(x))
+        seen.append(abs(lhs - rhs) / (TOL * slope))
+        if len(x) == 2:
+            accepted = x[0] >= 0 and x[1] >= 0 and ref_side(*RULES["b+c=2"](*_abc(x))) <= 0
+            assert (_attempt(lambda: slice_params(*x)) is not ValueError) == accepted
+            assert spa_region(*x) == ref_decisions(*_abc(x))["spa_region"]
+            if not accepted:
+                continue
+            p = slice_params(*x)
+        else:
+            p = MapParams(*x)
+        assert decisions(p) == ref_decisions(*p.astuple())
+    # lhs - rhs is 0 at the base, within the tolerance at t_in and beyond it at t_out.
+    assert seen[0] == 0 and 0 < seen[1] <= 1 < seen[2]

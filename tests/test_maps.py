@@ -246,6 +246,14 @@ class TestSlice:
         with pytest.raises(ValueError):
             slice_params(-0.1, 0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, np.float64(np.nan)], ids=["nan", "inf", "-inf", "float64-nan"])
+    def test_slice_params_rejects_non_finite(self, bad):
+        # slice_params(1, nan) raised "parameter a must be finite", naming the wrong argument.
+        with pytest.raises(ValueError, match="parameter b must be finite"):
+            slice_params(bad, 1)
+        with pytest.raises(ValueError, match="parameter c must be finite"):
+            slice_params(1, bad)
+
     def test_on_ellipse(self):
         assert on_ellipse(MapParams(0, 1, 1))
         assert on_ellipse(MapParams(Fraction(4, 3), Fraction(1, 3), Fraction(1, 3)))

@@ -116,6 +116,17 @@ class TestSpaRegion:
         assert spa_region(Fraction(1, 3), Fraction(1, 3))
         assert not spa_region(0.1, 0.1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, np.float32(np.nan)], ids=["nan", "inf", "-inf", "float32-nan"])
+    def test_rejects_non_finite(self, bad):
+        # A NaN difference read as on the boundary, so spa_region(nan, 1) and spa_region(1, nan) were True.
+        with pytest.raises(ValueError, match="parameter b must be finite"):
+            spa_region(bad, 1)
+        with pytest.raises(ValueError, match="parameter c must be finite"):
+            spa_region(1, bad)
+
+    def test_exact_beyond_the_float_range(self):
+        assert spa_region(10**400, 0) and spa_region(0, Fraction(10**400, 3))
+
 
 class TestSpaState:
     def test_explicit_form(self):

@@ -45,11 +45,11 @@ class TestRhoEps:
                 rho_eps(eps)
 
     @pytest.mark.parametrize(
-        "eps", [np.nan, inf, 5e-324, np.float64(5e-324), Fraction(1, 10**400)],
-        ids=["nan", "inf", "5e-324", "float64-5e-324", "1/10^400"],
+        "eps", [np.nan, inf, 5e-324, np.float64(5e-324), Fraction(1, 10**400), 10**400, Fraction(10**400)],
+        ids=["nan", "inf", "5e-324", "float64-5e-324", "1/10^400", "10^400", "Fraction-10^400"],
     )
     def test_rejects_eps_or_reciprocal_beyond_floats(self, eps):
-        # Each built a matrix with a NaN or inf entry.
+        # Each built a matrix with a NaN or inf entry; 10^400 raised OverflowError from float(eps).
         with pytest.raises(ValueError, match="must be finite"):
             rho_eps(eps)
 
