@@ -89,6 +89,8 @@ class MapParams:
         object.__setattr__(self, "total", total)
         if total == 0:
             raise ValueError("parameter sum must be positive")
+        if ints is None and not 0 < _n_float(self) < inf:  # every float formula reads N; exact input keeps it exact
+            raise ValueError(f"N = 1/(a+b+c) must be a finite positive float, got a+b+c = {sum(self._abcd[:3])}")
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(x) for x in self.astuple()) + ")"

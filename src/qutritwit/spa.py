@@ -103,7 +103,7 @@ def _sigma_pairs() -> tuple[BipartiteState, BipartiteState, BipartiteState]:
 
 
 def spa_state(p: MapParams) -> SpaResult:
-    """Critical noisy witness with its separability certificate when available.
+    """Critical noisy witness, read from the witness form, with its separability certificate when available.
 
     Inside the region 2b+c >= 1, 2c+b >= 1 the state is
     scale * (sigma_12 + sigma_13 + sigma_23 + sigma_d) with
@@ -115,10 +115,10 @@ def spa_state(p: MapParams) -> SpaResult:
             raise ValueError("requires a < 2; the witness is already PSD")
         raise ValueError("the critical weight p* = 3(2-a)/(2+3(2-a)) underflows a float: 2-a is too small")
     # spa_mix(witness_matrix(p), star), built entry by entry in the same float operations.
-    pref, scaled, rows, doubles = _form(p, "standard")
-    mixed = [(1.0 - star) * x + star / 9.0 for x in scaled]
+    values, m, t, rows, kets = _form(p, "standard")
+    mixed = [(1.0 - star) * (x / t) + star / 9.0 for x in values]
     diagonal = [mixed[k] for row in rows for k in row]
-    state = BipartiteState(linalg.structured(diagonal, (1.0 - star) * -pref, doubles))
+    state = BipartiteState(linalg.structured(diagonal, (1.0 - star) * (-m / t), kets))
     certified = _in_region(*p._abcd[1:])
     components = None
     if certified:

@@ -12,7 +12,8 @@ The improper-family witnesses W~ are decomposable: W~ = (P + Q^G)/6 with
 explicit PSD blocks P, Q, Q^G the partial transpose of Q on the second
 factor.  Conjugating W by the local permutation U (x) I that swaps the second
 and third levels of the first qutrit gives W_U, which shares the diagonal of
-W~ but keeps the detection power of W.
+W~ but keeps the detection power of W.  Each kind is one form, _form(p, kind),
+which the 9x9 builders, exact_witness_entries and spa.spa_state read.
 """
 
 from __future__ import annotations
@@ -26,16 +27,16 @@ import numpy as np
 
 from . import linalg
 from .gellmann import default_basis
-from .geometry import MapParams, _ellipse_side, _require_slice, improper_coeffs, n_abc, so2_coeffs
+from .geometry import MapParams, Number, _ellipse_side, _n_float, _require_slice, improper_coeffs, so2_coeffs
 from .linalg import DOUBLES, PLUS_ONE, PLUS_TWO, Array, partial_transpose
 from .maps import _ROWS, LinearMap3, _rows
 
-# Each witness kind: the map family whose rows fill its diagonal, and the flat indices carrying
-# the -1 grid.  U (x) I sends the |ii> to |11>, |32>, |23> and the circulant rows to the improper.
+# Each witness kind: the row table that fills its diagonal, and the flat indices carrying the -1
+# grid.  U (x) I sends the |ii> to |11>, |32>, |23> and the circulant rows to the improper.
 _KINDS = {
-    "standard": ("circulant", DOUBLES),
-    "tilde": ("improper", DOUBLES),
-    "u_conjugated": ("improper", (DOUBLES[0], PLUS_ONE[1], PLUS_TWO[2])),
+    "standard": (_ROWS["circulant"], DOUBLES),
+    "tilde": (_ROWS["improper"], DOUBLES),
+    "u_conjugated": (_ROWS["improper"], (DOUBLES[0], PLUS_ONE[1], PLUS_TWO[2])),
 }
 
 _J_MINUS_I = 1 - np.eye(3)  # made once: np.eye costs as much as the rest of the P block
@@ -70,38 +71,32 @@ class DecompositionCertificate:
         return float(np.linalg.norm(self.P + partial_transpose(self.Q) - self.scale * W))
 
 
-def _layout(p: MapParams, kind: str) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """The row table and doubles block of a witness kind; the kinds other than
-    "standard" are defined on the plane a+b+c = 2."""
+def _form(p: MapParams, kind: str) -> tuple[Sequence[Number], Number, Number, tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The one form (values, m, t, rows, kets) of a witness kind: the 9x9 entries are
+    values[rows[i][l]] / t at (3i+l, 3i+l) and -m / t off the diagonal of kets x kets, zero
+    elsewhere; as (R', m, pi), R'[i][l] = values[rows[i][l]] / m + [3i+l in kets] and the kets
+    are the |i pi(i)>.  Kinds other than "standard" are defined on the plane a+b+c = 2.
+    Exact input gives integers, values = (A, B, C), m = D and t = 3(A+B+C): each float entry is
+    one int/int division, each exact one Fraction(x, t).  Float input gives values =
+    pref * (a, b, c), m = pref = N/3 and t = 1.0: dividing by it changes no bit."""
     if kind not in _KINDS:
         raise ValueError(f"unsupported kind {kind!r}")
     if kind != "standard":
         _require_slice(p)
-    family, doubles = _KINDS[kind]
-    return _ROWS[family], doubles
-
-
-def _form(p: MapParams, kind: str) -> tuple[float, list[float], tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """The structured form (pref, scaled, rows, doubles) of a witness kind: with
-    scaled = pref * (a, b, c), the 9x9 entries are scaled[rows[i][l]] at
-    (3i+l, 3i+l) and -pref off the diagonal of the doubles block, zero
-    elsewhere, with pref = N/3.  pref and scaled are floats, each rounded once:
-    for exact parameters pref = D/T and scaled = (A, B, C)/T with T = 3(A+B+C),
-    each one int/int division.
-    """
-    rows, doubles = _layout(p, kind)
+    rows, kets = _KINDS[kind]
     if p.ints is None:  # float input rounds pref, then each pref * x; exact input rounds each entry once
-        pref = n_abc(p) / 3
-        return pref, [pref * x for x in p._abcd[:3]], rows, doubles
+        pref = _n_float(p) / 3
+        return [pref * x for x in p._abcd[:3]], pref, 1.0, rows, kets
     A, B, C, D = p.ints
-    T = 3 * (A + B + C)
-    return D / T, [A / T, B / T, C / T], rows, doubles
+    return (A, B, C), D, 3 * (A + B + C), rows, kets
 
 
 def _witness(p: MapParams, kind: str) -> WitnessMatrix:
-    pref, scaled, rows, doubles = _form(p, kind)
+    values, m, t, rows, kets = _form(p, kind)
+    x, y, z = values  # three divisions in one display: a comprehension costs a frame per witness
+    scaled = (x / t, y / t, z / t)
     diagonal = [scaled[k] for row in rows for k in row]
-    return WitnessMatrix(linalg.structured(diagonal, -pref, doubles), p, kind)
+    return WitnessMatrix(linalg.structured(diagonal, -m / t, kets), p, kind)
 
 
 def witness_matrix(p: MapParams) -> WitnessMatrix:
@@ -215,15 +210,13 @@ def exact_witness_entries(p: MapParams, kind: str = "standard") -> list[list[str
     """
     if not p.is_exact:
         raise ValueError("exact entries require rational parameters")
-    rows, doubles = _layout(p, kind)
-    A, B, C, D = p.ints
-    T = 3 * (A + B + C)  # pref = N/3 = D/T
-    values = [str(Fraction(x, T)) for x in (A, B, C)]
+    values, m, t, rows, kets = _form(p, kind)
+    strings = [str(Fraction(x, t)) for x in values]
     grid = [["0"] * 9 for _ in range(9)]
-    minus = str(Fraction(-D, T))
-    for i in doubles:
-        for j in doubles:
+    minus = str(Fraction(-m, t))
+    for i in kets:
+        for j in kets:
             grid[i][j] = minus
-    for k, x in enumerate(values[pos] for row in rows for pos in row):
+    for k, x in enumerate(strings[pos] for row in rows for pos in row):
         grid[k][k] = x
     return grid

@@ -9,6 +9,7 @@ for the same decision, the same Fraction and the same float bits.
 
 import copy
 import dataclasses
+import itertools
 import pickle
 import random
 from fractions import Fraction
@@ -25,10 +26,12 @@ from qutritwit.geometry import (
     detection_value,
     detection_value_exact,
     detects_rho_family,
+    improper_coeffs,
     indecomposability_certificate,
     n_abc,
     on_ellipse,
     slice_params,
+    so2_coeffs,
 )
 from qutritwit.spa import spa_region, spa_state
 from qutritwit.witnesses import exact_witness_entries, witness_matrix, witness_tilde_matrix, witness_u
@@ -175,6 +178,85 @@ def test_witness_entries_match_fraction_arithmetic(t, kind):
     W = _BUILDERS[kind](p).matrix
     assert W.tobytes() == np.array([[complex(float(x)) for x in row] for row in ref]).tobytes()
 
+
+
+def _float_points():
+    """Float input by group: the lattice, seeded random points on and off the plane, and both
+    families at 720 rotation angles."""
+    rng = np.random.default_rng(26)
+    bc = [(b, c) for b, c in rng.uniform(0, 2, (400, 2)) if b + c <= 2]
+    angles = [2 * np.pi * k / 720 for k in range(720)]
+    return {
+        "lattice": [tuple(float(x) for x in t) for t in _lattice()],
+        "random_on_plane": [(float(2 - b - c), float(b), float(c)) for b, c in bc],
+        "random_off_plane": [tuple(float(x) for x in t) for t in rng.uniform(0, 3, (200, 3))],
+        "so2": [so2_coeffs(alpha).astuple() for alpha in angles],
+        "improper": [improper_coeffs(alpha).astuple() for alpha in angles],
+    }
+
+
+FLOAT_POINTS = _float_points()
+
+
+def ref_float_witness(abc, kind):
+    """The float witness as the package rounds it: pref = N/3 with N = 1/(a+b+c), each pref * x
+    spread by the row table, -pref on the grid."""
+    rows, block = _KINDS[kind]
+    pref = (1.0 / (abc[0] + abc[1] + abc[2])) / 3
+    W = np.zeros((9, 9), dtype=complex)
+    W[np.ix_(block, block)] = -pref
+    for i, row in enumerate(rows):
+        for l, pos in enumerate(row):
+            W[3 * i + l, 3 * i + l] = pref * abc[pos]
+    return W
+
+
+@pytest.mark.parametrize("group", FLOAT_POINTS)
+@pytest.mark.parametrize("kind", _KINDS)
+def test_float_witness_bits(group, kind):
+    for abc in FLOAT_POINTS[group]:
+        p = MapParams(*abc)
+        if kind != "standard" and not p.on_slice():
+            with pytest.raises(ValueError, match="off the plane"):
+                _BUILDERS[kind](p)
+            continue
+        assert _BUILDERS[kind](p).matrix.tobytes() == ref_float_witness(abc, kind).tobytes(), (abc, kind)
+
+
+# A 12^3 grid of extremes, each point as float, exact and mixed (a and c Fractions, b a float) input.
+_ULP = Fraction(ulp(1.0))
+EXTREMES = [Fraction(x) for x in (0, 5e-324, 1e-300, 0.25, 0.5)] + [1 - _ULP / 4, Fraction(1), 1 + _ULP]
+EXTREMES += [2 - _ULP / 2, Fraction(2), 2 + 2 * _ULP, Fraction(1e300)]
+_INPUTS = {"float": lambda t: tuple(map(float, t)), "exact": lambda t: t, "mixed": lambda t: (t[0], float(t[1]), t[2])}
+# Rejected: the all-zero point, and for float and mixed input the 7 points whose a+b+c is a
+# subnormal float, where N = 1/(a+b+c) is inf.  Their exact twins get past construction, and
+# their D/T is beyond the float range.
+_OUTCOMES = {
+    "float": {"rejected": 8, "built": 1720},
+    "exact": {"rejected": 1, "overflow": 7, "built": 1720},
+    "mixed": {"rejected": 8, "built": 1720},
+}
+
+
+@pytest.mark.parametrize("mode", _INPUTS)
+def test_extremes_give_finite_trace_one_witnesses_or_raise(mode):
+    outcomes = dict.fromkeys(_OUTCOMES[mode], 0)
+    for t in itertools.product(EXTREMES, repeat=3):
+        try:
+            p = MapParams(*_INPUTS[mode](t))
+        except ValueError:
+            outcomes["rejected"] += 1
+            continue
+        try:
+            matrices = [build(p).matrix for kind, build in _BUILDERS.items() if kind == "standard" or p.on_slice()]
+        except OverflowError:
+            assert mode == "exact", t
+            outcomes["overflow"] += 1
+            continue
+        for W in matrices:
+            assert np.isfinite(W).all() and abs(np.trace(W).real - 1) <= 1e-12, (mode, t)
+        outcomes["built"] += 1
+    assert outcomes == _OUTCOMES[mode]
 
 def test_ends_beyond_the_float_range():
     # a = 2 - 1e-400: with b = 0, c = 1 the interval is (10^400, inf); with b = 1, c = 0 it is

@@ -73,6 +73,24 @@ class TestParams:
             MapParams(0, 0, 0)
 
     @pytest.mark.parametrize(
+        "t",
+        [(0.0, 0.0, 5e-324), (1e308, 1e308, 0.0), (np.float64(5e-324), 0.0, 0.0), (Fraction(0), 5e-324, 0), (10**308, 1e308, 0)],
+        ids=["subnormal_sum", "overflowing_sum", "float64", "mixed_subnormal", "mixed_overflow"],
+    )
+    def test_rejects_float_sum_without_finite_reciprocal(self, t):
+        # N = 1/(a+b+c) was inf (a witness with NaN entries, a certificate value -inf) or 0 (an
+        # all-zero witness of trace 0).
+        with pytest.raises(ValueError, match=r"a\+b\+c = (5e-324|inf)"):
+            MapParams(*t)
+        # The exact twin is held exactly; where D/T is beyond the float range its builders overflow.
+        q = MapParams(*(Fraction(x) for x in t))
+        if q.total < 1:
+            with pytest.raises(OverflowError):
+                witness_matrix(q)
+        else:
+            assert abs(witness_matrix(q).trace() - 1) <= 1e-12
+
+    @pytest.mark.parametrize(
         "bad",
         [float("nan"), float("inf"), -float("inf"), 10**400, Fraction(10) ** 400],
         ids=["nan", "inf", "-inf", "huge_int", "huge_fraction"],
