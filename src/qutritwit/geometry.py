@@ -295,8 +295,16 @@ def detection_value_exact(p: MapParams, eps: Number) -> Number:
 
 
 def detection_value(p: MapParams, eps: Number) -> float:
-    """Tr(rho_eps W[a,b,c]): detection_value_exact rounded once."""
-    return float(detection_value_exact(p, eps))
+    """Tr(rho_eps W[a,b,c]): detection_value_exact rounded once.
+
+    Raises OverflowError where the value is beyond the float range, as float() does for exact
+    input; float input, whose arithmetic would give inf or nan there, also raises where an
+    intermediate such as b eps^2 overflows.
+    """
+    value = float(detection_value_exact(p, eps))
+    if not isfinite(value):
+        raise OverflowError(f"the detection value at eps = {eps} overflows a float")
+    return value
 
 
 def _detects(p: MapParams) -> bool:

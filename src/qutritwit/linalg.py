@@ -1,7 +1,7 @@
 """Dense complex matrix kernel: partial transposition on the second factor,
 Hermitian eigenvalues (LAPACK's eigenvalue-only driver ``eigvalsh``; the
-see-saw reads eigenvectors and calls batched ``eigh`` itself), PSD tests and
-trace pairings.
+see-saw reads eigenvectors and has its own 3x3 solver, ``oracles._lowest``),
+PSD tests and trace pairings.
 
 Every spectrum passes the guard `require_hermitian`, which rejects a non-finite
 entry first.  Exactly Hermitian input, as every operator the package builds

@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from conftest import random_slice_params
+from qutritwit import oracles
 from qutritwit.geometry import MapParams, improper_coeffs, indecomposability_certificate, slice_params, so2_coeffs
 from qutritwit.linalg import require_hermitian
 from qutritwit.maps import LinearMap3, apply_phi, phi_from_rotation, phi_map, rotation_block, so2_rotation
 from qutritwit.oracles import (
+    CLOSED_FORM_GAP_TOL,
+    CLOSED_FORM_MIN_ROWS,
     DEDUP_TOL,
     SEESAW_TOL,
     SPAN_RANK_TOL,
@@ -16,6 +19,7 @@ from qutritwit.oracles import (
     ProductVectorPair,
     SeeSawConfig,
     _contract,
+    _lowest,
     _ordered,
     _products,
     _random_units,
@@ -134,14 +138,15 @@ class TestSeeSawEngine:
         assert np.all(res.converged)
 
     def test_two_eigensolves_per_alternation(self, choi, monkeypatch):
+        # Counted at the kernel: a batch of CLOSED_FORM_MIN_ROWS or more never calls eigh.
         W, res = choi
-        eigh, calls = np.linalg.eigh, []
+        lowest, calls = oracles._lowest, []
 
-        def counting(*args, **kwargs):
+        def counting(H):
             calls.append(1)
-            return eigh(*args, **kwargs)
+            return lowest(H)
 
-        monkeypatch.setattr(np.linalg, "eigh", counting)
+        monkeypatch.setattr(oracles, "_lowest", counting)
         again = _run_seesaw(W, self.cfg)
         assert np.array_equal(again.iterations, res.iterations)
         assert len(calls) <= 2 * res.iterations.max()
@@ -158,6 +163,117 @@ class TestSeeSawEngine:
             drops = -np.diff(res.history[:n, r])
             assert np.all(drops[:-1] >= SEESAW_TOL), r
             assert res.converged[r] == (drops[-1] < SEESAW_TOL), r
+
+
+def _random_hermitian(rng, n, shift=0.0):
+    A = rng.standard_normal((n, 3, 3)) + 1j * rng.standard_normal((n, 3, 3))
+    return A + A.conj().transpose(0, 2, 1) + shift * np.eye(3)
+
+
+def _with_spectrum(rng, spectrum):
+    """Forms U diag(spectrum_r) U^dagger with Haar-random unitaries U, one per row of spectrum."""
+    Z = rng.standard_normal((len(spectrum), 3, 3)) + 1j * rng.standard_normal((len(spectrum), 3, 3))
+    U = np.linalg.qr(Z)[0]
+    return (U * np.asarray(spectrum, float)[:, None, :]) @ U.conj().transpose(0, 2, 1)
+
+
+def _assert_lowest_pairs(H, values, vecs):
+    """Unit vectors whose Rayleigh quotient is the value and lies within 8 eps ||H|| of lambda_min.
+
+    ||H|| is bounded by 3 max |H_ij|, which does not overflow where the Frobenius norm would.
+    """
+    full = np.tril(H) + np.tril(H, -1).conj().transpose(0, 2, 1)
+    full[:, range(3), range(3)] = full[:, range(3), range(3)].real
+    slack = 24 * np.finfo(float).eps * np.abs(full).max(axis=(1, 2))
+    quotient = np.einsum("ni,nij,nj->n", vecs.conj(), full, vecs).real
+    assert np.all(np.abs(np.linalg.norm(vecs, axis=1) - 1) <= 4 * np.finfo(float).eps)
+    assert np.all(quotient <= np.linalg.eigvalsh(H)[:, 0] + slack)
+    assert np.all(np.abs(values - quotient) <= slack)
+
+
+class TestLowestKernel:
+    """The see-saw's 3x3 eigensolver against LAPACK: the closed form on large batches of
+    well-separated forms, eigh on small batches and on the rows it leaves."""
+
+    @pytest.fixture
+    def lapack_rows(self, monkeypatch):
+        eigh, rows = np.linalg.eigh, []
+
+        def counting(H, *args, **kwargs):
+            rows.append(len(H))
+            return eigh(H, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        return rows
+
+    @pytest.mark.parametrize("n", [1, CLOSED_FORM_MIN_ROWS - 1, CLOSED_FORM_MIN_ROWS, 200])
+    @pytest.mark.parametrize("shift", [0.0, 100.0])
+    def test_matches_lapack(self, n, shift, lapack_rows):
+        H = _random_hermitian(np.random.default_rng(n), n, shift)
+        values, vecs = _lowest(H)
+        _assert_lowest_pairs(H, values, vecs)
+        if n < CLOSED_FORM_MIN_ROWS:
+            assert lapack_rows == [n]
+            w, v = np.linalg.eigh(H)
+            assert np.array_equal(values, w[:, 0]) and np.array_equal(vecs, v[:, :, 0])
+        else:
+            assert lapack_rows == []
+
+    @pytest.mark.parametrize("k", range(2, 17))
+    def test_close_lowest_pair(self, k, lapack_rows):
+        # The spread p is 1 here: a gap 10^-k below CLOSED_FORM_GAP_TOL p goes to eigh, and at
+        # k = 4 the gap is the tolerance itself.
+        spectrum = np.tile([-1.0, -1.0 + 10.0**-k, 2.0], (200, 1))
+        H = _with_spectrum(np.random.default_rng(k), spectrum)
+        values, vecs = _lowest(H)
+        _assert_lowest_pairs(H, values, vecs)
+        if k != 4:
+            assert lapack_rows == ([] if 10.0**-k > CLOSED_FORM_GAP_TOL else [200])
+
+    def test_degenerate_and_flat_forms(self, lapack_rows):
+        # Equal lowest pairs, scalar, zero and rank-one forms have no simple lowest eigenvalue,
+        # and at a spread of 1e-100 or 1e100 the squared adjugate leaves the float range: they
+        # go to eigh, from a batch whose other rows take the closed form, among them a simple
+        # lowest eigenvalue below an equal pair.
+        rng = np.random.default_rng(3)
+        u = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
+        flat = np.concatenate([
+            [np.diag(d) for d in ([1.0, 1.0, 3.0], [2.0, -5.0, -5.0], [-1.0, 4.0, -1.0], [0.0, 0.0, 1e-300])],
+            [c * np.eye(3) for c in (0.0, 1.0, -7.5, 1e300)],
+            u[:, :, None] * u[:, None, :].conj(),
+            _random_hermitian(rng, 2) * 1e-100,
+            _random_hermitian(rng, 2) * 1e100,
+        ])
+        H = np.concatenate([flat, _with_spectrum(rng, np.tile([-2.0, 0.5, 0.5], (8, 1))), _random_hermitian(rng, 16)])
+        values, vecs = _lowest(H)
+        _assert_lowest_pairs(H, values, vecs)
+        assert len(H) >= CLOSED_FORM_MIN_ROWS and lapack_rows == [len(flat)]
+        # Equal to -3 I up to roundoff: the spread is about eps, and either path may serve it.
+        nearly_scalar = _with_spectrum(rng, np.tile([-3.0, -3.0, -3.0], (CLOSED_FORM_MIN_ROWS, 1)))
+        _assert_lowest_pairs(nearly_scalar, *_lowest(nearly_scalar))
+
+    def test_mixed_batch_takes_both_paths(self, lapack_rows):
+        rng = np.random.default_rng(4)
+        H = _random_hermitian(rng, 200)
+        close = np.arange(200) % 7 == 3
+        H[close] = _with_spectrum(rng, np.tile([1.0, 1.0, 1.0 + 1e-9], (close.sum(), 1)))
+        values, vecs = _lowest(H)
+        _assert_lowest_pairs(H, values, vecs)
+        assert lapack_rows == [close.sum()]
+        w, v = np.linalg.eigh(H[close])
+        assert np.array_equal(values[close], w[:, 0]) and np.array_equal(vecs[close], v[:, :, 0])
+
+    @pytest.mark.parametrize("n", [CLOSED_FORM_MIN_ROWS - 1, 200])
+    def test_reads_only_the_lower_triangle(self, n):
+        # As eigh does: the strictly upper triangle and the diagonal's imaginary part are not
+        # read.  A third of the rows have a close lowest pair, so at n = 200 both paths run.
+        rng = np.random.default_rng(5)
+        H = _random_hermitian(rng, n)
+        H[1::3] = _with_spectrum(rng, np.tile([0.0, 1e-12, 1.0], (len(H[1::3]), 1)))
+        noisy = H + np.triu(rng.standard_normal((n, 3, 3)) + 1j * rng.standard_normal((n, 3, 3)), 1)
+        noisy[:, range(3), range(3)] += 1j * rng.standard_normal((n, 3))
+        for want, got in zip(_lowest(H), _lowest(noisy)):
+            assert np.array_equal(want, got)
 
 
 @pytest.mark.parametrize(
@@ -202,10 +318,8 @@ def _reference_seesaw_batch(W4, psi, phi, max_iters, tol):
     active = np.arange(count)
     history = []
     for t in range(1, max_iters + 1):
-        _, vecs = np.linalg.eigh(_contract(phi[active], M_psi))
-        new_psi = vecs[:, :, 0]
-        w, vecs = np.linalg.eigh(_contract(new_psi, M_phi))
-        new_phi, new_value = vecs[:, :, 0], w[:, 0]
+        new_psi = _lowest(_contract(phi[active], M_psi))[1]
+        new_value, new_phi = _lowest(_contract(new_psi, M_phi))
         if t > 1:
             step = beta[active]
             trial_psi = _reference_extrapolate(psi[active], new_psi, step)
@@ -488,6 +602,12 @@ class TestIndecomposabilityCertificate:
         eps, value = indecomposability_certificate(p)
         assert eps == 10**400 + 1
         assert value == 0.0 and math.copysign(1.0, value) == -1.0
+
+    @pytest.mark.parametrize("a", [1e-308, Fraction(1, 10**308)], ids=["float", "exact"])
+    def test_value_beyond_the_float_range_raises(self, a):
+        # b = c = 0: eps = 1 and the value is -N (2 - a), about -2e308.  Float input gave -inf.
+        with pytest.raises(OverflowError):
+            indecomposability_certificate(MapParams(a, 0, 0))
 
     def test_linear_case_takes_eps_past_the_root(self):
         # b = 0: the value is negative on (c/(2-a), inf) and eps = c/(2-a) + 1.

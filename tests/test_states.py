@@ -112,6 +112,13 @@ class TestDetectionValue:
         with pytest.raises(ValueError, match="eps must be finite"):
             detection_value(p, eps)
 
+    @pytest.mark.parametrize("p, eps", [(MapParams(1e-308, 0.0, 0.0), 1.0), (MapParams(1.0, 1.0, 0.0), 1e300)], ids=["value", "b_eps_squared"])
+    def test_float_overflow_raises(self, p, eps):
+        # The float formula returned -inf at the first point and inf at the second, where
+        # b eps^2 overflows; exact input raises OverflowError from float() alone.
+        with pytest.raises(OverflowError, match="overflows a float"):
+            detection_value(p, eps)
+
     def test_exact_eps_beyond_floats(self):
         # The certificate's vertex (2-a)/(2b) is 5e399 here: finite, only not a float.
         p = MapParams(1, Fraction(1, 10**400), 1)
