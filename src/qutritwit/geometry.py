@@ -47,9 +47,9 @@ class MapParams:
 
     Entries may be floats or fractions (an int is stored as a Fraction);
     exact rational arithmetic is preserved wherever the construction formulas
-    allow it.  The attribute total holds a + b + c.  The attribute ints holds
-    an all-Fraction point as integers (A, B, C, D) with (a, b, c) = (A, B, C)/D,
-    D the lcm of the three denominators, and is None when any entry is a float.
+    allow it.  The attribute ints holds an all-Fraction point as integers
+    (A, B, C, D) with (a, b, c) = (A, B, C)/D, D the lcm of the three
+    denominators, and is None when any entry is a float.
     Every decision and float formula reads _abcd, ints or else (float(a),
     float(b), float(c), 1.0): input mixing floats and Fractions is its float twin.
     """
@@ -76,18 +76,15 @@ class MapParams:
         a, b, c = self.astuple()
         if min(a, b, c) < 0:
             raise ValueError(f"parameters must be non-negative, got {self}")
+        ints = None
         # A float is tested first: the Fraction test of a float goes through ABCMeta and is slow.
         if not isinstance(a, float) and isinstance(a, Fraction) and isinstance(b, Fraction) and isinstance(c, Fraction):
             D = lcm(a.denominator, b.denominator, c.denominator)
-            A, B, C = (x.numerator * (D // x.denominator) for x in (a, b, c))
-            ints, total = (A, B, C, D), Fraction(A + B + C, D)
-        else:
-            ints, total = None, a + b + c
+            ints = (*(x.numerator * (D // x.denominator) for x in (a, b, c)), D)
         # Kept as attributes, not fields: equality, hash and repr stay those of (a, b, c).
         object.__setattr__(self, "ints", ints)
         object.__setattr__(self, "_abcd", ints or (float(a), float(b), float(c), 1.0))
-        object.__setattr__(self, "total", total)
-        if total == 0:
+        if sum(self._abcd[:3]) == 0:
             raise ValueError("parameter sum must be positive")
         if ints is None and not 0 < _n_float(self) < inf:  # every float formula reads N; exact input keeps it exact
             raise ValueError(f"N = 1/(a+b+c) must be a finite positive float, got a+b+c = {sum(self._abcd[:3])}")
@@ -297,13 +294,17 @@ def detection_value_exact(p: MapParams, eps: Number) -> Number:
 def detection_value(p: MapParams, eps: Number) -> float:
     """Tr(rho_eps W[a,b,c]): detection_value_exact rounded once.
 
-    Raises OverflowError where the value is beyond the float range, as float() does for exact
-    input; float input, whose arithmetic would give inf or nan there, also raises where an
-    intermediate such as b eps^2 overflows.
+    Float input takes the float formula; where an intermediate such as b eps^2 overflows it gives
+    inf or nan, and the value is then its exact twin's, the same floats read as Fractions, rounded
+    once.  Raises OverflowError where the value is beyond the float range, as float() does.
     """
     value = float(detection_value_exact(p, eps))
     if not isfinite(value):
-        raise OverflowError(f"the detection value at eps = {eps} overflows a float")
+        twin = MapParams(*(Fraction(x) for x in p._abcd[:3]))
+        try:
+            value = float(detection_value_exact(twin, eps))
+        except OverflowError:
+            raise OverflowError(f"the detection value at eps = {eps} overflows a float") from None
     return value
 
 

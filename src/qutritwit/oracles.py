@@ -268,25 +268,6 @@ def _products(psi: Array, phi: Array) -> Array:
     return (psi[:, :, None] * phi[:, None, :]).reshape(-1, 9)
 
 
-def _ordered(values: Array, psi: Array, phi: Array) -> tuple[Array, Array]:
-    """Deterministic order of a stack of restarts, with their product vectors.
-
-    Each product vector is rotated so that its first largest-modulus entry is
-    real and positive; rows are sorted by (value, real parts rounded to 12
-    digits, imaginary parts rounded to 12 digits), ties kept in row order.
-    Returns the order and the phase-fixed products in that order.
-    """
-    U = _products(psi, phi)
-    lead = U[np.arange(len(U)), np.argmax(np.abs(U), axis=1)]
-    # hypot rounds like the scalar abs(); the vectorized complex np.abs can differ in the last bit.
-    size = np.hypot(lead.real, lead.imag)
-    U = U * np.divide(lead.conj(), size, out=np.ones_like(lead), where=size > 0)[:, None]
-    digits = np.round(np.concatenate([U.real, U.imag], axis=1), 12)
-    # lexsort's last key is the primary one.
-    order = np.lexsort(np.vstack([digits.T[::-1], values]))
-    return order, U[order]
-
-
 def _run_seesaw(W, cfg: SeeSawConfig) -> SeeSawResult:
     M = linalg.require_hermitian(W, 1e-9)
     W4 = M.reshape(3, 3, 3, 3)
@@ -299,13 +280,13 @@ def _run_seesaw(W, cfg: SeeSawConfig) -> SeeSawResult:
 def min_product_expectation(W, cfg: SeeSawConfig | None = None) -> ProductVectorPair:
     """Best product-vector expectation found by the restarted see-saw.
 
-    The returned value is an upper bound on min <psi (x) phi|W|psi (x) phi>;
-    restarts are merged by (value, lexicographic product vector) so the
-    result does not depend on evaluation order.
+    The returned value is an upper bound on min <psi (x) phi|W|psi (x) phi>.
+    The pair is the first restart, in restart order, that attains the
+    smallest value.
     """
     cfg = cfg or SeeSawConfig()
     res = _run_seesaw(W, cfg)
-    best = _ordered(res.values, res.psi, res.phi)[0][0]
+    best = np.argmin(res.values)
     return ProductVectorPair(res.psi[best], res.phi[best], float(res.values[best]))
 
 
@@ -314,27 +295,28 @@ def is_cp_choi(phi: LinearMap3 | Callable[[Array], Array]) -> bool:
     return linalg.is_psd(choi_witness(phi).matrix)
 
 
-def zero_product_vectors(
-    W, cfg: SeeSawConfig | None = None, dedup_tol: float = DEDUP_TOL
-) -> list[ProductVectorPair]:
-    """Distinct see-saw limits with |value| <= 1e-9 on a block-positive W.
+def zero_product_vectors(W, cfg: SeeSawConfig | None = None) -> list[ProductVectorPair]:
+    """Distinct see-saw limits with value <= ZERO_VALUE_TOL on a block-positive W.
 
-    Candidates are ordered by (value, lexicographic product vector) and
-    deduplicated by the projective distance 1 - |<u, v>| on the product
-    vectors.  May return an empty list (e.g. strictly positive W).
+    Candidates are taken by value, tied values in restart order, and each is
+    kept unless an earlier kept one lies within DEDUP_TOL of it in the
+    projective distance 1 - |<u, v>| of the product vectors u = psi (x) phi,
+    which ignores their phases.  May return an empty list (e.g. strictly
+    positive W).
     """
     cfg = cfg or SeeSawConfig()
     res = _run_seesaw(W, cfg)
     zero = np.flatnonzero(res.values <= ZERO_VALUE_TOL)
-    order, U = _ordered(res.values[zero], res.psi[zero], res.phi[zero])
-    close = 1.0 - np.abs(U.conj() @ U.T) <= dedup_tol
+    zero = zero[np.argsort(res.values[zero], kind="stable")]
+    U = _products(res.psi[zero], res.phi[zero])
+    close = 1.0 - np.abs(U.conj() @ U.T) <= DEDUP_TOL
     # Greedy scan in order: a candidate survives unless an earlier survivor is close.
     # Only candidates with a close later partner can drop anything; usually there are none.
-    keep = np.ones(len(order), dtype=bool)
+    keep = np.ones(len(zero), dtype=bool)
     for i in np.flatnonzero(np.triu(close, 1).any(axis=1)):
         if keep[i]:
             keep[i + 1 :] &= ~close[i, i + 1 :]
-    return [ProductVectorPair(res.psi[r], res.phi[r], float(res.values[r])) for r in zero[order[keep]]]
+    return [ProductVectorPair(res.psi[r], res.phi[r], float(res.values[r])) for r in zero[keep]]
 
 
 def span_rank(pairs: Sequence[ProductVectorPair]) -> int:

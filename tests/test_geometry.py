@@ -271,7 +271,6 @@ class TestMapParamsRecord:
     def test_ints_over_the_lcm(self):
         p = MapParams(Fraction(1, 6), Fraction(3, 4), 2)
         assert p.ints == (2, 9, 24, 12)
-        assert p.total == Fraction(35, 12) and type(p.total) is Fraction
 
     def test_equality_hash_and_repr_are_those_of_abc(self):
         p, q = MapParams(Fraction(1, 2), 1, Fraction(1, 2)), MapParams(0.5, 1.0, 0.5)
@@ -281,14 +280,14 @@ class TestMapParamsRecord:
 
     def test_replace_recomputes_the_form(self):
         p = dataclasses.replace(MapParams(Fraction(1, 2), 1, Fraction(1, 2)), c=Fraction(1, 3))
-        assert p.ints == (3, 6, 2, 6) and p.total == Fraction(11, 6)
+        assert p.ints == (3, 6, 2, 6)
         assert dataclasses.replace(p, c=0.5).ints is None
 
     @pytest.mark.parametrize("clone", [lambda p: pickle.loads(pickle.dumps(p)), copy.copy, copy.deepcopy])
     def test_pickle_and_copy_keep_the_form(self, clone):
         p = MapParams(Fraction(1, 3), Fraction(2, 3), 1)
         q = clone(p)
-        assert q == p and q.ints == p.ints and q.total == p.total and q.is_exact
+        assert q == p and q.ints == p.ints and q.is_exact
         assert classify(q) == classify(p) and detects_rho_family(q) == detects_rho_family(p)
 
     @pytest.mark.parametrize(
@@ -296,7 +295,7 @@ class TestMapParamsRecord:
     )
     def test_mixed_input_takes_the_float_path(self, t):
         p = MapParams(*t)
-        assert p.ints is None and not p.is_exact and type(p.total) is float
+        assert p.ints is None and not p.is_exact
         with pytest.raises(ValueError, match="rational"):
             exact_witness_entries(p)
         q = MapParams(*(float(x) for x in t))

@@ -20,7 +20,6 @@ from qutritwit.oracles import (
     SeeSawConfig,
     _contract,
     _lowest,
-    _ordered,
     _products,
     _random_units,
     _run_seesaw,
@@ -397,22 +396,13 @@ def test_non_finite_choi_matrix_is_rejected():
             is_cp_choi(LinearMap3(S))
 
 
-def _reference_sort_key(value, psi, phi):
-    """Restart-by-restart ordering key: (value, rounded phase-fixed product)."""
-    u = np.kron(psi, phi)
-    ph = u[int(np.argmax(np.abs(u)))]
-    if abs(ph) > 0:
-        u = u * (np.conj(ph) / abs(ph))
-    return (value, tuple(np.round(u.real, 12)) + tuple(np.round(u.imag, 12))), u
-
-
-def _reference_zero_rows(res, dedup_tol):
-    """Zero candidates sorted by the key, kept unless an earlier kept one is close."""
-    keys = {r: _reference_sort_key(res.values[r], res.psi[r], res.phi[r]) for r in range(len(res.values))}
-    idx = sorted((r for r in keys if res.values[r] <= ZERO_VALUE_TOL), key=lambda r: keys[r][0])
+def _reference_zero_rows(res):
+    """Zero candidates by value, ties in restart order, kept unless an earlier kept one is close."""
+    idx = sorted((r for r in range(len(res.values)) if res.values[r] <= ZERO_VALUE_TOL), key=lambda r: res.values[r])
     kept = []
     for r in idx:
-        if not any(1.0 - abs(np.vdot(keys[k][1], keys[r][1])) <= dedup_tol for k in kept):
+        u = np.kron(res.psi[r], res.phi[r])
+        if not any(1.0 - abs(np.vdot(np.kron(res.psi[k], res.phi[k]), u)) <= oracles.DEDUP_TOL for k in kept):
             kept.append(r)
     return kept
 
@@ -424,8 +414,12 @@ def _rows_of(res, pairs):
     ]
 
 
+def _with_values(res, values):
+    return oracles.SeeSawResult(res.psi, res.phi, values, res.iterations, res.converged, res.history)
+
+
 class TestHarvestMatchesReference:
-    """The array pass orders, picks and deduplicates exactly as the per-restart loop."""
+    """The array pass picks and deduplicates exactly as the per-restart loop."""
 
     cfg = SeeSawConfig()
 
@@ -445,28 +439,31 @@ class TestHarvestMatchesReference:
 
     def test_best_restart(self, case):
         W, res = case
-        best = min(range(len(res.values)), key=lambda r: _reference_sort_key(res.values[r], res.psi[r], res.phi[r])[0])
+        best = min(range(len(res.values)), key=lambda r: res.values[r])
         pair = min_product_expectation(W, self.cfg)
         assert _rows_of(res, [pair]) == [best]
         assert pair.value == res.values[best]
 
-    def test_tied_values_order_by_product(self, case):
-        # With every value tied, the phase-fixed products alone set the order.
-        _, res = case
-        tied = np.zeros(len(res.values))
-        keys = [_reference_sort_key(0.0, res.psi[r], res.phi[r]) for r in range(len(tied))]
-        expected = sorted(range(len(tied)), key=lambda r: keys[r][0])
-        order, U = _ordered(tied, res.psi, res.phi)
-        assert order.tolist() == expected
-        assert np.array_equal(U, np.array([keys[r][1] for r in expected]))
+    def test_tied_values_keep_restart_order(self, case, monkeypatch):
+        # Three tied groups: the first restart of the lowest group is the best one, and the
+        # harvest runs through the groups by value, each in restart order.
+        W, res = case
+        tied = -1e-10 * (np.arange(len(res.values)) % 3)
+        monkeypatch.setattr(oracles, "_run_seesaw", lambda W, cfg: _with_values(res, tied))
+        assert _rows_of(res, [min_product_expectation(W, self.cfg)]) == [2]
+        rows = _rows_of(res, zero_product_vectors(W, self.cfg))
+        assert rows == _reference_zero_rows(_with_values(res, tied))
+        assert all(tied[r] < tied[s] or (tied[r] == tied[s] and r < s) for r, s in zip(rows, rows[1:]))
 
     @pytest.mark.parametrize("dedup_tol", [DEDUP_TOL, 0.05, 0.5])
-    def test_zero_rows(self, case, dedup_tol):
+    def test_zero_rows(self, case, dedup_tol, monkeypatch):
         W, res = case
-        expected = _reference_zero_rows(res, dedup_tol)
-        zeros = zero_product_vectors(W, self.cfg, dedup_tol=dedup_tol)
+        monkeypatch.setattr(oracles, "DEDUP_TOL", dedup_tol)
+        expected = _reference_zero_rows(res)
+        zeros = zero_product_vectors(W, self.cfg)
         assert _rows_of(res, zeros) == expected
         assert [p.value for p in zeros] == [float(res.values[r]) for r in expected]
+        assert all(a.value <= b.value for a, b in zip(zeros, zeros[1:]))
 
     def test_span_rank(self, case):
         # Reference: the 9x9 Gram matrix accumulated one outer product at a time.

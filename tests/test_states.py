@@ -112,12 +112,19 @@ class TestDetectionValue:
         with pytest.raises(ValueError, match="eps must be finite"):
             detection_value(p, eps)
 
-    @pytest.mark.parametrize("p, eps", [(MapParams(1e-308, 0.0, 0.0), 1.0), (MapParams(1.0, 1.0, 0.0), 1e300)], ids=["value", "b_eps_squared"])
+    @pytest.mark.parametrize("p, eps", [(MapParams(1e-308, 0.0, 0.0), 1.0)], ids=["value"])
     def test_float_overflow_raises(self, p, eps):
-        # The float formula returned -inf at the first point and inf at the second, where
-        # b eps^2 overflows; exact input raises OverflowError from float() alone.
+        # The value, about -2e308, is beyond the float range; the float formula returned -inf.
         with pytest.raises(OverflowError, match="overflows a float"):
             detection_value(p, eps)
+
+    @pytest.mark.parametrize(
+        "p, eps, value", [(MapParams(1.0, 1.0, 0.0), 1e300, 1e300 / 2), (MapParams(0.0, 1.0, 1.0), 1e308, 1e308 / 2)], ids=["b_eps_squared", "inf_minus_inf"]
+    )
+    def test_float_intermediate_overflow_rounds_the_exact_value(self, p, eps, value):
+        # b eps^2 overflows where the value, (eps - 1)/2 and (eps - 2 + 1/eps)/2, is finite: the
+        # float formula gave inf, and nan where (a-2) eps also overflows.  Exact arithmetic rounds once.
+        assert detection_value(p, eps) == value
 
     def test_exact_eps_beyond_floats(self):
         # The certificate's vertex (2-a)/(2b) is 5e399 here: finite, only not a float.
