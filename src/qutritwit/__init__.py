@@ -28,7 +28,6 @@ from .geometry import (
 
 # Module -> the public names it provides, resolved by __getattr__ (PEP 562).
 _LAZY = {
-    "gellmann": ("OrthonormalBasis", "build_gellmann", "default_basis"),
     "linalg": ("is_psd", "min_eigenvalue", "partial_transpose", "trace_pair"),
     "maps": (
         "LinearMap3",

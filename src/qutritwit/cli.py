@@ -136,8 +136,8 @@ def _resolve_params(args) -> tuple[MapParams, dict]:
     if args.params:
         if len(args.params) != 3:
             raise ValueError("positional parameters must be exactly three numbers: a b c")
-        a, b, c = (_parse_number(t) for t in args.params)
-        return MapParams(a, b, c), {"a": _encode_number(a), "b": _encode_number(b), "c": _encode_number(c)}
+        p = MapParams(*(_parse_number(t) for t in args.params))
+        return p, _encode_params(p)
     if args.bc is not None:
         b, c = (_parse_number(t) for t in args.bc)
         return slice_params(b, c), {"b": _encode_number(b), "c": _encode_number(c)}

@@ -78,8 +78,8 @@ def _frobenius(A: Array) -> float:
     return sqrt(x.dot(x))
 
 
-def require_hermitian(M, tol: float = DEFAULT_HERMITICITY_TOL) -> Array:
-    """The Hermitian part of a finite matrix A that is Hermitian within tol.
+def require_hermitian(M) -> Array:
+    """The Hermitian part of a finite matrix A that is Hermitian within tol = DEFAULT_HERMITICITY_TOL.
 
     An exactly Hermitian A (A == A^dagger entry by entry) is its own Hermitian part and is
     returned as is: the result may be the caller's array, so callers must not write to it.
@@ -97,10 +97,10 @@ def require_hermitian(M, tol: float = DEFAULT_HERMITICITY_TOL) -> Array:
     if not np.count_nonzero(A != Ah):
         return A
     if isfinite(size):
-        gap, bound = _frobenius(A - Ah), tol * max(1.0, size)
+        gap, bound = _frobenius(A - Ah), DEFAULT_HERMITICITY_TOL * max(1.0, size)
     else:  # finite entries whose norm overflows
         As = A / float(np.abs(A.ravel().view(float)).max())
-        gap, bound = _frobenius(As - As.conj().T), tol * _frobenius(As)
+        gap, bound = _frobenius(As - As.conj().T), DEFAULT_HERMITICITY_TOL * _frobenius(As)
     if gap > bound:
         raise ValueError("matrix is not Hermitian within tolerance")
     return A / 2.0 + Ah / 2.0

@@ -23,6 +23,22 @@ angles; both families are recovered from a general rotation construction over
 the Gell-Mann basis.  The parameters, their classification and the rotation
 angles' coefficients are scalar formulas and live in geometry; this module
 holds the maps themselves as numpy arrays.
+
+Maps act on the qutrit Gell-Mann basis, ordered (f_0, d_1, d_2, u_12, u_13,
+u_23, v_12, v_13, v_23), where, for 1-based kets |1>, |2>, |3>,
+
+    f_0  = I_3 / sqrt(3),
+    d_1  = ( |1><1| - |2><2| ) / sqrt(2),
+    d_2  = ( |1><1| + |2><2| - 2 |3><3| ) / sqrt(6),
+    u_kl = ( |k><l| + |l><k| ) / sqrt(2),
+    v_kl = -i ( |k><l| - |l><k| ) / sqrt(2),          for k < l.
+
+All elements are Hermitian, f_1, ..., f_8 are traceless, and the set is
+orthonormal under the Hilbert-Schmidt pairing Tr(f_a f_b) = delta_ab.  The
+ordering is contractual: rotation blocks acting on span{d_1, d_2} rely on the
+diagonal elements coming directly after f_0.  Row a of the read-only GELLMANN
+is the row-major vec(f_a), so the coefficients c_a = Tr(f_a X) of X, or of a
+stack (..., 3, 3), are vec(X^T) @ GELLMANN.T, and c @ GELLMANN rebuilds X.
 """
 
 from __future__ import annotations
@@ -32,11 +48,25 @@ from math import cos, sin
 
 import numpy as np
 
-from .gellmann import default_basis
 from .geometry import MapParams, _n_float, _require_slice
 from .linalg import Array
 
 ORTHOGONALITY_TOL = 1e-10
+
+
+def _gellmann() -> Array:
+    """The rows vec(f_a) of the basis in the module docstring, each divided by its norm."""
+    F = np.zeros((9, 3, 3), dtype=complex)
+    F[0], F[1], F[2] = np.eye(3), np.diag([1, -1, 0]), np.diag([1, 1, -2])
+    for a, (k, l) in enumerate(((0, 1), (0, 2), (1, 2)), start=3):
+        F[a, k, l], F[a, l, k] = 1, 1
+        F[a + 3, k, l], F[a + 3, l, k] = -1j, 1j
+    F = F.reshape(9, 9) / np.sqrt([3, 2, 6, 2, 2, 2, 2, 2, 2])[:, None]
+    F.flags.writeable = False  # shared by every expansion, and so are its views
+    return F
+
+
+GELLMANN = _gellmann()
 
 
 # Rows of each family's diagonal action (up to normalization and the +1 on
@@ -119,14 +149,15 @@ class LinearMap3:
     superop: Array
 
     def __call__(self, X) -> Array:
-        basis = default_basis()
-        return basis.from_coefficients(basis.coefficients(X) @ self.superop.T)
+        Xt = np.swapaxes(np.asarray(X, dtype=complex), -1, -2)
+        x = Xt.reshape(Xt.shape[:-2] + (9,)) @ GELLMANN.T
+        return (x @ self.superop.T @ GELLMANN).reshape(Xt.shape)
 
 
 def _family_map(p: MapParams, kind: str) -> LinearMap3:
     """Superoperator 1 (+) N D^T R D (+) (-N) I_6, R the row table, D's columns the diagonals of d_1, d_2:
     R's rows and columns all sum to a+b+c, so f_0 is fixed, span{d_1, d_2} kept and each u, v scaled by -N."""
-    Dt = default_basis().stacked[1:3, ::4].real  # in a row-major vec the diagonal is every 4th entry
+    Dt = GELLMANN[1:3, ::4].real  # in a row-major vec the diagonal is every 4th entry
     N = _n_float(p)
     S = np.diag([1.0] + [-N] * 8)
     S[1:3, 1:3] = N * (Dt @ _rows(p, kind) @ Dt.T)
@@ -147,19 +178,18 @@ def phi_from_rotation(R: Array) -> LinearMap3:
     """Unital positive map built from an orthogonal rotation of the traceless
     basis sector:
 
-        Phi_R(X) = (1/n) I Tr X + 1/(n-1) * sum_kl f_k R_kl Tr(f_l X).
+        Phi_R(X) = (1/3) I Tr X + (1/2) sum_kl f_k R_kl Tr(f_l X),
 
-    With R = diag(T(alpha), -I_6) this reproduces the circulant family at the
-    proper-rotation parameters, and the improper family for reflections.
+    R an orthogonal 8x8 matrix on (f_1, ..., f_8).  With R = diag(T(alpha), -I_6)
+    this reproduces the circulant family at the proper-rotation parameters, and
+    the improper family for reflections.
     """
-    basis = default_basis()
-    n, m = basis.n, len(basis) - 1
     R = np.asarray(R, dtype=float)
-    if R.shape != (m, m):
-        raise ValueError(f"rotation must be {m}x{m} for n = {n}")
+    if R.shape != (8, 8):
+        raise ValueError("rotation must be 8x8")
     _require_orthogonal(R, "rotation matrix")
-    S = np.eye(m + 1)
-    S[1:, 1:] = R / (n - 1)
+    S = np.eye(9)
+    S[1:, 1:] = R / 2
     return LinearMap3(S)
 
 

@@ -85,7 +85,7 @@ class SeeSawResult:
 
     ``iterations[r]`` counts the full alternations restart r ran before it
     stopped; ``converged[r]`` says whether its last step lowered the value by
-    less than ``tol``.  ``history[t]`` holds every restart's value after
+    less than ``SEESAW_TOL``.  ``history[t]`` holds every restart's value after
     iteration t + 1; a stopped restart repeats its final value, so each
     column is non-increasing.
     """
@@ -194,7 +194,7 @@ def _extrapolate(old: Array, new: Array, step: Array) -> Array:
     return trial / np.sqrt((trial.conj() * trial).real.sum(-1, keepdims=True))
 
 
-def _seesaw_batch(W4: Array, psi: Array, phi: Array, max_iters: int, tol: float) -> SeeSawResult:
+def _seesaw_batch(W4: Array, psi: Array, phi: Array, max_iters: int) -> SeeSawResult:
     """Alternate exact one-factor minimizations for a batch of starts.
 
     Each alternation solves two 3x3 eigenproblems: psi against the frozen
@@ -210,7 +210,7 @@ def _seesaw_batch(W4: Array, psi: Array, phi: Array, max_iters: int, tol: float)
     one.
 
     Each restart stops at its own first iteration whose value drop is below
-    tol.  Every alternation runs on the compacted set of running restarts:
+    SEESAW_TOL.  Every alternation runs on the compacted set of running restarts:
     their factors in one (2, n, 3) stack, with their betas and values beside
     it, in batch order.  A restart's factors, iteration count and converged
     flag are written to the result once, when it stops or reaches max_iters.
@@ -246,7 +246,7 @@ def _seesaw_batch(W4: Array, psi: Array, phi: Array, max_iters: int, tol: float)
             new = np.where(accept[:, None], trial, new)
             new_value = np.where(accept, trial_value, new_value)
             beta = np.where(accept, 1.5 * beta, np.maximum(0.5 * beta, 0.1))
-        stop = value - new_value < tol
+        stop = value - new_value < SEESAW_TOL
         x, value = new, new_value
         values[rows] = value
         history.append(values.copy())
@@ -269,12 +269,12 @@ def _products(psi: Array, phi: Array) -> Array:
 
 
 def _run_seesaw(W, cfg: SeeSawConfig) -> SeeSawResult:
-    M = linalg.require_hermitian(W, 1e-9)
+    M = linalg.require_hermitian(W)
     W4 = M.reshape(3, 3, 3, 3)
     rng = np.random.default_rng(cfg.rng_seed)
     psi0 = _random_units(rng, cfg.restarts)
     phi0 = _random_units(rng, cfg.restarts)
-    return _seesaw_batch(W4, psi0, phi0, cfg.max_iters, SEESAW_TOL)
+    return _seesaw_batch(W4, psi0, phi0, cfg.max_iters)
 
 
 def min_product_expectation(W, cfg: SeeSawConfig | None = None) -> ProductVectorPair:

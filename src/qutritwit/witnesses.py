@@ -26,10 +26,9 @@ from typing import Callable, ClassVar, Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .gellmann import default_basis
 from .geometry import MapParams, Number, _ellipse_side, _n_float, _require_slice, improper_coeffs, so2_coeffs
 from .linalg import DOUBLES, PLUS_ONE, PLUS_TWO, Array, partial_transpose
-from .maps import _ROWS, LinearMap3, _rows
+from .maps import _ROWS, GELLMANN, LinearMap3, _rows
 
 # Each witness kind: the row table that fills its diagonal, and the flat indices carrying the -1
 # grid.  U (x) I sends the |ii> to |11>, |32>, |23> and the circulant rows to the improper.
@@ -128,8 +127,8 @@ def choi_witness(phi: LinearMap3 | Callable[[Array], Array]) -> WitnessMatrix:
     if isinstance(phi, LinearMap3):
         if not np.isfinite(phi.superop).all():  # the contraction would warn first
             raise ValueError("superoperator has a non-finite entry")
-        F = default_basis().stacked
-        images = (F.T @ phi.superop @ F.conj()).T  # row 3i + j: Phi(E_ij) = sum_ab S_ab (f_b)_ji f_a
+        # Row 3i + j: Phi(E_ij) = sum_ab S_ab (f_b)_ji f_a.
+        images = (GELLMANN.T @ phi.superop @ GELLMANN.conj()).T
     else:
         images = np.array([phi(E) for E in np.eye(9, dtype=complex).reshape(9, 3, 3)], dtype=complex)
     # Complex division turns an inf into NaN, with a RuntimeWarning: check first.

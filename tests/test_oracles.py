@@ -7,7 +7,7 @@ import pytest
 from conftest import random_slice_params
 from qutritwit import oracles
 from qutritwit.geometry import MapParams, improper_coeffs, indecomposability_certificate, slice_params, so2_coeffs
-from qutritwit.linalg import require_hermitian
+from qutritwit.linalg import eigenvalues, require_hermitian
 from qutritwit.maps import LinearMap3, apply_phi, phi_from_rotation, phi_map, rotation_block, so2_rotation
 from qutritwit.oracles import (
     CLOSED_FORM_GAP_TOL,
@@ -120,9 +120,7 @@ class TestSeeSawEngine:
         phi0 = _random_units(rng, self.cfg.restarts)
         order = np.argsort(res.iterations, kind="stable")
         for r in order[[0, 50, 100, 150, -1]]:
-            alone = _seesaw_batch(
-                W.reshape(3, 3, 3, 3), psi0[r : r + 1], phi0[r : r + 1], self.cfg.max_iters, SEESAW_TOL
-            )
+            alone = _seesaw_batch(W.reshape(3, 3, 3, 3), psi0[r : r + 1], phi0[r : r + 1], self.cfg.max_iters)
             assert abs(alone.values[0] - res.values[r]) <= 1e-12, r
             assert alone.iterations[0] == res.iterations[r], r
 
@@ -361,7 +359,7 @@ def test_engine_matches_gather_scatter_loop_bitwise(W, cfg):
     rng = np.random.default_rng(cfg.rng_seed)
     psi0 = _random_units(rng, cfg.restarts)
     phi0 = _random_units(rng, cfg.restarts)
-    W4 = require_hermitian(W, 1e-9).reshape(3, 3, 3, 3)
+    W4 = require_hermitian(W).reshape(3, 3, 3, 3)
     expected = _reference_seesaw_batch(W4, psi0, phi0, cfg.max_iters, SEESAW_TOL)
     res = _run_seesaw(W, cfg)
     for name, want in zip(("psi", "phi", "values", "iterations", "converged", "history"), expected):
@@ -381,6 +379,16 @@ def test_non_finite_witness_is_rejected(entry):
     for oracle in (min_product_expectation, zero_product_vectors):
         with pytest.raises(ValueError, match="non-finite"):
             oracle(W, SeeSawConfig(restarts=4))
+
+
+def test_hermiticity_tolerance_is_that_of_eigenvalues():
+    # The see-saw once accepted a gap of up to 1e-9; it now reads linalg's one tolerance, 1e-10.
+    W = witness_matrix(MapParams(1, 1, 0)).matrix.copy()
+    assert np.linalg.norm(W) <= 1  # so the gap is checked against 1e-10 itself
+    W[0, 1] += 5e-10 / np.sqrt(2)  # ||W - W^dagger||_F = 5e-10
+    for check in (eigenvalues, lambda M: min_product_expectation(M, SeeSawConfig(restarts=4))):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            check(W)
 
 
 @pytest.mark.filterwarnings("error")

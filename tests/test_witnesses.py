@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import rand_hermitian, random_slice_params, random_tilde_region_params
-from qutritwit.gellmann import default_basis
 from qutritwit.geometry import MapParams, Positivity, classify, improper_coeffs, slice_params, so2_coeffs
 from qutritwit.linalg import is_psd, partial_transpose
-from qutritwit.maps import LinearMap3, apply_phi, apply_phi_tilde, phi_map, phi_tilde_map
+from qutritwit.maps import GELLMANN, LinearMap3, apply_phi, apply_phi_tilde, phi_map, phi_tilde_map
 from qutritwit.oracles import SeeSawConfig, min_product_expectation
 from qutritwit.states import max_entangled_projector
 from qutritwit.witnesses import (
@@ -71,7 +70,7 @@ class TestStandardWitness:
 
 def reference_superop(fn):
     """Basis-action matrix S[k, l] = Tr(f_k fn(f_l)), one trace at a time."""
-    elements = default_basis().elements
+    elements = GELLMANN.reshape(9, 3, 3)
     S = np.zeros((9, 9), dtype=complex)
     for l, f in enumerate(elements):
         image = fn(f)
