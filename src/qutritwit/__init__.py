@@ -3,7 +3,8 @@ maps: construction, classification, certificates, and numerical oracles.
 
 The scalar geometry (parameters, classification, detection interval,
 critical weight, indecomposability certificate) is imported with the
-package; every other name loads its module, and numpy, on first access.
+package; every other name loads its module on first access, and numpy with
+every module but forms.
 """
 
 from importlib import import_module
@@ -28,6 +29,7 @@ from .geometry import (
 
 # Module -> the public names it provides, resolved by __getattr__ (PEP 562).
 _LAZY = {
+    "forms": ("exact_witness_entries",),
     "linalg": ("is_psd", "min_eigenvalue", "partial_transpose", "trace_pair"),
     "maps": (
         "LinearMap3",
@@ -65,7 +67,6 @@ _LAZY = {
         "WitnessMatrix",
         "choi_witness",
         "decompose_tilde",
-        "exact_witness_entries",
         "matrix_entries",
         "mix_witnesses",
         "witness_matrix",

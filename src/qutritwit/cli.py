@@ -15,12 +15,16 @@ a usage error (such as an option the subcommand does not take), invalid input,
 float overflow or an unwritable --output path or stdout, exits with status 2,
 nothing on stdout and one `error:` line on stderr.
 
-Only the commands that build a matrix (witness, detect --kind tilde|u, spa,
-certify --tilde, sweep --what witness|rank) load numpy and the matrix
-modules, on first access to the package's names; the rest run on geometry's
-scalar formulas and start without them.  One guard in `main` turns numpy's
-float overflow, invalid and divide warnings, like Python's OverflowError,
-into the exit 2.
+Only the commands that need a numpy matrix (witness with JSON output, sweep
+--what witness|rank and sweep --what pstar --improper: a see-saw, LAPACK
+spectra without a closed form) load numpy and the matrix modules, on first
+access to the package's names.  The rest start without them.  spa, certify
+--tilde and witness --format csv print the 9x9 rows of the numpy-free forms
+module, the same floats the library's arrays hold, with closed-form least
+eigenvalues, and detect --kind tilde|u reads the witness form; they import
+forms when they run.  The other commands print geometry's scalar formulas
+only.  One guard in `main` turns numpy's float overflow, invalid and divide
+warnings, like Python's OverflowError, into the exit 2.
 """
 
 from __future__ import annotations
@@ -56,8 +60,12 @@ SEED_ENV_VAR = "QUTRITWIT_SEED"
 DEFAULT_SEED = 7
 DEFAULT_RESTARTS = 200
 
-# --kind -> name of the witness builder in the package.
-_KINDS = {"standard": "witness_matrix", "tilde": "witness_tilde_matrix", "u": "witness_u"}
+# --kind -> (the kind of its witness form, name of the witness builder in the package).
+_KINDS = {
+    "standard": ("standard", "witness_matrix"),
+    "tilde": ("tilde", "witness_tilde_matrix"),
+    "u": ("u_conjugated", "witness_u"),
+}
 
 # --improper -> (family name, angle -> parameters, --kind of its witness).
 _FAMILIES = {
@@ -68,7 +76,7 @@ _FAMILIES = {
 
 def _witness(kind: str, p: MapParams):
     """The --kind witness at p."""
-    return getattr(qutritwit, _KINDS[kind])(p)
+    return getattr(qutritwit, _KINDS[kind][1])(p)
 
 
 def _linspace(lo: float, hi: float, n: int, endpoint: bool = True) -> list[float]:
@@ -208,9 +216,12 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _csv_matrix(M) -> str:
-    """The real part of M as CSV rows: every --kind witness is built from real entries."""
-    return "\n".join(",".join(f"{x:.17g}" for x in row) for row in M.real)
+def _write(rows: list[list[float]], csv: bool = False):
+    """Rows of floats (forms.dense) as CSV text with 17 significant digits, or as the
+    [re, im] pairs of witnesses.matrix_entries: every matrix written here is real."""
+    if csv:
+        return "\n".join(",".join(f"{x:.17g}" for x in row) for row in rows)
+    return [[[x, 0.0] for x in row] for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +249,11 @@ def _cmd_witness(args) -> tuple[dict, dict] | str:
     p, inputs = _resolve_params(args)
     inputs["kind"] = args.kind
     cfg = _seesaw_config(args, runs=args.format == "json")
-    W = _witness(args.kind, p)
     if cfg is None:
-        return _csv_matrix(W.matrix)
+        from . import forms
+
+        return _write(forms.dense(*forms.witness_form(p, _KINDS[args.kind][0])), csv=True)
+    W = _witness(args.kind, p)
     entries, exact = _matrix_payload(W)
     results = {
         "params": _encode_params(p),
@@ -267,11 +280,13 @@ def _cmd_detect(args) -> tuple[dict, dict] | str:
     inputs["kind"] = args.kind
     inputs["eps_grid"] = [lo, hi, count]
     grid = _linspace(lo, hi, count)
-    if args.kind == "standard":  # the closed form, exact for exact input: no cancellation as b -> c
-        kind, values = "standard", [detection_value(p, e) for e in grid]
+    kind = _KINDS[args.kind][0]
+    if kind == "standard":  # the closed form, exact for exact input: no cancellation as b -> c
+        values = [detection_value(p, e) for e in grid]
     else:
-        W = _witness(args.kind, p)
-        kind, values = W.kind, [float(qutritwit.trace_pair(qutritwit.rho_eps(e).matrix, W.matrix).real) for e in grid]
+        from . import forms
+
+        values = forms.detection_values(p, kind, grid)
     if args.format == "csv":
         return "\n".join(["eps,value"] + [f"{e:.17g},{v:.17g}" for e, v in zip(grid, values)])
     results = {
@@ -285,27 +300,26 @@ def _cmd_detect(args) -> tuple[dict, dict] | str:
 
 
 def _cmd_spa(args) -> tuple[dict, dict]:
+    from . import forms
+
     p, inputs = _resolve_params(args)
-    res = qutritwit.spa_state(p)
+    star, state, certificate = forms.spa_form(p)
     results = {
         "params": _encode_params(p),
-        "p_star": res.p_star,
-        "region": res.separable_certified,
-        "separable_certified": res.separable_certified,
-        "state": qutritwit.matrix_entries(res.state.matrix),
-        "state_min_eigenvalue": qutritwit.min_eigenvalue(res.state.matrix),
+        "p_star": star,
+        "region": certificate is not None,
+        "separable_certified": certificate is not None,
+        "state": _write(forms.dense(*state)),
+        "state_min_eigenvalue": forms.spa_min_eigenvalue(state),
+        "components": None,
     }
-    if res.components is not None:
-        comp = res.components
+    if certificate is not None:
+        scale, sigma_d = certificate
         results["components"] = {
-            "sigma_12": qutritwit.matrix_entries(comp.sigma_12.matrix),
-            "sigma_13": qutritwit.matrix_entries(comp.sigma_13.matrix),
-            "sigma_23": qutritwit.matrix_entries(comp.sigma_23.matrix),
-            "sigma_d": qutritwit.matrix_entries(comp.sigma_d.matrix),
-            "scale": comp.scale,
+            **{f"sigma_{i}{j}": _write(forms.dense(*forms.sigma_pair_form(i, j))) for i, j in ((1, 2), (1, 3), (2, 3))},
+            "sigma_d": _write(forms.dense(sigma_d)),
+            "scale": scale,
         }
-    else:
-        results["components"] = None
     return inputs, results
 
 
@@ -314,16 +328,20 @@ def _cmd_certify(args) -> tuple[dict, dict]:
     if args.tilde == args.indecomposable:
         raise ValueError("choose exactly one of --tilde or --indecomposable")
     if args.tilde:
-        cert = qutritwit.decompose_tilde(p)
+        from . import forms
+
+        P, Q = (forms.dense(*form) for form in forms.tilde_form(p))
+        W = forms.dense(*forms.witness_form(p, "tilde"))
+        min_p, min_q = forms.tilde_min_eigenvalues(p)
         results = {
             "params": _encode_params(p),
             "certificate": "decomposition",
-            "P": qutritwit.matrix_entries(cert.P),
-            "Q": qutritwit.matrix_entries(cert.Q),
-            "scale": cert.scale,
-            "min_eig_P": qutritwit.min_eigenvalue(cert.P),
-            "min_eig_Q": qutritwit.min_eigenvalue(cert.Q),
-            "reconstruction_residual": cert.residual(qutritwit.witness_tilde_matrix(p)),
+            "P": _write(P),
+            "Q": _write(Q),
+            "scale": forms.TILDE_SCALE,
+            "min_eig_P": min_p,
+            "min_eig_Q": min_q,
+            "reconstruction_residual": forms.reconstruction_residual(P, Q, W),
         }
     else:
         eps, value = indecomposability_certificate(p) or (None, None)
@@ -376,8 +394,10 @@ def _cmd_sweep(args) -> tuple[dict, dict]:
         p = coeffs(alpha)
         a, b, c = p.asfloats()
         row = {"alpha": alpha, "a": a, "b": b, "c": c, "sum": a + b + c}
-        if args.what == "pstar":
+        if args.what == "pstar" and kind == "standard":
             row["p_star"] = critical_p(p)
+        elif args.what == "pstar":  # the improper family's witness W~ has no closed-form p*
+            row["p_star"] = qutritwit.critical_p_from_witness(_witness(kind, p))
         elif args.what == "witness":
             W = _witness(kind, p)
             row["matrix"] = qutritwit.matrix_entries(W.matrix)

@@ -185,6 +185,11 @@ def _decomposable_side(p: MapParams) -> int:
     return _side(4 * (B * C) - (2 * D - A) ** 2, 4 * (B + C) + 2 * abs(2 * D - A))
 
 
+def _in_region(B: Number, C: Number, D: Number) -> bool:
+    """Whether (b, c) = (B, C)/D has 2b+c >= 1 and 2c+b >= 1, read from a point's form."""
+    return _side(2 * B + C - D, 3) >= 0 and _side(2 * C + B - D, 3) >= 0
+
+
 def _require_finite(**values: Number) -> None:
     """Reject a NaN or infinite argument with a ValueError naming it; an int or Fraction always passes."""
     for name, x in values.items():

@@ -15,15 +15,16 @@ one keeps a finite spectrum.
 All operators are numpy arrays with complex entries.  Two-qutrit operators
 use the row-major composite convention: the product ket |ij> (1-based labels
 i for the first factor, j for the second) sits at flat index 3*(i-1) + (j-1).
-These kets fall into three INDEX_GROUPS, on which `structured` builds every
-structured operator: the witnesses, the probe states and the SPA pieces.
+These kets fall into three index groups, forms.INDEX_GROUPS, on which
+`structured` builds every structured operator from its numpy-free form in
+forms: the witnesses, the probe states, the SPA pieces and the P + Q^G
+certificate.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import isfinite, sqrt
-from operator import itemgetter
 
 import numpy as np
 
@@ -31,11 +32,6 @@ Array = np.ndarray
 
 DEFAULT_PSD_TOL = 1e-9
 DEFAULT_HERMITICITY_TOL = 1e-10
-
-# Flat indices of the three index groups |ii>, |i,i+1> and |i,i+2>, levels cyclic on {1, 2, 3}.
-INDEX_GROUPS = ((0, 4, 8), (1, 5, 6), (2, 3, 7))
-DOUBLES, PLUS_ONE, PLUS_TWO = INDEX_GROUPS
-_SPREAD = itemgetter(*(next(g for g, group in enumerate(INDEX_GROUPS) if k in group) for k in range(9)))
 
 
 def as_matrix(M) -> Array:
@@ -46,11 +42,6 @@ def as_matrix(M) -> Array:
     return A
 
 
-def group_diagonal(*values) -> tuple:
-    """The 9 diagonal entries, each the value of its flat index's group: values[g] on INDEX_GROUPS[g]."""
-    return _SPREAD(values)
-
-
 @lru_cache(maxsize=None)
 def _block_index(block: tuple[int, ...]) -> Array:
     """The len(block) x len(block) flat indices 9r + s of block x block, made once and read-only."""
@@ -59,16 +50,20 @@ def _block_index(block: tuple[int, ...]) -> Array:
     return index
 
 
-def structured(diagonal, grid=0.0, block: tuple[int, ...] = ()) -> Array:
+def structured(diagonal, grid=0.0, block: tuple[int, ...] = (), entries=()) -> Array:
     """The 9x9 operator with grid (a number, or a len(block) x len(block) array) on block x block,
-    block being flat indices, then the 9 values diagonal, unless None, on the main diagonal; zero
-    elsewhere.  A grid array of another shape raises ValueError."""
+    block being flat indices, then the 9 values diagonal, unless None, on the main diagonal, then
+    each x of entries' (k, x) at flat index k; zero elsewhere.  A grid array of another shape
+    raises ValueError.  forms.dense writes the same entries as rows of Python floats."""
     M = np.zeros((9, 9), dtype=complex)
     flat = M.ravel()  # a view: entry (r, s) is flat[9r + s], the diagonal flat[::10]
     if block:  # one fancy-index write: a number is broadcast, an array must fit the block's square
         flat[_block_index(block)] = grid
     if diagonal is not None:
         flat[::10] = diagonal
+    if entries:  # only Q has any: the test costs less than an empty loop on every other operator
+        for k, x in entries:
+            flat[k] = x
     return M
 
 

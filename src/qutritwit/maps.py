@@ -48,6 +48,7 @@ from math import cos, sin
 
 import numpy as np
 
+from .forms import _ROWS
 from .geometry import MapParams, _n_float, _require_slice
 from .linalg import Array
 
@@ -69,16 +70,9 @@ def _gellmann() -> Array:
 GELLMANN = _gellmann()
 
 
-# Rows of each family's diagonal action (up to normalization and the +1 on
-# the diagonal), as positions in (a, b, c); the module docstring shows them.
-_ROWS = {
-    "circulant": ((0, 1, 2), (2, 0, 1), (1, 2, 0)),
-    "improper": ((0, 1, 2), (1, 2, 0), (2, 0, 1)),
-}
-
-
 def _rows(p: MapParams, kind: str) -> Array:
-    """The family's diagonal-action rows as a float 3x3 array."""
+    """The family's diagonal-action rows (the row table of forms, positions in (a, b, c), shown
+    in the module docstring) as a float 3x3 array."""
     abc = p.asfloats()
     return np.array([[abc[k] for k in row] for row in _ROWS[kind]])
 

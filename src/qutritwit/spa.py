@@ -22,10 +22,11 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .geometry import MapParams, Number, _cp_side, _require_finite, _side, critical_p
+from .forms import spa_form
+from .geometry import MapParams, Number, _in_region, _require_finite
 from .linalg import Array
-from .states import BipartiteState, _sigma_diag, sigma_pair
-from .witnesses import WitnessMatrix, _form
+from .states import BipartiteState, sigma_pair
+from .witnesses import WitnessMatrix
 
 
 @dataclass(frozen=True)
@@ -88,11 +89,6 @@ def spa_region(b: Number, c: Number) -> bool:
     return _in_region(b, c, 1)
 
 
-def _in_region(B: Number, C: Number, D: Number) -> bool:
-    """spa_region at (b, c) = (B, C)/D, read from a point's form."""
-    return _side(2 * B + C - D, 3) >= 0 and _side(2 * C + B - D, 3) >= 0
-
-
 @lru_cache(maxsize=None)
 def _sigma_pairs() -> tuple[BipartiteState, BipartiteState, BipartiteState]:
     """sigma_12, sigma_13 and sigma_23, made once and read-only: every certificate shares them."""
@@ -103,26 +99,15 @@ def _sigma_pairs() -> tuple[BipartiteState, BipartiteState, BipartiteState]:
 
 
 def spa_state(p: MapParams) -> SpaResult:
-    """Critical noisy witness, read from the witness form, with its separability certificate when available.
+    """Critical noisy witness, read from forms.spa_form, with its separability certificate when available.
 
     Inside the region 2b+c >= 1, 2c+b >= 1 the state is
     scale * (sigma_12 + sigma_13 + sigma_23 + sigma_d) with
     scale = 1 / (3 (2 + 3(2-a))); outside it no separability claim is made.
     """
-    star = critical_p(p)  # the one plane check
-    if star == 0.0:
-        if _cp_side(p) >= 0:
-            raise ValueError("requires a < 2; the witness is already PSD")
-        raise ValueError("the critical weight p* = 3(2-a)/(2+3(2-a)) underflows a float: 2-a is too small")
-    # spa_mix(witness_matrix(p), star), built entry by entry in the same float operations.
-    values, m, t, rows, kets = _form(p, "standard")
-    mixed = [(1.0 - star) * (x / t) + star / 9.0 for x in values]
-    diagonal = [mixed[k] for row in rows for k in row]
-    state = BipartiteState(linalg.structured(diagonal, (1.0 - star) * (-m / t), kets))
-    certified = _in_region(*p._abcd[1:])
+    star, state, certificate = spa_form(p)
     components = None
-    if certified:
-        fa, fb, fc = p.asfloats()
-        scale = 1.0 / (3.0 * (2.0 + 3.0 * (2.0 - fa)))
-        components = SpaComponents(*_sigma_pairs(), _sigma_diag(fb, fc), scale)
-    return SpaResult(star, state, certified, components)
+    if certificate is not None:
+        scale, sigma_d = certificate
+        components = SpaComponents(*_sigma_pairs(), BipartiteState(linalg.structured(sigma_d)), scale)
+    return SpaResult(star, BipartiteState(linalg.structured(*state)), certificate is not None, components)

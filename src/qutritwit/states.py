@@ -22,8 +22,9 @@ from math import inf
 import numpy as np
 
 from . import linalg
+from .forms import DOUBLES, group_diagonal, sigma_diag_diagonal, sigma_pair_form
 from .geometry import MapParams, _require_slice
-from .linalg import DOUBLES, Array, partial_transpose
+from .linalg import Array, partial_transpose
 from .witnesses import witness_matrix
 
 
@@ -50,7 +51,7 @@ def rho_eps(eps: float) -> BipartiteState:
         x = inf
     if not (0 < x < inf and 1 / x < inf):  # a NaN fails the first test
         raise ValueError(f"eps and 1/eps must be finite floats, got {eps}")
-    return BipartiteState(linalg.structured(linalg.group_diagonal(1.0, eps, 1.0 / eps), 1.0, DOUBLES))
+    return BipartiteState(linalg.structured(group_diagonal(1.0, eps, 1.0 / eps), 1.0, DOUBLES))
 
 
 def max_entangled_projector() -> BipartiteState:
@@ -70,13 +71,7 @@ def sigma_pair(i: int, j: int) -> BipartiteState:
 
     PSD, PPT, and supported inside a C^2 (x) C^2 product subspace.
     """
-    if i == j or not {i, j} <= {1, 2, 3}:
-        raise ValueError("indices must be distinct and in {1, 2, 3}")
-    ii, jj = DOUBLES[i - 1], DOUBLES[j - 1]
-    diagonal = [0.0] * 9
-    for k in (ii, jj, ii + j - i, jj + i - j):  # |rs> sits s - r places along the row of |rr>
-        diagonal[k] = 1.0
-    return BipartiteState(linalg.structured(diagonal, -1.0, (ii, jj)))
+    return BipartiteState(linalg.structured(*sigma_pair_form(i, j)))
 
 
 def sigma_diag(p: MapParams) -> BipartiteState:
@@ -88,12 +83,7 @@ def sigma_diag(p: MapParams) -> BipartiteState:
     """
     _require_slice(p)
     _, b, c = p.asfloats()
-    return _sigma_diag(b, c)
-
-
-def _sigma_diag(b: float, c: float) -> BipartiteState:
-    """sigma_diag at float (b, c), the plane already checked."""
-    return BipartiteState(linalg.structured(linalg.group_diagonal(0.0, 2 * b + c - 1, 2 * c + b - 1)))
+    return BipartiteState(linalg.structured(sigma_diag_diagonal(b, c)))
 
 
 def detection_value_numeric(p: MapParams, eps: float) -> float:

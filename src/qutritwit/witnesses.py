@@ -12,33 +12,25 @@ The improper-family witnesses W~ are decomposable: W~ = (P + Q^G)/6 with
 explicit PSD blocks P, Q, Q^G the partial transpose of Q on the second
 factor.  Conjugating W by the local permutation U (x) I that swaps the second
 and third levels of the first qutrit gives W_U, which shares the diagonal of
-W~ but keeps the detection power of W.  Each kind is one form, _form(p, kind),
-which the 9x9 builders, exact_witness_entries and spa.spa_state read.
+W~ but keeps the detection power of W.  Each kind is one form,
+forms._form(p, kind), which the 9x9 builders (through forms.witness_form),
+forms.exact_witness_entries and the SPA state read; the certificate's P and
+Q are forms.tilde_form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isfinite
 from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
 from . import linalg
-from .geometry import MapParams, Number, _ellipse_side, _n_float, _require_slice, improper_coeffs, so2_coeffs
-from .linalg import DOUBLES, PLUS_ONE, PLUS_TWO, Array, partial_transpose
-from .maps import _ROWS, GELLMANN, LinearMap3, _rows
-
-# Each witness kind: the row table that fills its diagonal, and the flat indices carrying the -1
-# grid.  U (x) I sends the |ii> to |11>, |32>, |23> and the circulant rows to the improper.
-_KINDS = {
-    "standard": (_ROWS["circulant"], DOUBLES),
-    "tilde": (_ROWS["improper"], DOUBLES),
-    "u_conjugated": (_ROWS["improper"], (DOUBLES[0], PLUS_ONE[1], PLUS_TWO[2])),
-}
-
-_J_MINUS_I = 1 - np.eye(3)  # made once: np.eye costs as much as the rest of the P block
+from .forms import TILDE_SCALE, tilde_form, witness_form
+from .geometry import MapParams, improper_coeffs, so2_coeffs
+from .linalg import Array, partial_transpose
+from .maps import GELLMANN, LinearMap3
 
 
 @dataclass(frozen=True)
@@ -63,39 +55,15 @@ class DecompositionCertificate:
 
     P: Array
     Q: Array
-    scale: ClassVar[float] = 6.0
+    scale: ClassVar[float] = TILDE_SCALE
 
     def residual(self, witness: "WitnessMatrix | Array") -> float:
         W = linalg.as_matrix(witness)
         return float(np.linalg.norm(self.P + partial_transpose(self.Q) - self.scale * W))
 
 
-def _form(p: MapParams, kind: str) -> tuple[Sequence[Number], Number, Number, tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """The one form (values, m, t, rows, kets) of a witness kind: the 9x9 entries are
-    values[rows[i][l]] / t at (3i+l, 3i+l) and -m / t off the diagonal of kets x kets, zero
-    elsewhere; as (R', m, pi), R'[i][l] = values[rows[i][l]] / m + [3i+l in kets] and the kets
-    are the |i pi(i)>.  Kinds other than "standard" are defined on the plane a+b+c = 2.
-    Exact input gives integers, values = (A, B, C), m = D and t = 3(A+B+C): each float entry is
-    one int/int division, each exact one Fraction(x, t).  Float input gives values =
-    pref * (a, b, c), m = pref = N/3 and t = 1.0: dividing by it changes no bit."""
-    if kind not in _KINDS:
-        raise ValueError(f"unsupported kind {kind!r}")
-    if kind != "standard":
-        _require_slice(p)
-    rows, kets = _KINDS[kind]
-    if p.ints is None:  # float input rounds pref, then each pref * x; exact input rounds each entry once
-        pref = _n_float(p) / 3
-        return [pref * x for x in p._abcd[:3]], pref, 1.0, rows, kets
-    A, B, C, D = p.ints
-    return (A, B, C), D, 3 * (A + B + C), rows, kets
-
-
 def _witness(p: MapParams, kind: str) -> WitnessMatrix:
-    values, m, t, rows, kets = _form(p, kind)
-    x, y, z = values  # three divisions in one display: a comprehension costs a frame per witness
-    scaled = (x / t, y / t, z / t)
-    diagonal = [scaled[k] for row in rows for k in row]
-    return WitnessMatrix(linalg.structured(diagonal, -m / t, kets), p, kind)
+    return WitnessMatrix(linalg.structured(*witness_form(p, kind)), p, kind)
 
 
 def witness_matrix(p: MapParams) -> WitnessMatrix:
@@ -152,17 +120,8 @@ def decompose_tilde(p: MapParams) -> DecompositionCertificate:
     principal minors sum to 3(bc - (1-a)^2): its other two eigenvalues have
     sum 2 and that product, so P >= 0 exactly on the region bc >= (1-a)^2.
     """
-    _require_slice(p)
-    if _ellipse_side(p) < 0:
-        raise ValueError(f"parameters {p} are outside the region bc >= (1-a)^2")
-    R = _rows(p, "improper")
-    P = linalg.structured(None, R - _J_MINUS_I, DOUBLES)
-    Q = np.zeros((9, 9), dtype=complex)
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        s, t = 3 * i + j, 3 * j + i  # |ij>, |ji>
-        Q[s, s] = Q[t, t] = R[i, j]
-        Q[s, t] = Q[t, s] = -R[i, j]
-    return DecompositionCertificate(P, Q)
+    P, Q = tilde_form(p)
+    return DecompositionCertificate(linalg.structured(*P), linalg.structured(*Q))
 
 
 def mix_witnesses(
@@ -199,23 +158,3 @@ def matrix_entries(M: Array) -> list[list[list[float]]]:
     """Row-major nested entries [[re, im], ...] for JSON output."""
     A = linalg.as_matrix(M)
     return [[[float(z.real), float(z.imag)] for z in row] for row in A]
-
-
-def exact_witness_entries(p: MapParams, kind: str = "standard") -> list[list[str]]:
-    """The witness entries as exact rational strings "p/q".
-
-    Only available when the parameters are rational numbers; the entries are
-    rational multiples of the parameters in every construction used here.
-    """
-    if not p.is_exact:
-        raise ValueError("exact entries require rational parameters")
-    values, m, t, rows, kets = _form(p, kind)
-    strings = [str(Fraction(x, t)) for x in values]
-    grid = [["0"] * 9 for _ in range(9)]
-    minus = str(Fraction(-m, t))
-    for i in kets:
-        for j in kets:
-            grid[i][j] = minus
-    for k, x in enumerate(strings[pos] for row in rows for pos in row):
-        grid[k][k] = x
-    return grid

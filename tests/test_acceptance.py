@@ -12,6 +12,7 @@ from math import pi
 import numpy as np
 
 from conftest import rand_complex, random_slice_params, random_tilde_region_params
+from qutritwit.forms import exact_witness_entries
 from qutritwit.geometry import (
     MapParams,
     Positivity,
@@ -38,7 +39,6 @@ from qutritwit.states import detection_value_numeric, is_ppt, rho_eps
 from qutritwit.witnesses import (
     choi_witness,
     decompose_tilde,
-    exact_witness_entries,
     witness_matrix,
     witness_tilde_matrix,
     witness_u,

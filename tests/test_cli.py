@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from qutritwit.cli import main
-from qutritwit.geometry import improper_coeffs, so2_coeffs
+from qutritwit.geometry import critical_p, improper_coeffs, so2_coeffs
+from qutritwit.spa import critical_p_from_witness
 from qutritwit.witnesses import matrix_entries, witness_matrix, witness_tilde_matrix
 
 
@@ -264,6 +265,38 @@ class TestDetect:
         for eps, value in zip(record["results"]["eps"], record["results"]["values"]):
             assert abs(value - (eps - 1) ** 2 / (3 * eps)) < 1e-12
 
+    # On the plane each index group of W~ and of W_U holds one copy of a, b and c, so
+    # Tr(rho_eps W~) = (eps-1)^2/(3 eps) and Tr(rho_eps W_U) = (1 + eps + 1/eps)/3 at every point.
+    _CLOSED_FORMS = {
+        "tilde": lambda eps: (eps - 1) ** 2 / (3 * eps),
+        "u": lambda eps: (1 + eps + 1 / eps) / 3,
+    }
+
+    @pytest.mark.parametrize("kind", ["tilde", "u"])
+    @pytest.mark.parametrize("point", [["2", "0", "0"], ["--bc", "1/2", "1/2"], ["--bc", "1/3", "1"], ["0", "7/5", "3/5"]])
+    @pytest.mark.parametrize("grid", [["0.1", "2.0", "20"], ["1e-300", "1e300", "7"], ["0.999", "1.001", "9"]])
+    def test_exact_form_values_are_correctly_rounded(self, capsys, kind, point, grid):
+        closed = self._CLOSED_FORMS[kind]
+        for fmt in ("json", "csv"):
+            assert main(["detect", "--kind", kind, *point, "--eps-grid", *grid, "--format", fmt]) == 0
+            out = capsys.readouterr().out
+            if fmt == "json":
+                results = json.loads(out)["results"]
+                pairs = list(zip(results["eps"], results["values"]))
+            else:
+                pairs = [tuple(map(float, line.split(","))) for line in out.split()[1:]]
+            assert len(pairs) == int(grid[2])
+            for eps, value in pairs:
+                assert value == float(closed(Fraction(eps))), (eps, value)
+
+    @pytest.mark.parametrize("kind", ["tilde", "u"])
+    def test_float_form_values_follow_the_closed_form(self, capsys, kind):
+        closed = self._CLOSED_FORMS[kind]
+        for point in (["--bc", "0.3712", "1.0405"], ["--alpha", "2.2", "--improper"], ["--alpha", "0.4"]):
+            results = run_json(capsys, ["detect", "--kind", kind, *point])["results"]
+            for eps, value in zip(results["eps"], results["values"]):
+                assert abs(value - closed(eps)) < 1e-12
+
     def test_exact_values_keep_sign_near_b_equal_c(self, capsys):
         # The vertex of the detection parabola nears zero as b -> c; a float 9x9 pairing
         # cancels there and reads [-5.6e-17, 0.0, 2.8e-17].
@@ -467,6 +500,19 @@ class TestSweep:
     def test_pstar_at_pi(self, capsys):
         record = run_json(capsys, ["sweep", "--alpha-grid", "4", "--what", "pstar"])
         assert abs(record["results"]["rows"][2]["p_star"] - 0.75) < 1e-12
+
+    def test_pstar_reads_the_family_witness(self, capsys):
+        # The improper family's witness is W~, whose least eigenvalue is about -0.235 on the
+        # ellipse: p* about 0.68 at every angle, where the standard witness's closed form was printed.
+        record = run_json(capsys, ["sweep", "--alpha-grid", "6", "--what", "pstar", "--improper"])
+        rows = record["results"]["rows"]
+        assert len(rows) == 6 and rows[0]["p_star"] > 0.67
+        for row in rows:
+            W = witness_tilde_matrix(improper_coeffs(row["alpha"]))
+            assert row["p_star"] == critical_p_from_witness(W)
+            assert 0.677 < row["p_star"] < 0.68
+        proper = run_json(capsys, ["sweep", "--alpha-grid", "6", "--what", "pstar"])["results"]["rows"]
+        assert [row["p_star"] for row in proper] == [critical_p(so2_coeffs(row["alpha"])) for row in proper]
 
     def test_rank_sweep_small(self, capsys):
         assert main(["sweep", "--alpha-grid", "2", "--what", "rank", "--restarts", "60", "--seed", "5"]) == 0

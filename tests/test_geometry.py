@@ -34,7 +34,8 @@ from qutritwit.geometry import (
     so2_coeffs,
 )
 from qutritwit.spa import spa_region, spa_state
-from qutritwit.witnesses import exact_witness_entries, witness_matrix, witness_tilde_matrix, witness_u
+from qutritwit.forms import exact_witness_entries
+from qutritwit.witnesses import witness_matrix, witness_tilde_matrix, witness_u
 
 TINY = Fraction(1, 10**400)
 

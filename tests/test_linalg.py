@@ -5,11 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import rand_hermitian
+from qutritwit.forms import DOUBLES, PLUS_ONE, PLUS_TWO
 from qutritwit.geometry import MapParams, n_abc
 from qutritwit.linalg import (
-    DOUBLES,
-    PLUS_ONE,
-    PLUS_TWO,
     eigenvalues,
     is_psd,
     min_eigenvalue,

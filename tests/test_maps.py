@@ -34,7 +34,8 @@ from qutritwit.maps import (
 )
 from qutritwit.linalg import trace_pair
 from qutritwit.spa import spa_region, spa_state
-from qutritwit.witnesses import decompose_tilde, exact_witness_entries, witness_matrix
+from qutritwit.forms import exact_witness_entries
+from qutritwit.witnesses import decompose_tilde, witness_matrix
 
 
 def diag_proj(i):

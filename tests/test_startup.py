@@ -3,7 +3,9 @@
 Each check runs in a fresh interpreter, since this one has numpy loaded.
 """
 
+import contextlib
 import importlib
+import io
 import json
 import math
 import subprocess
@@ -17,9 +19,11 @@ from qutritwit import cli
 from qutritwit.geometry import so2_coeffs
 from qutritwit.oracles import SeeSawConfig
 
-# The commands that print only geometry's closed forms, with the witness argv
-# that fails on its seed before it builds a matrix.  detect's standard kind
-# takes its values from the closed form.
+# The commands that start without numpy, with the witness argv that fails on
+# its seed before it builds a matrix: those that print geometry's closed forms,
+# and spa, certify --tilde, witness --format csv and detect --kind tilde|u,
+# which print the rows and values of the forms module.  Exact, float and
+# --alpha input of each, and the runs that exit 2 on their input.
 _SCALAR_ARGVS = [
     (["classify", "--bc", "1", "1"], {}),
     (["classify", "1", "1", "0"], {}),
@@ -34,6 +38,43 @@ _SCALAR_ARGVS = [
     (["figure", "--resolution", "72"], {}),
     (["sweep", "--alpha-grid", "12", "--what", "pstar"], {}),
     (["witness", "--bc", "1", "1", "--restarts", "16"], {"QUTRITWIT_SEED": "abc"}),
+    (["spa", "--bc", "1", "1/2"], {}),
+    (["spa", "--bc", "0.1", "0.1"], {}),
+    (["spa", "--alpha", "0.7"], {}),
+    (["spa", "--alpha", "2.5", "--improper"], {}),
+    (["spa", "1", "1", "1/2000000000"], {}),
+    (["spa", "--bc", "0", "0"], {}),
+    (["spa", "--bc", f"1/{10**400}", "0"], {}),
+    (["certify", "--tilde", "--bc", "1", "1/2"], {}),
+    (["certify", "--tilde", "--bc", "0.3712", "1.0405"], {}),
+    (["certify", "--tilde", "--alpha", "0.8", "--improper"], {}),
+    (["certify", "--tilde", "--bc", "0.1", "0.1"], {}),
+    (["certify", "--tilde", "1", "1", "1"], {}),
+    (["certify", "--tilde", "--indecomposable", "--bc", "1", "1/2"], {}),
+    (["witness", "--bc", "1/2", "1/2", "--format", "csv"], {}),
+    (["witness", "--kind", "tilde", "--bc", "1/2", "1/2", "--format", "csv"], {}),
+    (["witness", "--kind", "u", "--bc", "1/2", "1/2", "--format", "csv"], {}),
+    (["witness", "--kind", "u", "--bc", "0.3712", "1.0405", "--format", "csv"], {}),
+    (["witness", "--kind", "tilde", "--alpha", "1.2", "--improper", "--format", "csv"], {}),
+    (["witness", "1", "2", "3", "--format", "csv"], {}),
+    (["witness", "--kind", "tilde", "1", "2", "3", "--format", "csv"], {}),
+    (["witness", "1", "1", "0", "--format", "csv", "--restarts", "5"], {}),
+    (["detect", "--kind", "tilde", "--bc", "1/2", "1/2"], {}),
+    (["detect", "--kind", "u", "--bc", "1/3", "1"], {}),
+    (["detect", "--kind", "u", "--bc", "1/3", "1", "--format", "csv"], {}),
+    (["detect", "--kind", "tilde", "--bc", "0.3712", "1.0405", "--format", "csv"], {}),
+    (["detect", "--kind", "tilde", "--alpha", "1.1", "--improper"], {}),
+    (["detect", "--kind", "u", "--alpha", "1.1"], {}),
+    (["detect", "--kind", "u", "1", "2", "3"], {}),
+    (["detect", "--kind", "tilde", "--bc", "1/2", "1/2", "--eps-grid", "0", "1", "3"], {}),
+]
+
+# The commands that still need numpy: a see-saw, or LAPACK spectra with no closed form.
+_NUMPY_ARGVS = [
+    ["witness", "--bc", "1/2", "1/2", "--restarts", "4"],
+    ["sweep", "--alpha-grid", "2", "--what", "witness"],
+    ["sweep", "--alpha-grid", "1", "--what", "rank", "--restarts", "4"],
+    ["sweep", "--alpha-grid", "2", "--what", "pstar", "--improper"],
 ]
 
 _RUN_EACH = """
@@ -46,7 +87,7 @@ for argv, env in json.loads(sys.argv[1]):
     os.environ.update(env)
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         main(argv)
-    if "numpy" in sys.modules:
+    if sys.argv[2] in sys.modules:
         loaded.append(argv)
         break
 print(json.dumps(loaded))
@@ -61,7 +102,37 @@ def _fresh(code: str, *args: str) -> str:
 
 def test_scalar_commands_load_no_numpy():
     # Checked after each argv, so the first one that loads numpy is named.
-    assert json.loads(_fresh(_RUN_EACH, json.dumps(_SCALAR_ARGVS))) == []
+    assert json.loads(_fresh(_RUN_EACH, json.dumps(_SCALAR_ARGVS), "numpy")) == []
+
+
+def test_commands_that_print_no_form_load_no_forms():
+    # Every CLI process compiles the package's modules it loads; those that print only
+    # geometry's numbers do not load the forms module.
+    argvs = [(argv, env) for argv, env in _SCALAR_ARGVS if argv[0] in ("classify", "figure", "sweep")]
+    argvs += [(argv, env) for argv, env in _SCALAR_ARGVS if argv[:2] in (["detect", "--bc"], ["certify", "--indecomposable"])]
+    assert len(argvs) == 12
+    assert json.loads(_fresh(_RUN_EACH, json.dumps(argvs), "qutritwit.forms")) == []
+
+
+def test_scalar_argvs_cover_success_and_failure():
+    # Each newly numpy-free command is listed with a run that exits 0 and one that exits 2.
+    statuses = {}
+    for argv, env in _SCALAR_ARGVS:
+        if env:  # the seed variable's failure is checked in a fresh process above
+            continue
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            statuses.setdefault(argv[0], set()).add(cli.main(argv))
+    assert all(statuses[command] == {0, 2} for command in ("spa", "certify", "witness", "detect")), statuses
+
+
+@pytest.mark.parametrize("argv", _NUMPY_ARGVS)
+def test_matrix_commands_load_numpy(argv):
+    code = (
+        "import io, sys; from contextlib import redirect_stdout, redirect_stderr; from qutritwit.cli import main\n"
+        "with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()): status = main(sys.argv[1:])\n"
+        "print(status, 'numpy' in sys.modules)"
+    )
+    assert _fresh(code, *argv).split() == ["0", "True"]
 
 
 def test_package_import_loads_no_numpy():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_hermitian, random_slice_params, random_tilde_region_params
+from qutritwit.forms import exact_witness_entries
 from qutritwit.geometry import MapParams, Positivity, classify, improper_coeffs, slice_params, so2_coeffs
 from qutritwit.linalg import is_psd, partial_transpose
 from qutritwit.maps import GELLMANN, LinearMap3, apply_phi, apply_phi_tilde, phi_map, phi_tilde_map
@@ -14,7 +15,6 @@ from qutritwit.states import max_entangled_projector
 from qutritwit.witnesses import (
     choi_witness,
     decompose_tilde,
-    exact_witness_entries,
     matrix_entries,
     mix_witnesses,
     witness_matrix,
