@@ -53,22 +53,12 @@ _LAZY = {
         "zero_product_vectors",
     ),
     "spa": ("SpaComponents", "SpaResult", "critical_p_from_witness", "spa_mix", "spa_region", "spa_state"),
-    "states": (
-        "BipartiteState",
-        "detection_value_numeric",
-        "is_ppt",
-        "max_entangled_projector",
-        "rho_eps",
-        "sigma_diag",
-        "sigma_pair",
-    ),
+    "states": ("BipartiteState", "is_ppt", "rho_eps", "sigma_pair"),
     "witnesses": (
         "DecompositionCertificate",
         "WitnessMatrix",
         "choi_witness",
         "decompose_tilde",
-        "matrix_entries",
-        "mix_witnesses",
         "witness_matrix",
         "witness_tilde_matrix",
         "witness_u",

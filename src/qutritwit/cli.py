@@ -18,10 +18,11 @@ nothing on stdout and one `error:` line on stderr.
 Only the commands that need a numpy matrix (witness with JSON output, sweep
 --what witness|rank and sweep --what pstar --improper: a see-saw, LAPACK
 spectra without a closed form) load numpy and the matrix modules, on first
-access to the package's names.  The rest start without them.  spa, certify
---tilde and witness --format csv print the 9x9 rows of the numpy-free forms
-module, the same floats the library's arrays hold, with closed-form least
-eigenvalues, and detect --kind tilde|u reads the witness form; they import
+access to the package's names.  The rest start without them.  Every printed
+matrix is written from the numpy-free forms module: its 9x9 rows, the same
+floats the library's arrays hold, or its exact entries.  spa and certify
+--tilde (with closed-form least eigenvalues) and witness --format csv need
+nothing more, and detect --kind tilde|u reads the witness form; they import
 forms when they run.  The other commands print geometry's scalar formulas
 only.  One guard in `main` turns numpy's float overflow, invalid and divide
 warnings, like Python's OverflowError, into the exit 2.
@@ -180,12 +181,6 @@ def _seesaw_config(args, runs: bool):
     return qutritwit.SeeSawConfig(restarts=args.restarts, rng_seed=seed)
 
 
-def _matrix_payload(W) -> tuple[object, bool]:
-    if W.params is not None and W.params.is_exact:
-        return qutritwit.exact_witness_entries(W.params, W.kind), True
-    return qutritwit.matrix_entries(W.matrix), False
-
-
 def _print(text: str, stream) -> Optional[OSError]:
     """Print text to stream; if that fails, point the stream at devnull, so the
     flush at exit cannot fail a second time, and return the error."""
@@ -217,11 +212,18 @@ def _fail(message: str) -> int:
 
 
 def _write(rows: list[list[float]], csv: bool = False):
-    """Rows of floats (forms.dense) as CSV text with 17 significant digits, or as the
-    [re, im] pairs of witnesses.matrix_entries: every matrix written here is real."""
+    """Rows of floats (forms.dense) as CSV text with 17 significant digits, or as JSON's
+    [re, im] pairs: every matrix written here is real."""
     if csv:
         return "\n".join(",".join(f"{x:.17g}" for x in row) for row in rows)
     return [[[x, 0.0] for x in row] for row in rows]
+
+
+def _witness_rows(p: MapParams, kind: str, csv: bool = False):
+    """The float witness of a form kind at p, written by _write."""
+    from . import forms
+
+    return _write(forms.dense(*forms.witness_form(p, kind)), csv)
 
 
 # ---------------------------------------------------------------------------
@@ -248,18 +250,16 @@ def _cmd_classify(args) -> tuple[dict, dict]:
 def _cmd_witness(args) -> tuple[dict, dict] | str:
     p, inputs = _resolve_params(args)
     inputs["kind"] = args.kind
+    kind = _KINDS[args.kind][0]
     cfg = _seesaw_config(args, runs=args.format == "json")
     if cfg is None:
-        from . import forms
-
-        return _write(forms.dense(*forms.witness_form(p, _KINDS[args.kind][0])), csv=True)
+        return _witness_rows(p, kind, csv=True)
     W = _witness(args.kind, p)
-    entries, exact = _matrix_payload(W)
     results = {
         "params": _encode_params(p),
-        "kind": W.kind,
-        "matrix": entries,
-        "exact": exact,
+        "kind": kind,
+        "matrix": qutritwit.exact_witness_entries(p, kind) if p.is_exact else _witness_rows(p, kind),
+        "exact": p.is_exact,
         "trace": W.trace(),
         "min_eigenvalue": W.min_eigenvalue(),
         "block_positivity_estimate": qutritwit.min_product_expectation(W.matrix, cfg).value,
@@ -400,7 +400,7 @@ def _cmd_sweep(args) -> tuple[dict, dict]:
             row["p_star"] = qutritwit.critical_p_from_witness(_witness(kind, p))
         elif args.what == "witness":
             W = _witness(kind, p)
-            row["matrix"] = qutritwit.matrix_entries(W.matrix)
+            row["matrix"] = _witness_rows(p, _KINDS[kind][0])
             row["trace"] = W.trace()
             row["min_eigenvalue"] = W.min_eigenvalue()
         elif args.what == "rank":

@@ -245,7 +245,8 @@ def dual(p: MapParams) -> MapParams:
 
 
 def normalize_angle(alpha: float) -> float:
-    """Reduce an angle in radians to [0, 2*pi)."""
+    """Reduce a finite angle in radians to [0, 2*pi)."""
+    _require_finite(alpha=alpha)
     return float(alpha) % (2 * pi)
 
 

@@ -22,10 +22,8 @@ from math import inf
 import numpy as np
 
 from . import linalg
-from .forms import DOUBLES, group_diagonal, sigma_diag_diagonal, sigma_pair_form
-from .geometry import MapParams, _require_slice
+from .forms import DOUBLES, group_diagonal, sigma_pair_form
 from .linalg import Array, partial_transpose
-from .witnesses import witness_matrix
 
 
 @dataclass(frozen=True)
@@ -54,11 +52,6 @@ def rho_eps(eps: float) -> BipartiteState:
     return BipartiteState(linalg.structured(group_diagonal(1.0, eps, 1.0 / eps), 1.0, DOUBLES))
 
 
-def max_entangled_projector() -> BipartiteState:
-    """Rank-one projector onto 3^{-1/2} (|11> + |22> + |33>)."""
-    return BipartiteState(linalg.structured(None, 1.0 / 3.0, DOUBLES))
-
-
 def is_ppt(state) -> bool:
     """Positive-partial-transpose test (Peres criterion)."""
     return linalg.is_psd(partial_transpose(linalg.as_matrix(state)))
@@ -72,21 +65,3 @@ def sigma_pair(i: int, j: int) -> BipartiteState:
     PSD, PPT, and supported inside a C^2 (x) C^2 product subspace.
     """
     return BipartiteState(linalg.structured(*sigma_pair_form(i, j)))
-
-
-def sigma_diag(p: MapParams) -> BipartiteState:
-    """Diagonal component of the noisy-witness decomposition:
-
-        sum_i (2b+c-1) |i,i+1><i,i+1| + (2c+b-1) |i,i+2><i,i+2|.
-
-    PSD exactly when 2b+c >= 1 and 2c+b >= 1; returned as-is otherwise.
-    """
-    _require_slice(p)
-    _, b, c = p.asfloats()
-    return BipartiteState(linalg.structured(sigma_diag_diagonal(b, c)))
-
-
-def detection_value_numeric(p: MapParams, eps: float) -> float:
-    """Tr(rho_eps W[a,b,c]) evaluated as an explicit trace pairing."""
-    val = linalg.trace_pair(rho_eps(eps).matrix, witness_matrix(p).matrix)
-    return float(val.real)

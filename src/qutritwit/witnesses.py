@@ -21,15 +21,14 @@ Q are forms.tilde_form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
-from typing import Callable, ClassVar, Optional, Sequence
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
 from . import linalg
 from .forms import TILDE_SCALE, tilde_form, witness_form
-from .geometry import MapParams, improper_coeffs, so2_coeffs
-from .linalg import Array, partial_transpose
+from .geometry import MapParams
+from .linalg import Array
 from .maps import GELLMANN, LinearMap3
 
 
@@ -56,10 +55,6 @@ class DecompositionCertificate:
     P: Array
     Q: Array
     scale: ClassVar[float] = TILDE_SCALE
-
-    def residual(self, witness: "WitnessMatrix | Array") -> float:
-        W = linalg.as_matrix(witness)
-        return float(np.linalg.norm(self.P + partial_transpose(self.Q) - self.scale * W))
 
 
 def _witness(p: MapParams, kind: str) -> WitnessMatrix:
@@ -122,39 +117,3 @@ def decompose_tilde(p: MapParams) -> DecompositionCertificate:
     """
     P, Q = tilde_form(p)
     return DecompositionCertificate(linalg.structured(*P), linalg.structured(*Q))
-
-
-def mix_witnesses(
-    standard_weights: Sequence[tuple[float, float]], tilde_weights: Sequence[tuple[float, float]] = ()
-) -> WitnessMatrix:
-    """Convex combination of rotation-angle witnesses from both families.
-
-    Each entry is an (angle, weight) atom; weights must be finite, non-negative
-    and sum to one.  The mixture is again a witness, but its (in)decomposability
-    is not controlled, so the result carries the 'mixed' tag and no
-    parameters.
-    """
-    weights = [w for _, w in standard_weights] + [w for _, w in tilde_weights]
-    if not all(map(isfinite, weights)):  # a NaN would pass both tests below
-        raise ValueError("mixture weights must be finite")
-    if any(w < 0 for w in weights):
-        raise ValueError("mixture weights must be non-negative")
-    if abs(sum(weights) - 1.0) > 1e-10:
-        raise ValueError("mixture weights must sum to one")
-    M = np.zeros((9, 9), dtype=complex)
-    for alpha, w in standard_weights:
-        M += w * witness_matrix(so2_coeffs(alpha)).matrix
-    for alpha, w in tilde_weights:
-        M += w * witness_tilde_matrix(improper_coeffs(alpha)).matrix
-    return WitnessMatrix(M, None, "mixed")
-
-
-# ---------------------------------------------------------------------------
-# Serialization shared with the command-line interface.
-# ---------------------------------------------------------------------------
-
-
-def matrix_entries(M: Array) -> list[list[list[float]]]:
-    """Row-major nested entries [[re, im], ...] for JSON output."""
-    A = linalg.as_matrix(M)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in A]

@@ -1,10 +1,30 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers for the test suite, and its test-local references, each
+written from its definition rather than imported from the library."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from qutritwit.geometry import MapParams, slice_params
+from qutritwit.states import rho_eps
+from qutritwit.witnesses import witness_matrix
+
+
+def max_entangled_projector() -> np.ndarray:
+    """Rank-one projector |psi+><psi+| onto psi+ = 3^{-1/2} (|11> + |22> + |33>)."""
+    psi = np.zeros(9, dtype=complex)
+    psi[[0, 4, 8]] = 1 / np.sqrt(3)
+    return np.outer(psi, psi.conj())
+
+
+def detection_value_numeric(p: MapParams, eps: float) -> float:
+    """Tr(rho_eps W[a,b,c]) evaluated as an explicit trace pairing."""
+    return float(np.trace(rho_eps(eps).matrix @ witness_matrix(p).matrix).real)
+
+
+def matrix_entries(M) -> list[list[list[float]]]:
+    """Row-major nested entries [[re, im], ...] of a matrix, as JSON prints them."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(M, dtype=complex)]
 
 
 def rand_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:

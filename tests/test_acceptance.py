@@ -11,7 +11,7 @@ from math import pi
 
 import numpy as np
 
-from conftest import rand_complex, random_slice_params, random_tilde_region_params
+from conftest import detection_value_numeric, rand_complex, random_slice_params, random_tilde_region_params
 from qutritwit.forms import exact_witness_entries
 from qutritwit.geometry import (
     MapParams,
@@ -35,7 +35,7 @@ from qutritwit.maps import (
 )
 from qutritwit.oracles import SeeSawConfig, min_product_expectation, span_rank, zero_product_vectors
 from qutritwit.spa import spa_mix, spa_region, spa_state
-from qutritwit.states import detection_value_numeric, is_ppt, rho_eps
+from qutritwit.states import is_ppt, rho_eps
 from qutritwit.witnesses import (
     choi_witness,
     decompose_tilde,

@@ -10,10 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import matrix_entries
 from qutritwit.cli import main
 from qutritwit.geometry import critical_p, improper_coeffs, so2_coeffs
 from qutritwit.spa import critical_p_from_witness
-from qutritwit.witnesses import matrix_entries, witness_matrix, witness_tilde_matrix
+from qutritwit.witnesses import witness_matrix, witness_tilde_matrix
 
 
 # One valid argv per subcommand, and the options that were once shared by all
@@ -144,6 +145,21 @@ class TestClassify:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+
+    # A non-finite angle reached MapParams as NaN, and the diagnostic named the parameter a.
+    @pytest.mark.parametrize(
+        "argv, shown",
+        [
+            (["classify", "--alpha", "nan"], "nan"),
+            (["spa", "--alpha=inf"], "inf"),
+            (["witness", "--alpha=-inf", "--improper", "--format", "csv"], "-inf"),
+        ],
+    )
+    def test_non_finite_angle_is_named(self, capsys, argv, shown):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: parameter alpha must be finite, got {shown}"]
 
     def test_float_guard_leaves_warning_filters_as_found(self, capsys):
         before = list(warnings.filters)

@@ -1,0 +1,196 @@
+"""The command line's printed values and failures, each in a fresh
+`python -m qutritwit.cli` process, as the console script runs it.
+
+Every process runs under `-X importtime`, so a case can also say that numpy
+was never imported; those lines are taken out of stderr before a case reads it.
+"""
+
+import json
+import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+_IMPORT_TIME = "import time:"
+E400 = 10**400
+# a = 2 - 10^-400, beyond the float range's resolution at 2.
+A = f"{2 * E400 - 1}/{E400}"
+
+
+def _run(argv: list[str]) -> SimpleNamespace:
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    env.pop("QUTRITWIT_SEED", None)
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "qutritwit.cli", *argv],
+        capture_output=True, env=env, text=True, timeout=120,
+    )
+    lines = proc.stderr.splitlines()
+    return SimpleNamespace(
+        status=proc.returncode,
+        out=proc.stdout,
+        err=[line for line in lines if not line.startswith(_IMPORT_TIME)],
+        modules={line.rsplit("|", 1)[-1].strip() for line in lines if line.startswith(_IMPORT_TIME)},
+    )
+
+
+def _standard_json(name):
+    raise ValueError(f"{name} is not standard JSON")
+
+
+def _record(check=lambda r: True, numpy=True):
+    """A run that exits 0 with one standard JSON record whose results pass check; with
+    numpy=False, one that never imported numpy."""
+
+    def run_ok(run):
+        assert run.status == 0, run.err
+        results = json.loads(run.out, parse_constant=_standard_json)["results"]
+        assert check(results), results
+        assert numpy or "numpy" not in run.modules
+
+    return run_ok
+
+
+def _real_csv(numpy=True):
+    """A run that exits 0 with 9 CSV rows of 9 real float cells."""
+
+    def run_ok(run):
+        assert run.status == 0, run.err
+        rows = [line.split(",") for line in run.out.splitlines()]
+        assert len(rows) == 9 and all(len(row) == 9 for row in rows), rows
+        cells = [x for row in rows for x in row]
+        assert not any("j" in x for x in cells)
+        list(map(float, cells))
+        assert numpy or "numpy" not in run.modules
+
+    return run_ok
+
+
+def _fails(run):
+    """Exit 2 with nothing on stdout and exactly one `error:` line on stderr."""
+    assert (run.status, run.out) == (2, "")
+    assert len(run.err) == 1 and run.err[0].startswith("error: "), run.err
+
+
+def _min_eigenvalue_near(exact: str):
+    e = Fraction(exact)
+    return _record(lambda r: abs(Fraction(r["min_eigenvalue"]) - e) <= 4 * math.ulp(e))
+
+
+def _finite_values(r):
+    return all(map(math.isfinite, r["values"]))
+
+
+def _case(argv: list[str], check, label: str = ""):
+    return pytest.param(argv, check, id=label or " ".join(argv))
+
+
+_CASES = [
+    _case(["witness", "--bc", "1", "1", "--restarts", "16"], _record()),
+    # The CSV writer prints the real entries of a witness.
+    _case(["witness", "--kind", "tilde", "--bc", "1/2", "1/2", "--format", "csv"], _real_csv(numpy=False)),
+    _case(["witness", "--kind", "u", "--bc", "1/2", "1/2", "--format", "csv"], _real_csv()),
+    # Exact entries tell the grid kets apart: |11>, |22>, |33> for W and W~ (flat 0, 4, 8),
+    # |11>, |32>, |23> for W_U (flat 0, 5, 7); at (1, 1/2, 1/2) the grid holds -N/3 = -1/6.
+    *(
+        _case(["witness", "--kind", kind, "--bc", "1/2", "1/2", "--restarts", "4"],
+              _record(lambda r, e=entries: r["exact"] is True and r["matrix"][0][4:6] == e))
+        for kind, entries in (("standard", ["-1/6", "0"]), ("tilde", ["-1/6", "0"]), ("u", ["0", "-1/6"]))
+    ),
+    # Rotation angles lie on the ellipse, the boundary of the positive set: both families
+    # report them on the plane and on the ellipse, and float roundoff must not report them
+    # not positive (at 0.25 the sum is 2 - 1 ulp).
+    *(
+        _case(["classify", "--alpha", alpha, *family],
+              _record(lambda r: r["on_slice"] is True and r["on_ellipse"] is True
+                      and r["positivity"] == "positive_not_cp"))
+        for family in ([], ["--improper"]) for alpha in ("0.25", "0.5", "1.0471975511965976", "3.14159")
+    ),
+    # The plane and ellipse reports are exact decisions for exact input: a point 1e-10 off
+    # the plane is off it, and one 1e-10 inside the ellipse is not on it.
+    _case(["classify", "1", "9999999999/10000000000", "0"], _record(lambda r: r["on_slice"] is False)),
+    _case(["classify", "--bc", "1/10000000000", "9999999999/10000000000"],
+          _record(lambda r: r["on_ellipse"] is False)),
+    # Near b = c the detection value cancels in floats; exact input keeps its sign.
+    _case(["certify", "--indecomposable", "--bc", "1/2", "50000001/100000000"], _record(lambda r: r["value"] < 0)),
+    _case(["detect", "--bc", "1/2", "50000001/100000000", "--eps-grid", "1.000000005", "1.000000015", "3"],
+          _record(lambda r: all(v < 0 for v in r["values"]))),
+    # eps^2 overflows in float at eps = 1e300, where the detection value is about 3.7e296:
+    # the exact twin gives it.
+    _case(["detect", "--alpha", "1.0", "--eps-grid", "1", "1e300", "3"], _record(_finite_values)),
+    # The critical SPA state and the tilde certificate's P and Q are PSD: their smallest
+    # eigenvalues are zero up to roundoff.  Neither command imports numpy.
+    _case(["spa", "--bc", "1", "1/2"], _record(lambda r: abs(r["state_min_eigenvalue"]) <= 1e-12, numpy=False)),
+    _case(["certify", "--tilde", "--bc", "1", "1/2"],
+          _record(lambda r: r["min_eig_P"] >= -1e-12 and r["min_eig_Q"] >= -1e-12, numpy=False)),
+    # The smallest eigenvalue of W and of W_U is (N/3)(a-2): -1/4 at (1/2, 1, 1/2) and
+    # -1/6 at (1, 1/2, 1/2), to 4 ulp.
+    _case(["witness", "1/2", "1", "1/2", "--restarts", "16"], _min_eigenvalue_near("-1/4")),
+    _case(["witness", "--kind", "u", "1", "1/2", "1/2", "--restarts", "16"], _min_eigenvalue_near("-1/6")),
+    # At |b - c| = 1e-16 a float eps rounds onto an end of the interval; the exact vertex
+    # keeps the value negative.
+    _case(["certify", "--indecomposable", "--bc", "1/2", "5000000000000001/10000000000000000"],
+          _record(lambda r: r["value"] < 0 and r["eps_exact"] is not None)),
+    # At the Choi angle pi/3 the lower end of the detection interval is 1; the cancelling
+    # root formula printed 1.5.
+    _case(["classify", "--alpha", "1.0471975511965976"], _record(lambda r: r["detection_interval"][0] < 1.01),
+          "classify --alpha pi/3 detection interval"),
+    # Scalar commands start without numpy; detect --kind standard takes its values from the
+    # closed form, detect --kind u from the witness form.
+    _case(["classify", "1", "1", "0"], _record(numpy=False)),
+    _case(["detect", "--bc", "1/3", "1"], _record(numpy=False)),
+    _case(["detect", "--kind", "u", "--bc", "1/3", "1"], _record(numpy=False)),
+    # The improper family's p* is that of its witness W~ (about 0.68), not the standard
+    # witness's closed form (0.6 at angle 0).
+    _case(["sweep", "--alpha-grid", "6", "--what", "pstar", "--improper"],
+          _record(lambda r: r["rows"][0]["p_star"] > 0.67)),
+    # The see-saw's span ranks along both ellipse families: 7 at the Choi-map angles and 9
+    # between them on the proper family, 8 everywhere on the improper one.
+    _case(["sweep", "--alpha-grid", "12", "--what", "rank"],
+          _record(lambda r: [row["span_rank"] for row in r["rows"]] == [7, 7, 7, 9, 9, 9, 9, 9, 9, 9, 7, 7])),
+    _case(["sweep", "--alpha-grid", "12", "--what", "rank", "--improper"],
+          _record(lambda r: [row["span_rank"] for row in r["rows"]] == [8] * 12)),
+    # The default 200 restarts take the closed-form 3x3 eigensolver: the Choi witness is
+    # block-positive with minimum 0, and W at (0, 1/2, 3/2) is not positive.
+    _case(["witness", "1", "1", "0"], _record(lambda r: abs(r["block_positivity_estimate"]) <= 1e-9)),
+    _case(["witness", "0", "1/2", "3/2"], _record(lambda r: r["block_positivity_estimate"] < -1e-7)),
+    # At b = 1e-400, c = 0, a = 2 - b is 2.0 in float, but 2 - a is not 0: the interval is (0, 1).
+    _case(["classify", "--bc", f"1/{E400}", "0"], _record(lambda r: r["detection_interval"] == [0.0, 1.0]),
+          "classify --bc 1e-400 0"),
+    # At a = 2 - 1e-400, b = 0, c = 1 the certificate exists; its eps = 10^400 + 1 is beyond
+    # the float range: null, with eps_exact set.
+    _case(["certify", "--indecomposable", A, "0", "1"],
+          _record(lambda r: r["certificate"] == "ppt_state" and r["eps"] is None and r["eps_exact"] is not None),
+          "certify --indecomposable 2-1e-400 0 1"),
+    # At the same point the detection interval is (10^400, inf): both ends print null, the
+    # values stay finite.
+    _case(["detect", A, "0", "1"], _record(lambda r: r["detection_interval"] == [None, None] and _finite_values(r)),
+          "detect 2-1e-400 0 1"),
+    # A non-finite angle, a usage error, an option the subcommand does not take, a float
+    # overflow, a plane-only command off the plane and a negative see-saw seed take the same
+    # exit; so does a critical weight p* below the float range, and an overflow inside numpy,
+    # which numpy only warns about unless main's guard turns it into the exit.
+    *(
+        _case(argv.split(), _fails)
+        for argv in (
+            "classify --alpha nan",
+            "witness --kind bogus 1 1 0",
+            "classify --restarts 5 1 1 0",
+            "detect 1 1 0 --eps-grid 1e-320 1 3",
+            "spa 1 1 1/2000000000",
+            "sweep --alpha-grid 2 --what rank --seed -1",
+            "witness 0 0 1e-308 --restarts 4",
+        )
+    ),
+    _case(["spa", "--bc", f"1/{E400}", "0"], _fails, "spa --bc 1e-400 0"),
+]
+
+
+@pytest.mark.parametrize("argv, check", _CASES)
+def test_console_output(argv, check):
+    check(_run(argv))

@@ -1,9 +1,9 @@
 """The numpy-free forms against the numpy builders that read them.
 
-`spa`, `certify --tilde` and `witness --format csv` print the rows that
-`forms.dense` writes from a form, with closed-form least eigenvalues; the
-library builds the same forms with `linalg.structured` and takes its spectra
-from LAPACK.  The two must agree byte for byte in every printed entry, and
+`spa`, `certify --tilde` and `witness` (CSV, and JSON for float input) print
+the rows that `forms.dense` writes from a form, the first two with
+closed-form least eigenvalues; the library builds the same forms with
+`linalg.structured` and takes its spectra from LAPACK.  The two must agree byte for byte in every printed entry, and
 each closed-form eigenvalue within 1e-15 of `eigvalsh`.
 """
 
@@ -15,11 +15,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import matrix_entries
 from qutritwit import cli, forms
 from qutritwit.geometry import detection_value, improper_coeffs, slice_params, so2_coeffs
 from qutritwit.spa import spa_state
 from qutritwit.states import sigma_pair
-from qutritwit.witnesses import decompose_tilde, matrix_entries, witness_matrix, witness_tilde_matrix, witness_u
+from qutritwit.witnesses import decompose_tilde, witness_matrix, witness_tilde_matrix, witness_u
 
 _BUILDERS = {"standard": witness_matrix, "tilde": witness_tilde_matrix, "u_conjugated": witness_u}
 
@@ -56,6 +57,19 @@ def test_witness_csv_is_the_library_matrices():
         for kind, build in _BUILDERS.items():
             rows = forms.dense(*forms.witness_form(p, kind))
             assert cli._write(rows, csv=True) == _csv_matrix(build(p).matrix), (p, kind)
+
+
+def test_witness_json_is_the_library_matrices(monkeypatch):
+    # The command line reads each number as a Fraction; read as a float, --bc takes the
+    # lattice's float points, which reach witness JSON otherwise only through --alpha.
+    monkeypatch.setattr(cli, "_parse_number", float)
+    parser = cli.build_parser()
+    for p in _POINTS[1:380:2]:
+        for flag, build in zip(("standard", "tilde", "u"), _BUILDERS.values()):
+            args = parser.parse_args(["witness", "--kind", flag, "--bc", repr(p.b), repr(p.c), "--restarts", "1"])
+            _, results = args.run(args)
+            assert results["exact"] is False, p
+            assert json.dumps(results["matrix"]) == json.dumps(matrix_entries(build(p).matrix)), (p, flag)
 
 
 def test_spa_rows_are_the_library_matrices():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_slice_params
+from conftest import max_entangled_projector, random_slice_params
 from qutritwit import oracles
 from qutritwit.geometry import MapParams, improper_coeffs, indecomposability_certificate, slice_params, so2_coeffs
 from qutritwit.linalg import eigenvalues, require_hermitian
@@ -29,7 +29,6 @@ from qutritwit.oracles import (
     span_rank,
     zero_product_vectors,
 )
-from qutritwit.states import max_entangled_projector
 from qutritwit.witnesses import witness_matrix, witness_tilde_matrix
 
 
@@ -72,7 +71,7 @@ class TestMinProductExpectation:
 
     def test_negative_projector(self):
         # Product overlap with the maximally entangled state peaks at 1/3.
-        r = min_product_expectation(-max_entangled_projector().matrix, SeeSawConfig(rng_seed=3))
+        r = min_product_expectation(-max_entangled_projector(), SeeSawConfig(rng_seed=3))
         assert abs(r.value + 1 / 3) < 1e-9
 
     def test_unit_norms_and_consistent_value(self):
@@ -279,7 +278,7 @@ class TestLowestKernel:
         witness_matrix(MapParams(1, 1, 0)).matrix,
         witness_matrix(MapParams(0, 1, 1)).matrix,
         witness_matrix(MapParams(0.9, 0.8, 0.3)).matrix,
-        -max_entangled_projector().matrix,
+        -max_entangled_projector(),
     ],
     ids=["choi", "reduction", "interior", "neg-projector"],
 )
@@ -347,7 +346,7 @@ def _reference_seesaw_batch(W4, psi, phi, max_iters, tol):
         pytest.param(witness_matrix(MapParams(1, 1, 0)).matrix, SeeSawConfig(), id="choi"),
         pytest.param(witness_matrix(MapParams(0, 1, 1)).matrix, SeeSawConfig(), id="reduction"),
         pytest.param(witness_matrix(MapParams(0.9, 0.8, 0.3)).matrix, SeeSawConfig(), id="interior"),
-        pytest.param(-max_entangled_projector().matrix, SeeSawConfig(), id="neg-projector"),
+        pytest.param(-max_entangled_projector(), SeeSawConfig(), id="neg-projector"),
         pytest.param(witness_matrix(MapParams(1, 1, 0)).matrix, SeeSawConfig(max_iters=3), id="capped"),
         pytest.param(witness_matrix(MapParams(0.9, 0.8, 0.3)).matrix, SeeSawConfig(restarts=1), id="one-restart"),
         pytest.param(np.eye(9) / 9, SeeSawConfig(restarts=2, max_iters=10**12), id="flat-huge-cap"),

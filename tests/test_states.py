@@ -5,7 +5,8 @@ from math import inf, pi, ulp
 import numpy as np
 import pytest
 
-from conftest import random_slice_params
+from conftest import detection_value_numeric, max_entangled_projector, random_slice_params
+from qutritwit.forms import sigma_diag_diagonal
 from qutritwit.geometry import (
     Decomposability,
     MapParams,
@@ -17,14 +18,8 @@ from qutritwit.geometry import (
     so2_coeffs,
 )
 from qutritwit.linalg import eigenvalues, min_eigenvalue, partial_transpose, trace_pair
-from qutritwit.states import (
-    detection_value_numeric,
-    is_ppt,
-    max_entangled_projector,
-    rho_eps,
-    sigma_diag,
-    sigma_pair,
-)
+from qutritwit.spa import spa_state
+from qutritwit.states import is_ppt, rho_eps, sigma_pair
 from qutritwit.witnesses import witness_tilde_matrix
 
 
@@ -56,7 +51,7 @@ class TestRhoEps:
 
 class TestPptCheck:
     def test_maximally_entangled_fails(self):
-        assert not is_ppt(max_entangled_projector().matrix)
+        assert not is_ppt(max_entangled_projector())
 
     def test_product_state_passes(self):
         M = np.zeros((9, 9), dtype=complex)
@@ -67,12 +62,12 @@ class TestPptCheck:
 class TestMaxEntangledProjector:
     def test_rank_one_trace_one(self):
         state = max_entangled_projector()
-        w = eigenvalues(state.matrix)
-        assert abs(state.trace() - 1) < 1e-14
+        w = eigenvalues(state)
+        assert abs(np.trace(state).real - 1) < 1e-14
         assert np.sum(w > 1e-12) == 1
 
     def test_partial_transpose_minimum(self):
-        m = min_eigenvalue(partial_transpose(max_entangled_projector().matrix))
+        m = min_eigenvalue(partial_transpose(max_entangled_projector()))
         assert abs(m + 1 / 3) < 1e-12
 
 
@@ -233,24 +228,28 @@ class TestSigmaStates:
         with pytest.raises(ValueError):
             sigma_pair(2, 2)
 
+    # sigma_d, the diagonal remainder of the critical SPA state:
+    # sum_i (2b+c-1) |i,i+1><i,i+1| + (2c+b-1) |i,i+2><i,i+2|.
     def test_diag_reduction_point(self):
-        s = sigma_diag(MapParams(0, 1, 1))
-        assert np.allclose(np.diag(s.matrix), [0, 2, 2, 2, 0, 2, 2, 2, 0], atol=0)
+        assert sigma_diag_diagonal(1, 1) == (0, 2, 2, 2, 0, 2, 2, 2, 0)
+        s = spa_state(MapParams(0, 1, 1)).components.sigma_d
+        assert np.array_equal(np.diag(s.matrix), [0, 2, 2, 2, 0, 2, 2, 2, 0])
         assert s.is_psd()
 
     def test_diag_vanishes_at_intersection(self):
-        s = sigma_diag(MapParams(Fraction(4, 3), Fraction(1, 3), Fraction(1, 3)))
+        s = spa_state(MapParams(Fraction(4, 3), Fraction(1, 3), Fraction(1, 3))).components.sigma_d
         assert np.linalg.norm(s.matrix) == 0
 
-    def test_diag_rejects_off_slice(self):
-        with pytest.raises(ValueError, match="off the plane"):
-            sigma_diag(MapParams(1, 1, 1))
-
     def test_diag_psd_iff_region(self):
-        cases = [((1, 0.2, 0.8), True), ((1, 0.9, 0.1), True), ((1.4, 0.1, 0.5), False)]
+        # Outside the region 2b+c >= 1, 2c+b >= 1 sigma_d has a negative entry, and the state no certificate.
+        cases = [((1, 0.2, 0.8), True), ((1, 0.9, 0.1), True), ((1.4, 0.1, 0.5), False), ((1.4, 0.5, 0.1), False)]
         for abc, expect in cases:
             p = MapParams(*abc)
-            assert sigma_diag(p).is_psd() == expect, abc
+            assert (min(sigma_diag_diagonal(p.b, p.c)) >= 0) == expect, abc
+            components = spa_state(p).components
+            assert (components is not None) == expect, abc
+            if expect:
+                assert components.sigma_d.is_psd(), abc
 
 
 class TestTildeTrace:
