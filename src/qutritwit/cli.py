@@ -15,17 +15,20 @@ a usage error (such as an option the subcommand does not take), invalid input,
 float overflow or an unwritable --output path or stdout, exits with status 2,
 nothing on stdout and one `error:` line on stderr.
 
-Only the commands that need a numpy matrix (witness with JSON output, sweep
---what witness|rank and sweep --what pstar --improper: a see-saw, LAPACK
-spectra without a closed form) load numpy and the matrix modules, on first
-access to the package's names.  The rest start without them.  Every printed
-matrix is written from the numpy-free forms module: its 9x9 rows, the same
-floats the library's arrays hold, or its exact entries.  spa and certify
---tilde (with closed-form least eigenvalues) and witness --format csv need
-nothing more, and detect --kind tilde|u reads the witness form; they import
-forms when they run.  The other commands print geometry's scalar formulas
-only.  One guard in `main` turns numpy's float overflow, invalid and divide
-warnings, like Python's OverflowError, into the exit 2.
+Only the commands that run a see-saw, witness with JSON output and sweep
+--what rank, load numpy, with oracles and linalg, on first access to the
+package's names; the see-saw reads the numpy witness built from its form,
+so neither loads maps or witnesses.  The rest start without numpy.  Every
+printed matrix is written from the numpy-free forms module: its 9x9 rows,
+the same floats the library's arrays hold, or its exact entries.  spa,
+certify --tilde, witness --format csv, sweep --what witness and sweep --what
+pstar --improper print those rows with least eigenvalues, traces and
+critical weights that forms gives in closed form or certifies from an
+integer cubic, and detect --kind tilde|u reads the witness form; they import
+forms when they run, as witness JSON does for its trace and least
+eigenvalue.  The other commands print geometry's scalar formulas only.  One
+guard in `main` turns numpy's float overflow, invalid and divide warnings,
+like Python's OverflowError, into the exit 2.
 """
 
 from __future__ import annotations
@@ -61,23 +64,14 @@ SEED_ENV_VAR = "QUTRITWIT_SEED"
 DEFAULT_SEED = 7
 DEFAULT_RESTARTS = 200
 
-# --kind -> (the kind of its witness form, name of the witness builder in the package).
-_KINDS = {
-    "standard": ("standard", "witness_matrix"),
-    "tilde": ("tilde", "witness_tilde_matrix"),
-    "u": ("u_conjugated", "witness_u"),
-}
+# --kind -> the kind of its witness form.
+_KINDS = {"standard": "standard", "tilde": "tilde", "u": "u_conjugated"}
 
 # --improper -> (family name, angle -> parameters, --kind of its witness).
 _FAMILIES = {
     False: ("proper", so2_coeffs, "standard"),
     True: ("improper", improper_coeffs, "tilde"),
 }
-
-
-def _witness(kind: str, p: MapParams):
-    """The --kind witness at p."""
-    return getattr(qutritwit, _KINDS[kind][1])(p)
 
 
 def _linspace(lo: float, hi: float, n: int, endpoint: bool = True) -> list[float]:
@@ -226,6 +220,13 @@ def _witness_rows(p: MapParams, kind: str, csv: bool = False):
     return _write(forms.dense(*forms.witness_form(p, kind)), csv)
 
 
+def _witness_array(p: MapParams, kind: str):
+    """The float witness of a form kind at p as the numpy matrix a see-saw reads: witness_matrix's."""
+    from . import forms, linalg
+
+    return linalg.structured(*forms.witness_form(p, kind))
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -250,19 +251,21 @@ def _cmd_classify(args) -> tuple[dict, dict]:
 def _cmd_witness(args) -> tuple[dict, dict] | str:
     p, inputs = _resolve_params(args)
     inputs["kind"] = args.kind
-    kind = _KINDS[args.kind][0]
+    kind = _KINDS[args.kind]
     cfg = _seesaw_config(args, runs=args.format == "json")
     if cfg is None:
         return _witness_rows(p, kind, csv=True)
-    W = _witness(args.kind, p)
+    from . import forms
+
+    trace, least = forms.witness_spectrum(p, kind)
     results = {
         "params": _encode_params(p),
         "kind": kind,
-        "matrix": qutritwit.exact_witness_entries(p, kind) if p.is_exact else _witness_rows(p, kind),
+        "matrix": forms.exact_witness_entries(p, kind) if p.is_exact else _witness_rows(p, kind),
         "exact": p.is_exact,
-        "trace": W.trace(),
-        "min_eigenvalue": W.min_eigenvalue(),
-        "block_positivity_estimate": qutritwit.min_product_expectation(W.matrix, cfg).value,
+        "trace": trace,
+        "min_eigenvalue": least,
+        "block_positivity_estimate": qutritwit.min_product_expectation(_witness_array(p, kind), cfg).value,
         "seesaw": {"restarts": cfg.restarts, "seed": cfg.rng_seed},
     }
     return inputs, results
@@ -280,7 +283,7 @@ def _cmd_detect(args) -> tuple[dict, dict] | str:
     inputs["kind"] = args.kind
     inputs["eps_grid"] = [lo, hi, count]
     grid = _linspace(lo, hi, count)
-    kind = _KINDS[args.kind][0]
+    kind = _KINDS[args.kind]
     if kind == "standard":  # the closed form, exact for exact input: no cancellation as b -> c
         values = [detection_value(p, e) for e in grid]
     else:
@@ -396,15 +399,17 @@ def _cmd_sweep(args) -> tuple[dict, dict]:
         row = {"alpha": alpha, "a": a, "b": b, "c": c, "sum": a + b + c}
         if args.what == "pstar" and kind == "standard":
             row["p_star"] = critical_p(p)
-        elif args.what == "pstar":  # the improper family's witness W~ has no closed-form p*
-            row["p_star"] = qutritwit.critical_p_from_witness(_witness(kind, p))
+        elif args.what == "pstar":  # the improper family's witness W~: p* from its certified spectrum
+            from . import forms
+
+            row["p_star"] = forms.witness_critical_p(p, kind)
         elif args.what == "witness":
-            W = _witness(kind, p)
-            row["matrix"] = _witness_rows(p, _KINDS[kind][0])
-            row["trace"] = W.trace()
-            row["min_eigenvalue"] = W.min_eigenvalue()
+            from . import forms
+
+            row["matrix"] = _witness_rows(p, kind)
+            row["trace"], row["min_eigenvalue"] = forms.witness_spectrum(p, kind)
         elif args.what == "rank":
-            zeros = qutritwit.zero_product_vectors(_witness(kind, p).matrix, cfg)
+            zeros = qutritwit.zero_product_vectors(_witness_array(p, kind), cfg)
             row["zero_count"] = len(zeros)
             row["span_rank"] = qutritwit.span_rank(zeros)
         rows.append(row)
@@ -417,10 +422,21 @@ def _cmd_sweep(args) -> tuple[dict, dict]:
 
 
 class _Parser(argparse.ArgumentParser):
-    """A usage error raises ValueError, so main reports it like any other invalid input."""
+    """A usage error raises ValueError, so main reports it like any other invalid input.
+
+    Any token that parses as a float is a value, never an option: argparse alone reads
+    -1e-3, -1E2 and -inf as unknown options.  No option here looks like a number.
+    """
 
     def error(self, message):
         raise ValueError(message)
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
 
 
 def build_parser() -> argparse.ArgumentParser:

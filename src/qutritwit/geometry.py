@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import cos, gcd, inf, isfinite, lcm, pi, sin, sqrt, ulp
 from typing import Optional
@@ -41,7 +41,6 @@ def _numpy_scalar(x) -> bool:
     return np is not None and isinstance(x, np.generic)
 
 
-@dataclass(frozen=True)
 class MapParams:
     """Non-negative triple (a, b, c) selecting a map from either family.
 
@@ -52,14 +51,17 @@ class MapParams:
     denominators, and is None when any entry is a float.
     Every decision and float formula reads _abcd, ints or else (float(a),
     float(b), float(c), 1.0): input mixing floats and Fractions is its float twin.
+
+    The record is immutable: assigning an attribute raises AttributeError.
+    Equality, hash, repr, pickling and copies are those of (a, b, c) alone.
     """
 
-    a: Number
-    b: Number
-    c: Number
+    __slots__ = ("a", "b", "c", "ints", "_abcd")
+    __match_args__ = ("a", "b", "c")
 
-    def __post_init__(self):
-        for name, x in zip("abc", self.astuple()):
+    def __init__(self, a: Number, b: Number, c: Number):
+        abc = []
+        for name, x in zip("abc", (a, b, c)):
             if _numpy_scalar(x):
                 # A numpy scalar becomes the Python number it holds: a float32 gets
                 # float64 arithmetic, an int64 the exact path.
@@ -73,7 +75,8 @@ class MapParams:
                 raise ValueError(f"parameter {name} is too large for a float") from None
             if not finite:
                 raise ValueError(f"parameter {name} must be finite, got {x}")
-        a, b, c = self.astuple()
+            abc.append(x)
+        a, b, c = abc
         if min(a, b, c) < 0:
             raise ValueError(f"parameters must be non-negative, got {self}")
         ints = None
@@ -81,13 +84,32 @@ class MapParams:
         if not isinstance(a, float) and isinstance(a, Fraction) and isinstance(b, Fraction) and isinstance(c, Fraction):
             D = lcm(a.denominator, b.denominator, c.denominator)
             ints = (*(x.numerator * (D // x.denominator) for x in (a, b, c)), D)
-        # Kept as attributes, not fields: equality, hash and repr stay those of (a, b, c).
         object.__setattr__(self, "ints", ints)
         object.__setattr__(self, "_abcd", ints or (float(a), float(b), float(c), 1.0))
         if sum(self._abcd[:3]) == 0:
             raise ValueError("parameter sum must be positive")
         if ints is None and not 0 < _n_float(self) < inf:  # every float formula reads N; exact input keeps it exact
             raise ValueError(f"N = 1/(a+b+c) must be a finite positive float, got a+b+c = {sum(self._abcd[:3])}")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: MapParams is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: MapParams is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b, self.c) == (other.a, other.b, other.c)
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.c))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(a={self.a!r}, b={self.b!r}, c={self.c!r})"
+
+    def __reduce__(self):
+        return self.__class__, (self.a, self.b, self.c)
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(x) for x in self.astuple()) + ")"
@@ -120,10 +142,7 @@ class Decomposability(enum.Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class MapClass:
-    positivity: Positivity
-    decomposability: Decomposability
+MapClass = namedtuple("MapClass", ("positivity", "decomposability"))
 
 
 def n_abc(p: MapParams) -> Number:

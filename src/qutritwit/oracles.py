@@ -25,14 +25,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import inf
 from numbers import Integral
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from . import linalg
 from .linalg import Array
-from .maps import LinearMap3
-from .witnesses import choi_witness
+
+if TYPE_CHECKING:
+    from .maps import LinearMap3
 
 SEESAW_TOL = 1e-11  # a restart stops at its first alternation that lowers its value by less
 ZERO_VALUE_TOL = 1e-9
@@ -292,6 +293,9 @@ def min_product_expectation(W, cfg: SeeSawConfig | None = None) -> ProductVector
 
 def is_cp_choi(phi: LinearMap3 | Callable[[Array], Array]) -> bool:
     """Complete positivity via the Choi criterion: the Choi matrix is PSD."""
+    # Imported here: the see-saw's callers, the command line among them, need neither module.
+    from .witnesses import choi_witness
+
     return linalg.is_psd(choi_witness(phi).matrix)
 
 

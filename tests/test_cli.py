@@ -161,6 +161,30 @@ class TestClassify:
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: parameter alpha must be finite, got {shown}"]
 
+    # argparse alone takes a negative number with an exponent, or -inf, for an option and
+    # exits with "expected one argument": each reaches its own diagnostic instead.
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["classify", "--alpha", "-inf"], "error: parameter alpha must be finite, got -inf"),
+            (["detect", "1", "1", "0", "--eps-grid", "-inf", "1", "3"], "error: --eps-grid requires 0 < LO"),
+            (["classify", "-1e-3", "1", "1"], "error: parameters must be non-negative"),
+        ],
+        ids=["alpha-inf", "eps-grid-inf", "positional"],
+    )
+    def test_negative_number_tokens_are_values(self, capsys, argv, error):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(error), lines
+
+    @pytest.mark.parametrize("alpha", ["-1e-3", "-1E2"])
+    def test_negative_angle_with_exponent_is_read(self, capsys, alpha):
+        record = run_json(capsys, ["classify", "--alpha", alpha])
+        assert record["inputs"]["alpha"] == float(alpha)
+        assert record == run_json(capsys, ["classify", f"--alpha={alpha}"])
+
     def test_float_guard_leaves_warning_filters_as_found(self, capsys):
         before = list(warnings.filters)
         assert main(["witness", "0", "0", "1e-308", "--restarts", "4"]) == 2
@@ -524,8 +548,9 @@ class TestSweep:
         rows = record["results"]["rows"]
         assert len(rows) == 6 and rows[0]["p_star"] > 0.67
         for row in rows:
+            # p* is the certified one, correctly rounded: LAPACK's differs by roundoff alone.
             W = witness_tilde_matrix(improper_coeffs(row["alpha"]))
-            assert row["p_star"] == critical_p_from_witness(W)
+            assert abs(row["p_star"] - critical_p_from_witness(W)) <= 1e-15
             assert 0.677 < row["p_star"] < 0.68
         proper = run_json(capsys, ["sweep", "--alpha-grid", "6", "--what", "pstar"])["results"]["rows"]
         assert [row["p_star"] for row in proper] == [critical_p(so2_coeffs(row["alpha"])) for row in proper]

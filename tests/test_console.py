@@ -146,9 +146,13 @@ _CASES = [
     _case(["detect", "--bc", "1/3", "1"], _record(numpy=False)),
     _case(["detect", "--kind", "u", "--bc", "1/3", "1"], _record(numpy=False)),
     # The improper family's p* is that of its witness W~ (about 0.68), not the standard
-    # witness's closed form (0.6 at angle 0).
+    # witness's closed form (0.6 at angle 0).  Both it and W~'s trace and least eigenvalue
+    # (about -0.235) come from the certified spectrum, without numpy.
     _case(["sweep", "--alpha-grid", "6", "--what", "pstar", "--improper"],
-          _record(lambda r: r["rows"][0]["p_star"] > 0.67)),
+          _record(lambda r: r["rows"][0]["p_star"] > 0.67, numpy=False)),
+    _case(["sweep", "--alpha-grid", "6", "--what", "witness", "--improper"],
+          _record(lambda r: len(r["rows"]) == 6 and all(
+              abs(row["trace"] - 1) <= 1e-15 and -0.24 < row["min_eigenvalue"] < -0.23 for row in r["rows"]), numpy=False)),
     # The see-saw's span ranks along both ellipse families: 7 at the Choi-map angles and 9
     # between them on the proper family, 8 everywhere on the improper one.
     _case(["sweep", "--alpha-grid", "12", "--what", "rank"],

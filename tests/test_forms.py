@@ -4,7 +4,8 @@
 the rows that `forms.dense` writes from a form, the first two with
 closed-form least eigenvalues; the library builds the same forms with
 `linalg.structured` and takes its spectra from LAPACK.  The two must agree byte for byte in every printed entry, and
-each closed-form eigenvalue within 1e-15 of `eigvalsh`.
+each closed-form eigenvalue within 1e-15 of `eigvalsh`.  The witnesses' certified traces, least eigenvalues and
+critical weights must also be the exact values rounded to nearest, decided here in Fraction arithmetic.
 """
 
 import json
@@ -17,7 +18,7 @@ import pytest
 
 from conftest import matrix_entries
 from qutritwit import cli, forms
-from qutritwit.geometry import detection_value, improper_coeffs, slice_params, so2_coeffs
+from qutritwit.geometry import MapParams, detection_value, improper_coeffs, slice_params, so2_coeffs
 from qutritwit.spa import spa_state
 from qutritwit.states import sigma_pair
 from qutritwit.witnesses import decompose_tilde, witness_matrix, witness_tilde_matrix, witness_u
@@ -183,3 +184,107 @@ def test_cli_prints_the_forms(capsys):
     assert cli.main(["witness", "--kind", "u", "--bc", "1/2", "1/2", "--format", "csv"]) == 0
     W = witness_u(slice_params(Fraction(1, 2), Fraction(1, 2))).matrix
     assert capsys.readouterr().out == _csv_matrix(W) + "\n"
+
+
+def _exact_matrix(p, kind):
+    """The witness a record prints, read as Fractions: its exact entries for exact input, the
+    library matrix's floats otherwise."""
+    if p.is_exact:
+        return [[Fraction(x) for x in row] for row in forms.exact_witness_entries(p, kind)]
+    return [[Fraction(float(x.real)) for x in row] for row in _BUILDERS[kind](p).matrix]
+
+
+def _det3(M):
+    return (M[0][0] * (M[1][1] * M[2][2] - M[1][2] * M[2][1]) - M[0][1] * (M[1][0] * M[2][2] - M[1][2] * M[2][0])
+            + M[0][2] * (M[1][0] * M[2][1] - M[1][1] * M[2][0]))
+
+
+def _least_tests(W, kets):
+    """(below, at) for the least eigenvalue lam of W, a Fraction matrix whose only off-diagonal
+    entries lie in kets x kets: below(x) is x < lam, at(x) is x == lam, each decided exactly.
+    On the kets block B, x < lam(B) iff the leading minors of B - x I are positive and x <= lam(B)
+    iff all its principal minors are non-negative (Sylvester); the last is the cubic det(B - x I)."""
+    block = [[W[i][j] for j in kets] for i in kets]
+    low = min(W[k][k] for k in range(9) if k not in kets)
+
+    def shifted(x):
+        return [[block[i][j] - (x if i == j else 0) for j in range(3)] for i in range(3)]
+
+    def pair(B, i, j):
+        return B[i][i] * B[j][j] - B[i][j] * B[j][i]
+
+    def below(x):
+        B = shifted(x)
+        return x < low and B[0][0] > 0 and pair(B, 0, 1) > 0 and _det3(B) > 0
+
+    def at(x):
+        B = shifted(x)
+        psd = all(B[i][i] >= 0 for i in range(3)) and all(pair(B, i, j) >= 0 for i, j in ((0, 1), (0, 2), (1, 2)))
+        return x <= low and psd and _det3(B) >= 0 and not below(x)
+
+    return below, at
+
+
+def _is_nearest(v, below, at):
+    """Whether the float v is the root r of a monotone test (below(x) iff x < r, at(x) iff x == r)
+    rounded to nearest, ties to even: r lies between the midpoints of v and its adjacent floats."""
+    v = Fraction(v)
+    lo, hi = (Fraction(math.nextafter(float(v), d)) for d in (-math.inf, math.inf))
+    m_lo, m_hi = (lo + v) / 2, (v + hi) / 2
+    even = float(v).hex().split("p")[0][-1] in "02468ace" if v else True
+    if at(m_lo) or at(m_hi):
+        return even
+    return below(m_lo) and not below(m_hi)
+
+
+def test_witness_spectrum_is_the_exact_spectrum_correctly_rounded():
+    # On the lattice, exact and float, and 720 angles of both families: the least eigenvalue is
+    # the exact one rounded to nearest, the trace the exact trace rounded once, and both lie
+    # within 1e-15 of LAPACK on the library matrix.
+    for p in _POINTS:
+        for kind, build in _BUILDERS.items():
+            trace, least = forms.witness_spectrum(p, kind)
+            W = _exact_matrix(p, kind)
+            assert trace == float(sum(W[k][k] for k in range(9))), (p, kind)
+            assert _is_nearest(least, *_least_tests(W, forms._KINDS[kind][1])), (p, kind, least)
+            assert abs(least - np.linalg.eigvalsh(build(p).matrix)[0]) <= 1e-15, (p, kind)
+
+
+def _lam(x):
+    """The least eigenvalue whose critical weight 9|lam| / (1 + 9|lam|) is x."""
+    return -x / (9 * (1 - x))
+
+
+def test_tilde_critical_weight_is_correctly_rounded():
+    # x < p* iff lam(x) lies above the least eigenvalue.
+    for p in _POINTS:
+        star = forms.witness_critical_p(p, "tilde")
+        below, at = _least_tests(_exact_matrix(p, "tilde"), forms._KINDS["tilde"][1])
+        assert 0 < star < 1 and _is_nearest(star, lambda x: not below(_lam(x)) and not at(_lam(x)), lambda x: at(_lam(x)))
+        lapack = np.linalg.eigvalsh(witness_tilde_matrix(p).matrix)[0]
+        assert abs(star - 9 * abs(lapack) / (1 + 9 * abs(lapack))) <= 1e-15, p
+
+
+def test_critical_weight_of_a_positive_witness_is_zero():
+    # W >= 0 from a = 2 on: its least eigenvalue is (N/3) min(a-2, b, c), 0 at a = 2 or where b
+    # or c is 0, and the diagonal entry pref * c at (3, 1/2, 1/4), pref = N/3 in float.
+    for abc, least in (((2, 0, 0), 0.0), ((Fraction(5, 2), 1, 0), 0.0), ((3.0, 0.5, 0.25), 1.0 / 3.75 / 3 * 0.25)):
+        p = MapParams(*abc)
+        assert forms.witness_critical_p(p, "standard") == 0.0
+        assert forms.witness_spectrum(p, "standard")[1] == least
+
+
+def test_cli_prints_the_certified_spectra(capsys):
+    # sweep --what witness and pstar --improper, and witness JSON, print these values.
+    for family, kind in ((["--improper"], "tilde"), ([], "standard")):
+        assert cli.main(["sweep", "--alpha-grid", "12", "--what", "witness", *family]) == 0
+        rows = json.loads(capsys.readouterr().out)["results"]["rows"]
+        coeffs = improper_coeffs if family else so2_coeffs
+        assert [(r["trace"], r["min_eigenvalue"]) for r in rows] == [
+            forms.witness_spectrum(coeffs(r["alpha"]), kind) for r in rows]
+    assert cli.main(["sweep", "--alpha-grid", "12", "--what", "pstar", "--improper"]) == 0
+    rows = json.loads(capsys.readouterr().out)["results"]["rows"]
+    assert [r["p_star"] for r in rows] == [forms.witness_critical_p(improper_coeffs(r["alpha"]), "tilde") for r in rows]
+    assert cli.main(["witness", "--kind", "u", "1", "1/2", "1/2", "--restarts", "2"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert (results["trace"], results["min_eigenvalue"]) == (1.0, -1 / 6)

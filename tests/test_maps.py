@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 from math import pi
 
@@ -61,8 +60,10 @@ class TestParams:
         # The integer form held beside (a, b, c) leaves equality, hash and the field list to them.
         p, q = MapParams(Fraction(1, 2), 1, Fraction(1, 2)), MapParams(0.5, 1.0, 0.5)
         assert p == q and hash(p) == hash(q)
-        assert [f.name for f in dataclasses.fields(p)] == ["a", "b", "c"]
+        assert repr(q) == "MapParams(a=0.5, b=1.0, c=0.5)"
         assert not MapParams(Fraction(1), 1, 0.0).is_exact
+        with pytest.raises(AttributeError):
+            p.a = 0.25
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):

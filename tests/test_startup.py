@@ -21,9 +21,10 @@ from qutritwit.oracles import SeeSawConfig
 
 # The commands that start without numpy, with the witness argv that fails on
 # its seed before it builds a matrix: those that print geometry's closed forms,
-# and spa, certify --tilde, witness --format csv and detect --kind tilde|u,
-# which print the rows and values of the forms module.  Exact, float and
-# --alpha input of each, and the runs that exit 2 on their input.
+# and spa, certify --tilde, witness --format csv, detect --kind tilde|u,
+# sweep --what witness and sweep --what pstar --improper, which print the rows,
+# values and certified spectra of the forms module.  Exact, float and --alpha
+# input of each, and the runs that exit 2 on their input.
 _SCALAR_ARGVS = [
     (["classify", "--bc", "1", "1"], {}),
     (["classify", "1", "1", "0"], {}),
@@ -67,14 +68,19 @@ _SCALAR_ARGVS = [
     (["detect", "--kind", "u", "--alpha", "1.1"], {}),
     (["detect", "--kind", "u", "1", "2", "3"], {}),
     (["detect", "--kind", "tilde", "--bc", "1/2", "1/2", "--eps-grid", "0", "1", "3"], {}),
+    (["sweep", "--alpha-grid", "2", "--what", "witness"], {}),
+    (["sweep", "--alpha-grid", "6", "--what", "witness", "--improper"], {}),
+    (["sweep", "--alpha-grid", "0", "--what", "witness"], {}),
+    (["sweep", "--alpha-grid", "2", "--what", "pstar", "--improper"], {}),
+    (["sweep", "--alpha-grid", "-3", "--what", "pstar", "--improper"], {}),
 ]
 
-# The commands that still need numpy: a see-saw, or LAPACK spectra with no closed form.
+# The commands that still need numpy: a see-saw, on exact and on float input.
 _NUMPY_ARGVS = [
     ["witness", "--bc", "1/2", "1/2", "--restarts", "4"],
-    ["sweep", "--alpha-grid", "2", "--what", "witness"],
+    ["witness", "--kind", "tilde", "--alpha", "1.2", "--improper", "--restarts", "4"],
     ["sweep", "--alpha-grid", "1", "--what", "rank", "--restarts", "4"],
-    ["sweep", "--alpha-grid", "2", "--what", "pstar", "--improper"],
+    ["sweep", "--alpha-grid", "1", "--what", "rank", "--improper", "--restarts", "4"],
 ]
 
 _RUN_EACH = """
@@ -105,10 +111,25 @@ def test_scalar_commands_load_no_numpy():
     assert json.loads(_fresh(_RUN_EACH, json.dumps(_SCALAR_ARGVS), "numpy")) == []
 
 
+def test_scalar_commands_load_no_dataclasses_or_inspect():
+    # MapParams and MapClass are plain classes: a numpy-free process never compiles inspect.
+    for module in ("dataclasses", "inspect"):
+        assert json.loads(_fresh(_RUN_EACH, json.dumps(_SCALAR_ARGVS), module)) == [], module
+
+
+def test_seesaw_commands_load_no_maps_or_witnesses():
+    # The see-saw reads the witness built from its form; oracles loads maps and witnesses
+    # only for is_cp_choi.
+    argvs = [(["witness", "--bc", "1/2", "1/2", "--restarts", "4"], {})]
+    for module in ("qutritwit.maps", "qutritwit.witnesses"):
+        assert json.loads(_fresh(_RUN_EACH, json.dumps(argvs), module)) == [], module
+
+
 def test_commands_that_print_no_form_load_no_forms():
     # Every CLI process compiles the package's modules it loads; those that print only
     # geometry's numbers do not load the forms module.
-    argvs = [(argv, env) for argv, env in _SCALAR_ARGVS if argv[0] in ("classify", "figure", "sweep")]
+    argvs = [(argv, env) for argv, env in _SCALAR_ARGVS if argv[0] in ("classify", "figure")]
+    argvs += [(argv, env) for argv, env in _SCALAR_ARGVS if argv[0] == "sweep" and argv[4:] == ["pstar"]]
     argvs += [(argv, env) for argv, env in _SCALAR_ARGVS if argv[:2] in (["detect", "--bc"], ["certify", "--indecomposable"])]
     assert len(argvs) == 12
     assert json.loads(_fresh(_RUN_EACH, json.dumps(argvs), "qutritwit.forms")) == []
@@ -116,13 +137,18 @@ def test_commands_that_print_no_form_load_no_forms():
 
 def test_scalar_argvs_cover_success_and_failure():
     # Each newly numpy-free command is listed with a run that exits 0 and one that exits 2.
+    # A sweep is named by what it prints, and by --improper for p*.
     statuses = {}
     for argv, env in _SCALAR_ARGVS:
         if env:  # the seed variable's failure is checked in a fresh process above
             continue
+        command = argv[0]
+        if command == "sweep":
+            command = " ".join(["sweep", *argv[3:5], *(argv[5:] if argv[4] == "pstar" else [])])
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            statuses.setdefault(argv[0], set()).add(cli.main(argv))
-    assert all(statuses[command] == {0, 2} for command in ("spa", "certify", "witness", "detect")), statuses
+            statuses.setdefault(command, set()).add(cli.main(argv))
+    newly = ("spa", "certify", "witness", "detect", "sweep --what witness", "sweep --what pstar --improper")
+    assert all(statuses[command] == {0, 2} for command in newly), statuses
 
 
 @pytest.mark.parametrize("argv", _NUMPY_ARGVS)
