@@ -28,7 +28,9 @@ integer cubic, and detect --kind tilde|u reads the witness form; they import
 forms when they run, as witness JSON does for its trace and least
 eigenvalue.  The other commands print geometry's scalar formulas only.  One
 guard in `main` turns numpy's float overflow, invalid and divide warnings,
-like Python's OverflowError, into the exit 2.
+like Python's OverflowError, into the exit 2.  The console entry point ends the
+process with os._exit once stdout and stderr are flushed, skipping the
+interpreter's teardown; `main` called in-process returns as usual.
 """
 
 from __future__ import annotations
@@ -515,7 +517,17 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    """Run main, flush both streams and end the process without the interpreter's
+    teardown.  A stdout that cannot take its buffered output fails a run that succeeded;
+    stderr keeps the run's status.  An exception that escapes main propagates as usual."""
+    status = main()
+    for stream, failed in ((sys.stdout, 2), (sys.stderr, 0)):
+        try:
+            if stream is not None:  # None when the process started without the stream
+                stream.flush()
+        except OSError:
+            status = status or failed
+    os._exit(status)
 
 
 if __name__ == "__main__":

@@ -3,6 +3,8 @@
 
 Every process runs under `-X importtime`, so a case can also say that numpy
 was never imported; those lines are taken out of stderr before a case reads it.
+The cases at the end check how such a process ends, and that a record larger
+than a pipe buffer arrives whole.
 """
 
 import json
@@ -198,3 +200,65 @@ _CASES = [
 @pytest.mark.parametrize("argv, check", _CASES)
 def test_console_output(argv, check):
     check(_run(argv))
+
+
+# The console entry point flushes stdout and stderr and ends with os._exit, so the
+# interpreter's teardown (atexit handlers included) is skipped; main() called in-process,
+# and an exception that escapes it, end the usual way.  Each case is a fresh `python -c`
+# process that registers an atexit handler first.
+_ATEXIT = "atexit ran"
+_WITH_HANDLER = f"""
+import atexit, os, sys
+from qutritwit import cli
+atexit.register(lambda: os.write(2, b"{_ATEXIT}\\n"))
+"""
+
+
+def _console(argv: list[str], run: str = "cli.console_main()") -> SimpleNamespace:
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    env.pop("QUTRITWIT_SEED", None)
+    proc = subprocess.run([sys.executable, "-c", _WITH_HANDLER + run, *argv], capture_output=True, env=env,
+                          text=True, timeout=120)
+    return SimpleNamespace(status=proc.returncode, out=proc.stdout, err=proc.stderr.splitlines())
+
+
+def test_console_main_skips_atexit_handlers():
+    run = _console(["classify", "1", "1", "0"])
+    assert (run.status, run.err) == (0, [])
+    assert json.loads(run.out)["command"] == "classify"
+
+
+def test_in_process_main_keeps_the_interpreter_exit():
+    run = _console(["classify", "1", "1", "0"], "sys.exit(cli.main(sys.argv[1:]))")
+    assert (run.status, run.err) == (0, [_ATEXIT])
+    assert json.loads(run.out)["command"] == "classify"
+
+
+def test_exception_from_main_keeps_its_traceback_and_status():
+    run = _console([], "def fail():\n    raise RuntimeError('bug')\ncli.main = fail\ncli.console_main()")
+    assert (run.status, run.out) == (1, "")
+    assert run.err[0] == "Traceback (most recent call last):" and "RuntimeError: bug" in run.err
+    assert run.err[-1] == _ATEXIT
+
+
+def test_console_help_exits_0_with_usage():
+    run = _console(["--help"])
+    assert run.status == 0 and run.out.startswith("usage: qutritwit")
+
+
+def test_console_usage_error_exits_2_with_one_line():
+    _fails(_console(["classify", "1", "1"]))
+
+
+def test_large_record_arrives_whole(tmp_path):
+    # About 2.2 MB, far beyond a pipe buffer: the process ends only once the reader has it all.
+    argv = ["-m", "qutritwit.cli", "sweep", "--alpha-grid", "360", "--what", "witness"]
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    piped = subprocess.run([sys.executable, *argv], capture_output=True, env=env, timeout=120)
+    assert (piped.returncode, piped.stderr) == (0, b"")
+    assert len(piped.stdout) > 2_000_000
+    assert len(json.loads(piped.stdout, parse_constant=_standard_json)["results"]["rows"]) == 360
+    target = tmp_path / "sweep.json"
+    to_file = subprocess.run([sys.executable, *argv, "--output", str(target)], capture_output=True, env=env, timeout=120)
+    assert (to_file.returncode, to_file.stdout, to_file.stderr) == (0, b"", b"")
+    assert target.read_bytes() == piped.stdout

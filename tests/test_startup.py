@@ -161,6 +161,17 @@ def test_matrix_commands_load_numpy(argv):
     assert _fresh(code, *argv).split() == ["0", "True"]
 
 
+@pytest.mark.parametrize("argv", [["classify", "1", "1", "0"], ["witness", "--bc", "1/2", "1/2", "--restarts", "4"]])
+def test_console_process_prints_what_main_prints(capsys, monkeypatch, argv):
+    # The console entry point ends with os._exit once its streams are flushed: the
+    # process gives main's status and output, byte for byte.
+    monkeypatch.delenv("QUTRITWIT_SEED", raising=False)
+    status = cli.main(argv)
+    captured = capsys.readouterr()
+    proc = subprocess.run([sys.executable, "-m", "qutritwit.cli", *argv], capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (status, captured.out.encode(), captured.err.encode())
+
+
 def test_package_import_loads_no_numpy():
     code = "import sys, qutritwit; qutritwit.classify(qutritwit.MapParams(1, 1, 0)); print('numpy' in sys.modules)"
     assert _fresh(code).strip() == "False"
