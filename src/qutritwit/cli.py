@@ -24,13 +24,13 @@ the same floats the library's arrays hold, or its exact entries.  spa,
 certify --tilde, witness --format csv, sweep --what witness and sweep --what
 pstar --improper print those rows with least eigenvalues, traces and
 critical weights that forms gives in closed form or certifies from an
-integer cubic, and detect --kind tilde|u reads the witness form; they import
-forms when they run, as witness JSON does for its trace and least
-eigenvalue.  The other commands print geometry's scalar formulas only.  One
-guard in `main` turns numpy's float overflow, invalid and divide warnings,
-like Python's OverflowError, into the exit 2.  The console entry point ends the
-process with os._exit once stdout and stderr are flushed, skipping the
-interpreter's teardown; `main` called in-process returns as usual.
+integer cubic; they import forms when they run, as witness JSON does for its
+trace and least eigenvalue.  The other commands, detect with every --kind
+among them, print geometry's scalar formulas only.  One guard in `main`
+turns numpy's float overflow, invalid and divide warnings, like Python's
+OverflowError, into the exit 2.  The console entry point ends the process
+with os._exit once stdout and stderr are flushed, skipping the interpreter's
+teardown; `main` called in-process returns as usual.
 """
 
 from __future__ import annotations
@@ -286,12 +286,7 @@ def _cmd_detect(args) -> tuple[dict, dict] | str:
     inputs["eps_grid"] = [lo, hi, count]
     grid = _linspace(lo, hi, count)
     kind = _KINDS[args.kind]
-    if kind == "standard":  # the closed form, exact for exact input: no cancellation as b -> c
-        values = [detection_value(p, e) for e in grid]
-    else:
-        from . import forms
-
-        values = forms.detection_values(p, kind, grid)
+    values = [detection_value(p, e, kind) for e in grid]
     if args.format == "csv":
         return "\n".join(["eps,value"] + [f"{e:.17g},{v:.17g}" for e, v in zip(grid, values)])
     results = {

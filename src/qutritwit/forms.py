@@ -4,10 +4,10 @@ A form is the arguments (diagonal, grid, block, entries) of
 linalg.structured, which builds the numpy matrix, and of `dense`, which
 writes the same floats as nine rows of Python floats, the real parts of that
 matrix.  Here are the forms of the three witness kinds (with their exact
-entries and detection values), the critical SPA state and its separable
-pieces and the P + Q^G certificate, and the least eigenvalues of them all:
-closed forms for the SPA state, P and Q, and for each witness kind the one
-root of an integer cubic below its diagonal, certified to the nearest float.
+entries), the critical SPA state and its separable pieces and the P + Q^G
+certificate, and the least eigenvalues of them all: closed forms for the SPA
+state, P and Q, and for each witness kind the one root of an integer cubic
+below its diagonal, certified to the nearest float.
 The composite ket |ij> sits at flat index 3(i-1) + (j-1).
 
 The module imports no numpy, so the commands that print these rows start
@@ -32,6 +32,7 @@ from .geometry import (
     _ellipse_side,
     _in_region,
     _n_float,
+    _over_one_denominator,
     _require_slice,
     critical_p,
 )
@@ -150,9 +151,7 @@ def _least_side(p: MapParams, kind: str):
     values, m, t, spread, kets = _form(p, kind)
     diagonal = spread(values)
     if p.ints is None:  # float input: the matrix's own floats, read as integers over one denominator
-        ratios = [x.as_integer_ratio() for x in (*diagonal, m)]
-        t = max(d for _, d in ratios)
-        *diagonal, m = (n * (t // d) for n, d in ratios)
+        *diagonal, m, t = _over_one_denominator((*diagonal, m))
     w = [diagonal[k] + m for k in kets]
     floor = min(w)
     low = min(diagonal[k] for k in range(9) if k not in kets)
@@ -270,33 +269,6 @@ def witness_critical_p(p: MapParams, kind: str) -> float:
     return _nearest(side_p, guess)
 
 
-def detection_values(p: MapParams, kind: str, grid: Sequence[float]) -> list[float]:
-    """Tr(rho_eps W) at each eps of grid, W the witness of a kind, read from its form.
-
-    With S_g the sum of spread(values) over index group g and n_off the ordered pairs
-    of distinct kets inside the |ii> (6 for standard and tilde, 0 for u_conjugated),
-    the value is (S_0 + eps S_1 + S_2 / eps - m n_off) / t: exact and rounded once for
-    exact input (eps read as the ratio it holds), evaluated in float otherwise.  For the
-    standard kind geometry.detection_value is the closed form, the same value for exact
-    input, and the one the command line prints.
-    """
-    values, m, t, spread, kets = _form(p, kind)
-    diagonal = spread(values)
-    s0, s1, s2 = (diagonal[i] + diagonal[j] + diagonal[k] for i, j, k in INDEX_GROUPS)
-    inside = sum(k in DOUBLES for k in kets)
-    off = m * (inside * (inside - 1))
-    out = []
-    for eps in grid:
-        if not 0 < eps < inf:  # a NaN fails both
-            raise ValueError(f"eps must be positive and finite, got {eps}")
-        if p.ints is None:
-            out.append((s0 + eps * s1 + s2 / eps - off) / t)
-        else:
-            e, f = eps.as_integer_ratio()
-            out.append((s0 * e * f + s1 * e * e + s2 * f * f - off * e * f) / (t * e * f))
-    return out
-
-
 def spa_form(p: MapParams) -> tuple[float, tuple, Optional[tuple[float, tuple]]]:
     """(p*, state, certificate) of the structural physical approximation at p.
 
@@ -304,7 +276,7 @@ def spa_form(p: MapParams) -> tuple[float, tuple, Optional[tuple[float, tuple]]]
     the floats of spa.spa_mix(witness_matrix(p), p*).  certificate is (scale, sigma_d's
     diagonal) inside the region 2b+c >= 1, 2c+b >= 1, where the state is
     scale * (sigma_12 + sigma_13 + sigma_23 + sigma_d) with scale = 1 / (3 (2 + 3(2-a))),
-    and None outside it.
+    and None outside it.  sigma_d is never negative.
     """
     star = critical_p(p)  # the one plane check
     if star == 0.0:
@@ -316,7 +288,10 @@ def spa_form(p: MapParams) -> tuple[float, tuple, Optional[tuple[float, tuple]]]
     certificate = None
     if _in_region(*p._abcd[1:]):
         fa, fb, fc = p.asfloats()
-        certificate = 1.0 / (3.0 * (2.0 + 3.0 * (2.0 - fa))), sigma_diag_diagonal(fb, fc)
+        sigma_d = sigma_diag_diagonal(fb, fc)
+        if min(sigma_d) < 0:  # a remainder below zero that _in_region forgave as roundoff is 0
+            sigma_d = tuple(max(0.0, x) for x in sigma_d)
+        certificate = 1.0 / (3.0 * (2.0 + 3.0 * (2.0 - fa))), sigma_d
     return star, state, certificate
 
 

@@ -16,7 +16,9 @@ that form (B*C - (D-A)^2, 4*(B*C) - (2D-A)^2, A+B+C - 2D, A - 2D): the sign of
 an integer for exact input, the sign up to roundoff for float input.  Each
 exact value is one Fraction(n, d), and each rounded float one true division
 n / d; Python rounds an int/int division correctly, so it has the bits of
-float() of the same value taken in Fraction arithmetic.
+float() of the same value taken in Fraction arithmetic.  The probe family
+rho_eps reads a float point as the rationals its floats hold, so its values
+are exact and rounded once for every input.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ class MapParams:
     Equality, hash, repr, pickling and copies are those of (a, b, c) alone.
     """
 
-    __slots__ = ("a", "b", "c", "ints", "_abcd")
+    __slots__ = ("a", "b", "c", "ints", "_abcd", "_float_ints")
     __match_args__ = ("a", "b", "c")
 
     def __init__(self, a: Number, b: Number, c: Number):
@@ -291,46 +293,53 @@ def improper_coeffs(alpha: float) -> MapParams:
     return MapParams(max(a, 0.0), max(b, 0.0), max(c, 0.0))
 
 
-def _detection_ratio(p: MapParams, e: int, f: int) -> tuple[int, int]:
-    """The detection value at eps = e/f > 0 for exact parameters, as integers (n, d) with value n/d:
-    N (b eps^2 + (a-2) eps + c) / eps = (B e^2 + (A-2D) e f + C f^2) / ((A+B+C) e f)."""
-    A, B, C, D = p.ints
-    return B * e * e + (A - 2 * D) * e * f + C * f * f, (A + B + C) * e * f
+def _over_one_denominator(xs) -> tuple[int, ...]:
+    """Floats as integers over their largest (power-of-two) denominator: (*numerators, denominator)."""
+    ratios = [x.as_integer_ratio() for x in xs]
+    D = max([d for _, d in ratios])
+    return (*[n * (D // d) for n, d in ratios], D)
 
 
-def detection_value_exact(p: MapParams, eps: Number) -> Number:
-    """Closed form of Tr(rho_eps W[a,b,c]), N (b eps^2 + (a-2) eps + c) / eps, unrounded.
-
-    For exact parameters eps is read as the exact ratio it holds and the value
-    is a Fraction, so its sign survives the cancellation near the vertex as
-    b -> c; otherwise it is one expression in float.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if not eps < inf:  # a NaN compares false; a Fraction beyond the float range is below inf
-        raise ValueError(f"eps must be finite, got {eps}")
-    if p.ints is None:  # float input rounds at every step; exact input is one Fraction of integers
-        a, b, c, _ = p._abcd
-        return n_abc(p) * (b * eps * eps + (a - 2) * eps + c) / eps
-    e, f = (eps.item() if _numpy_scalar(eps) else eps).as_integer_ratio()
-    return Fraction(*_detection_ratio(p, e, f))
+def _integers(p: MapParams) -> tuple[int, int, int, int]:
+    """(A, B, C, D) with (a, b, c) = (A, B, C)/D: ints, or a float point's floats, made on first use."""
+    ints = p.ints or getattr(p, "_float_ints", None)
+    if ints is None:  # a float point's first use: building it leaves the slot empty
+        ints = _over_one_denominator(p._abcd[:3])
+        object.__setattr__(p, "_float_ints", ints)
+    return ints
 
 
-def detection_value(p: MapParams, eps: Number) -> float:
-    """Tr(rho_eps W[a,b,c]): detection_value_exact rounded once.
+def _detection_ratio(p: MapParams, e: int, f: int, kind: str) -> tuple[int, int]:
+    """Tr(rho_eps W) of a kind's witness W at eps = e/f > 0, as integers (n, d) with value n/d:
+    (B e^2 + (A-2D) e f + C f^2) / ((A+B+C) e f) for standard; on the plane, where each index group of
+    W~ and W_U holds one copy of a, b and c, (e-f)^2 / (3ef) for tilde, (e^2 + ef + f^2) / (3ef) for u_conjugated."""
+    if kind == "standard":
+        A, B, C, D = _integers(p)
+        return B * e * e + (A - 2 * D) * e * f + C * f * f, (A + B + C) * e * f
+    if kind not in ("tilde", "u_conjugated"):
+        raise ValueError(f"unsupported kind {kind!r}")
+    _require_slice(p)
+    return (e - f) ** 2 if kind == "tilde" else e * e + e * f + f * f, 3 * e * f
 
-    Float input takes the float formula; where an intermediate such as b eps^2 overflows it gives
-    inf or nan, and the value is then its exact twin's, the same floats read as Fractions, rounded
-    once.  Raises OverflowError where the value is beyond the float range, as float() does.
-    """
-    value = float(detection_value_exact(p, eps))
-    if not isfinite(value):
-        twin = MapParams(*(Fraction(x) for x in p._abcd[:3]))
-        try:
-            value = float(detection_value_exact(twin, eps))
-        except OverflowError:
-            raise OverflowError(f"the detection value at eps = {eps} overflows a float") from None
-    return value
+
+def detection_value_exact(p: MapParams, eps: Number, kind: str = "standard") -> Number:
+    """Tr(rho_eps W) for the witness W of a kind, exact for the parameters and eps as given: a Fraction for
+    exact parameters (its sign survives the cancellation near the vertex as b -> c), else detection_value."""
+    if not 0 < eps < inf:  # a NaN fails both; a Fraction beyond the float range is below inf
+        raise ValueError(f"eps must be finite and positive, got {eps}")
+    n, d = _detection_ratio(p, *(eps.item() if _numpy_scalar(eps) else eps).as_integer_ratio(), kind)
+    if p.ints is not None:
+        return Fraction(n, d)
+    try:
+        return n / d
+    except OverflowError:
+        raise OverflowError(f"the detection value at eps = {eps} overflows a float") from None
+
+
+def detection_value(p: MapParams, eps: Number, kind: str = "standard") -> float:
+    """Tr(rho_eps W) for the witness W of a kind ("standard", or "tilde" and "u_conjugated" on the plane
+    a+b+c = 2): detection_value_exact rounded once, or OverflowError beyond the float range."""
+    return float(detection_value_exact(p, eps, kind))
 
 
 def _detects(p: MapParams) -> bool:
@@ -353,23 +362,16 @@ def detects_rho_family(p: MapParams) -> Optional[tuple[float, float]]:
     + c, negative somewhere on eps > 0 iff a < 2 and bc < (2-a)^2/4 (a
     positive discriminant): classify's _side decisions, so a positive non-CP
     map has an interval iff it is indecomposable.  Its ends are the roots 2c/s
-    and s/(2b), s = (2-a) + sqrt((2-a)^2 - 4bc), so neither cancels.  2-a is
-    taken in the parameters' own arithmetic; for exact input, 2-a, b and c are
-    first scaled by a power of two that brings 2-a to at least 1/2, so that
-    neither end is lost where 2-a is below the float range; the scale cancels
-    in both ends and, where 2-a is a normal float, changes no bit of them.  The
-    upper end is inf when the scaled b is 0 in float.  Where the scaled b or c
-    is beyond the float range, both ends are rounded once from their ratios to
-    s, and an end beyond the float range is inf.
+    and s/(2b), s = (2-a) + sqrt((2-a)^2 - 4bc), so neither cancels, from the
+    integer form with 2-a, b and c scaled by the power of two that brings 2-a
+    to at least 1/2: neither end is lost where 2-a is below the float range,
+    and where it is a normal float the scale changes no bit.  The upper end is
+    inf when the scaled b is 0 in float.  Where the scaled b or c is beyond the
+    float range, each end is rounded once from its ratio to s (inf beyond it).
     """
     if not _detects(p):
         return None
-    if p.ints is None:  # float input rounds 2-a and bc as they come; exact input scales integers first
-        a, b, c, _ = p._abcd
-        d = 2 - a
-        s = d + 2 * sqrt(d**2 / 4 - b * c)
-        return (2 * c / s, s / (2 * b) if b else inf)
-    A, B, C, D = p.ints
+    A, B, C, D = _integers(p)
     N = 2 * D - A  # 2-a = N/D; k is read from it in lowest terms, as from the Fraction 2-a
     g = gcd(N, D)
     k = max((D // g).bit_length() - (N // g).bit_length(), 0)
@@ -399,19 +401,17 @@ def critical_p(p: MapParams) -> float:
 def indecomposability_certificate(p: MapParams) -> Optional[tuple[Number, float]]:
     """A PPT probe state with negative expectation against W[a,b,c].
 
-    Returns (eps, value) with value = Tr(rho_eps W[a,b,c]) < 0 when the
+    Returns (eps, value) with value = detection_value(p, eps) < 0 when the
     detection interval is non-empty, else None.  eps is the vertex (2-a)/(2b),
-    or c/(2-a) + 1 when b = 0, in the parameters' own arithmetic (a Fraction
-    for exact input), so no rounding moves it onto an end of the interval;
-    for exact input it may lie beyond the float range.
+    or c/(2-a) + 1 when b = 0, from the integer form: a Fraction for exact
+    input (no rounding moves it onto an end of the interval; it may lie beyond
+    the float range), and for float input the nearest float, or OverflowError.
     """
     if not _detects(p):
         return None
-    if p.ints is None:  # float input rounds eps; exact input keeps it a Fraction and rounds the value once
-        a, b, c, _ = p._abcd
-        eps = (2 - a) / (2 * b) if b else c / (2 - a) + 1
-        return eps, detection_value(p, eps)
-    A, B, C, D = p.ints
+    A, B, C, D = _integers(p)
     e, f = (2 * D - A, 2 * B) if B else (C + 2 * D - A, 2 * D - A)
-    n, d = _detection_ratio(p, e, f)
+    if p.ints is None:  # float input: the float nearest the vertex, and the value there
+        return e / f, detection_value(p, e / f)
+    n, d = _detection_ratio(p, e, f, "standard")
     return Fraction(e, f), n / d

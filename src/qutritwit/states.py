@@ -9,9 +9,9 @@ with the level arithmetic i+1, i+2 cyclic on {1,2,3}.  Every member is PPT,
 and it is entangled for eps != 1, which makes the family a probe for
 indecomposable witnesses: Tr(rho_eps W[a,b,c]) has the closed form
 N (b eps^2 + (a-2) eps + c) / eps, negative on an eps-interval exactly when
-the discriminant (a-2)^2 - 4bc is positive.  That closed form and its
-interval are scalar formulas and live in geometry (detection_value,
-detects_rho_family); this module builds the states as matrices.
+the discriminant (a-2)^2 - 4bc is positive.  The closed forms of every
+witness kind, the interval and the certificate live in geometry, exact and
+rounded once for every input; this module builds the states as matrices.
 """
 
 from __future__ import annotations

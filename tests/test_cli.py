@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from conftest import matrix_entries
+from qutritwit import cli
 from qutritwit.cli import main
-from qutritwit.geometry import critical_p, improper_coeffs, so2_coeffs
+from qutritwit.geometry import MapParams, critical_p, improper_coeffs, so2_coeffs
 from qutritwit.spa import critical_p_from_witness
 from qutritwit.witnesses import witness_matrix, witness_tilde_matrix
 
@@ -463,6 +464,15 @@ class TestCertify:
         assert results["certificate"] == "ppt_state" and results["eps"] is None
         assert Fraction(results["eps_exact"]) == (1 + Fraction(1, 10**400)) * 10**400 / 2
         assert results["value"] < 0 and results["value"] == float(Fraction(results["value_exact"]))
+
+    def test_float_vertex_beyond_the_float_range_exits_2(self, capsys, monkeypatch):
+        # No angle gives such a point, so the family is replaced by one that does: at b = 5e-324
+        # the float vertex (2-a)/(2b) overflows, and the OverflowError exits 2 with one line.
+        monkeypatch.setitem(cli._FAMILIES, False, ("proper", lambda alpha: MapParams(1.0, 5e-324, 1.0), "standard"))
+        assert main(["certify", "--indecomposable", "--alpha", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: a value overflows a float")
 
     def test_certificate_where_2_minus_a_is_below_the_float_range(self, capsys):
         # a = 2 - 1e-400, b = 0, c = 1: classify says indecomposable, and certify used to

@@ -123,7 +123,7 @@ _CASES = [
     _case(["detect", "--bc", "1/2", "50000001/100000000", "--eps-grid", "1.000000005", "1.000000015", "3"],
           _record(lambda r: all(v < 0 for v in r["values"]))),
     # eps^2 overflows in float at eps = 1e300, where the detection value is about 3.7e296:
-    # the exact twin gives it.
+    # the floats read as the rationals they hold give it.
     _case(["detect", "--alpha", "1.0", "--eps-grid", "1", "1e300", "3"], _record(_finite_values)),
     # The critical SPA state and the tilde certificate's P and Q are PSD: their smallest
     # eigenvalues are zero up to roundoff.  Neither command imports numpy.
@@ -142,11 +142,17 @@ _CASES = [
     # root formula printed 1.5.
     _case(["classify", "--alpha", "1.0471975511965976"], _record(lambda r: r["detection_interval"][0] < 1.01),
           "classify --alpha pi/3 detection interval"),
-    # Scalar commands start without numpy; detect --kind standard takes its values from the
-    # closed form, detect --kind u from the witness form.
+    # Scalar commands start without numpy; detect takes the values of every --kind from
+    # geometry's closed forms.
     _case(["classify", "1", "1", "0"], _record(numpy=False)),
     _case(["detect", "--bc", "1/3", "1"], _record(numpy=False)),
     _case(["detect", "--kind", "u", "--bc", "1/3", "1"], _record(numpy=False)),
+    # On the plane Tr(rho_eps W~) = (eps-1)^2/(3 eps) at every point, float points included:
+    # each printed value is that of the printed eps, rounded once.  At the float 0.1, just
+    # above 1/10, that is 2.6999999999999997; the float form sum printed 2.7.
+    _case(["detect", "--kind", "tilde", "--alpha", "2.2", "--improper"],
+          _record(lambda r: r["values"] == [float((Fraction(e) - 1) ** 2 / (3 * Fraction(e))) for e in r["eps"]]
+                  and r["values"][0] == 2.6999999999999997, numpy=False)),
     # The improper family's p* is that of its witness W~ (about 0.68), not the standard
     # witness's closed form (0.6 at angle 0).  Both it and W~'s trace and least eigenvalue
     # (about -0.235) come from the certified spectrum, without numpy.

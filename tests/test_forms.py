@@ -18,7 +18,14 @@ import pytest
 
 from conftest import matrix_entries
 from qutritwit import cli, forms
-from qutritwit.geometry import MapParams, detection_value, improper_coeffs, slice_params, so2_coeffs
+from qutritwit.geometry import (
+    MapParams,
+    detection_value,
+    detection_value_exact,
+    improper_coeffs,
+    slice_params,
+    so2_coeffs,
+)
 from qutritwit.spa import spa_state
 from qutritwit.states import sigma_pair
 from qutritwit.witnesses import decompose_tilde, witness_matrix, witness_tilde_matrix, witness_u
@@ -141,11 +148,20 @@ def test_spa_least_eigenvalue_is_the_block_spectrum_correctly_rounded():
             assert forms.spa_min_eigenvalue((diagonal, g, kets)) == float(min(exact)), p
 
 
-def test_form_detection_values_of_the_standard_kind_are_the_closed_form_for_exact_input():
-    # Both are exact and rounded once, so the form's trace has detection_value's bits.
+def test_detection_values_of_every_kind_are_the_pairing_of_the_exact_form():
+    # Tr(rho_eps W) in Fraction arithmetic from the kind's exact entries: rho_eps holds (1, eps, 1/eps)
+    # on the index groups and 1 off the diagonal of the |ii> block.  geometry's closed form of each
+    # kind is that pairing, and detection_value rounds it once.
     grid = cli._linspace(0.1, 2.0, 20) + [1e-300, 7.5, 1e300]
-    for p in _POINTS[:380:2]:
-        assert forms.detection_values(p, "standard", grid) == [detection_value(p, eps) for eps in grid], p
+    for p in _POINTS[:380:6]:
+        for kind in _BUILDERS:
+            W = [[Fraction(x) for x in row] for row in forms.exact_witness_entries(p, kind)]
+            grid_sum = sum(W[i][j] for i in forms.DOUBLES for j in forms.DOUBLES if i != j)
+            for eps in grid:
+                rho = forms.group_diagonal(Fraction(1), Fraction(eps), 1 / Fraction(eps))
+                exact = sum(rho[k] * W[k][k] for k in range(9)) + grid_sum
+                assert detection_value_exact(p, eps, kind) == exact, (p, kind, eps)
+                assert detection_value(p, eps, kind) == float(exact), (p, kind, eps)
 
 
 def test_reconstruction_residual_is_small():

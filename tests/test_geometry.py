@@ -12,7 +12,7 @@ import itertools
 import pickle
 import random
 from fractions import Fraction
-from math import inf, sqrt, ulp
+from math import inf, pi, sqrt, ulp
 
 import numpy as np
 import pytest
@@ -438,3 +438,90 @@ def test_float_decisions_at_the_tolerance_edge(case, sign):
         assert decisions(p) == ref_decisions(*p.astuple())
     # lhs - rhs is 0 at the base, within the tolerance at t_in and beyond it at t_out.
     assert seen[0] == 0 and 0 < seen[1] <= 1 < seen[2]
+
+
+# ---------------------------------------------------------------------------
+# Float input: the probe family's values are the exact values of the floats, rounded once.
+# ---------------------------------------------------------------------------
+
+
+def _float_points():
+    """Seeded random float points of the plane, and 72 angles of both families."""
+    rng = random.Random(34)
+    points = []
+    while len(points) < 400:
+        b, c = rng.uniform(0, 2), rng.uniform(0, 2)
+        if b + c <= 2:
+            points.append(slice_params(b, c))
+    for k in range(72):
+        points += [so2_coeffs(2 * pi * k / 72), improper_coeffs(2 * pi * k / 72)]
+    return points
+
+
+def _ref_float_value(p, eps, kind="standard"):
+    """The value at the rationals the floats hold, in Fraction arithmetic, rounded once."""
+    e = Fraction(eps)
+    if kind == "tilde":
+        return float((e - 1) ** 2 / (3 * e))
+    if kind == "u_conjugated":
+        return float((1 + e + 1 / e) / 3)
+    return float(ref_value(*_fractions(p.astuple()), e))
+
+
+def test_float_values_at_both_printed_ends_are_the_exact_values_rounded_once():
+    # At so2_coeffs(2.0) the upper end 4.7445... is a float just above the root: the float
+    # formula printed 0.0 there, where the exact value of the same floats is 4.9e-17.
+    ends = 0
+    for p in _float_points() + [so2_coeffs(2.0)]:
+        interval = detects_rho_family(p)
+        if interval is None:
+            continue
+        for eps in interval:
+            if 0 < eps < inf:
+                assert detection_value(p, eps) == _ref_float_value(p, eps), (p, eps)
+                assert detection_value_exact(p, eps) == detection_value(p, eps)
+                ends += 1
+    assert ends > 600
+    _, hi = detects_rho_family(so2_coeffs(2.0))
+    assert detection_value(so2_coeffs(2.0), hi) == _ref_float_value(so2_coeffs(2.0), hi) > 0
+
+
+def test_float_certificate_is_the_vertex_rounded_once():
+    # eps is the float nearest the exact vertex of the floats, and value the exact value there.
+    for p in _float_points():
+        cert = indecomposability_certificate(p)
+        if cert is None:
+            continue
+        a, b, c = _fractions(p.astuple())
+        eps, value = cert
+        assert type(eps) is float and eps == float((2 - a) / (2 * b) if b else c / (2 - a) + 1)
+        assert value == _ref_float_value(p, eps) < 0, p
+
+
+@pytest.mark.parametrize("kind", ["tilde", "u_conjugated"])
+def test_float_tilde_and_u_values_near_one_are_correctly_rounded(kind):
+    # (eps-1)^2/(3 eps) cancels in floats as eps -> 1: at 1 + 2^-30 it printed 0.0 for 2.89e-19.
+    p = improper_coeffs(1.1)
+    for k in (10, 20, 26, 30, 40, 52):
+        for eps in (1 + 2.0**-k, 1 - 2.0**-k):
+            assert detection_value(p, eps, kind) == _ref_float_value(p, eps, kind), (kind, eps)
+    assert detection_value(p, 1 + 2.0**-30, "tilde") > 2.8e-19
+
+
+def test_float_vertex_beyond_the_float_range_raises_overflow():
+    # b = 5e-324 puts the vertex (2-a)/(2b) near 1e323.  It became inf, and the value at inf
+    # raised a ValueError about eps by accident; rounding the exact vertex raises OverflowError.
+    p = MapParams(1.0, 5e-324, 1.0)
+    assert detects_rho_family(p) == (pytest.approx(1.0), inf)
+    with pytest.raises(OverflowError):
+        indecomposability_certificate(p)
+
+
+def test_probe_kinds_off_the_plane_or_unknown_raise():
+    for p in (MapParams(1, 2, 3), MapParams(1.0, 2.0, 3.0)):
+        assert detection_value(p, 2.0) == _ref_float_value(p, 2.0)
+        for kind in ("tilde", "u_conjugated"):
+            with pytest.raises(ValueError, match="off the plane"):
+                detection_value(p, 2.0, kind)
+    with pytest.raises(ValueError, match="unsupported kind"):
+        detection_value(MapParams(1, 1, 0), 2.0, "u")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,27 @@ class TestSpaState:
         res = spa_state(slice_params(Fraction(1, 3), Fraction(1, 3)))
         assert res.separable_certified
         assert np.linalg.norm(res.components.sigma_d.matrix) == 0
+
+    def test_certified_sigma_d_is_never_negative(self):
+        # spa_region accepts a float point within roundoff of the line 2b+c = 1 (or 2c+b = 1),
+        # where the float remainder 2b+c-1 can be -1.1e-16: a certificate an exact checker
+        # rejects.  Within the region's tolerance the remainder is 0.
+        res = spa_state(slice_params(0.2, math.nextafter(0.6, 0)))
+        assert res.separable_certified
+        assert np.diag(res.components.sigma_d.matrix).real.min() == 0.0
+        rng = np.random.default_rng(34)
+        certified = 0
+        for b in rng.uniform(0, 0.5, 400):
+            for c in (1 - 2 * b, (1 - b) / 2):  # on 2b+c = 1, then on 2c+b = 1
+                for step in range(-8, 9):
+                    x = float(c) + step * math.ulp(float(c))
+                    if x < 0 or not spa_region(float(b), x):
+                        continue
+                    res = spa_state(slice_params(float(b), x))
+                    assert res.separable_certified
+                    assert min(np.diag(res.components.sigma_d.matrix).real) >= 0, (b, x)
+                    certified += 1
+        assert certified > 4000
 
     def test_outside_region_not_certified(self):
         res = spa_state(slice_params(0.1, 0.1))

@@ -20,10 +20,10 @@ from qutritwit.geometry import so2_coeffs
 from qutritwit.oracles import SeeSawConfig
 
 # The commands that start without numpy, with the witness argv that fails on
-# its seed before it builds a matrix: those that print geometry's closed forms,
-# and spa, certify --tilde, witness --format csv, detect --kind tilde|u,
-# sweep --what witness and sweep --what pstar --improper, which print the rows,
-# values and certified spectra of the forms module.  Exact, float and --alpha
+# its seed before it builds a matrix: those that print geometry's closed forms
+# (detect with every --kind among them), and spa, certify --tilde, witness
+# --format csv, sweep --what witness and sweep --what pstar --improper, which
+# print the rows and certified spectra of the forms module.  Exact, float and --alpha
 # input of each, and the runs that exit 2 on their input.
 _SCALAR_ARGVS = [
     (["classify", "--bc", "1", "1"], {}),
@@ -131,7 +131,8 @@ def test_commands_that_print_no_form_load_no_forms():
     argvs = [(argv, env) for argv, env in _SCALAR_ARGVS if argv[0] in ("classify", "figure")]
     argvs += [(argv, env) for argv, env in _SCALAR_ARGVS if argv[0] == "sweep" and argv[4:] == ["pstar"]]
     argvs += [(argv, env) for argv, env in _SCALAR_ARGVS if argv[:2] in (["detect", "--bc"], ["certify", "--indecomposable"])]
-    assert len(argvs) == 12
+    argvs += [(argv, env) for argv, env in _SCALAR_ARGVS if argv[:2] == ["detect", "--kind"]]
+    assert len(argvs) == 20
     assert json.loads(_fresh(_RUN_EACH, json.dumps(argvs), "qutritwit.forms")) == []
 
 

@@ -20,7 +20,7 @@ from qutritwit.geometry import (
 from qutritwit.linalg import eigenvalues, min_eigenvalue, partial_transpose, trace_pair
 from qutritwit.spa import spa_state
 from qutritwit.states import is_ppt, rho_eps, sigma_pair
-from qutritwit.witnesses import witness_tilde_matrix
+from qutritwit.witnesses import witness_tilde_matrix, witness_u
 
 
 class TestRhoEps:
@@ -127,6 +127,30 @@ class TestDetectionValue:
         eps = Fraction(10**400, 2)
         assert detection_value(p, eps) == -0.25
         assert detection_value(p, 10**400) == 0.0  # an int: N 10^-400, below the float range
+
+
+class TestOtherKindsClosedForms:
+    # geometry gives Tr(rho_eps W~) = (eps-1)^2/(3 eps) and Tr(rho_eps W_U) = (1 + eps + 1/eps)/3 on
+    # the plane without reading the point; here they meet the 9x9 pairing with the numpy witness.
+    # The two closed forms differ by 1 everywhere, so a kind read as the other fails the check.
+    _BUILDERS = {"tilde": witness_tilde_matrix, "u_conjugated": witness_u}
+
+    @staticmethod
+    def _points():
+        lattice = [slice_params(Fraction(i, 6), Fraction(j, 6)) for i in range(13) for j in range(13 - i)]
+        rng = np.random.default_rng(34)
+        return lattice + [slice_params(float(b), float(c)) for b, c in ((p.b, p.c) for p in lattice)] + [
+            random_slice_params(rng) for _ in range(40)] + [improper_coeffs(a) for a in np.linspace(0, 2 * pi, 24)]
+
+    @pytest.mark.parametrize("kind", ["tilde", "u_conjugated"])
+    def test_closed_forms_are_the_9x9_pairing(self, kind):
+        other = "u_conjugated" if kind == "tilde" else "tilde"
+        for p in self._points():
+            W = self._BUILDERS[kind](p).matrix
+            for eps in (0.1, 0.5, 1.0, 1 + 2.0**-30, 1.7, 4.0, 25.0):
+                pairing = float(np.trace(rho_eps(eps).matrix @ W).real)
+                assert abs(detection_value(p, eps, kind) - pairing) <= 1e-12 * max(1.0, abs(pairing)), (p, eps)
+                assert abs(detection_value(p, eps, other) - pairing) > 0.99, (p, eps)
 
 
 class TestDetectionInterval:
