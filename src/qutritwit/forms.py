@@ -7,7 +7,9 @@ matrix.  Here are the forms of the three witness kinds (with their exact
 entries), the critical SPA state and its separable pieces and the P + Q^G
 certificate, and the least eigenvalues of them all: closed forms for the SPA
 state, P and Q, and for each witness kind the one root of an integer cubic
-below its diagonal, certified to the nearest float.
+below its diagonal, certified to the nearest float.  The SPA certificate's
+scale and P's least eigenvalue are read from geometry's integer form, each
+exact and rounded once.
 The composite ket |ij> sits at flat index 3(i-1) + (j-1).
 
 The module imports no numpy, so the commands that print these rows start
@@ -31,9 +33,11 @@ from .geometry import (
     _cp_side,
     _ellipse_side,
     _in_region,
+    _integers,
     _n_float,
     _over_one_denominator,
     _require_slice,
+    _round_with_root,
     critical_p,
 )
 
@@ -276,7 +280,7 @@ def spa_form(p: MapParams) -> tuple[float, tuple, Optional[tuple[float, tuple]]]
     the floats of spa.spa_mix(witness_matrix(p), p*).  certificate is (scale, sigma_d's
     diagonal) inside the region 2b+c >= 1, 2c+b >= 1, where the state is
     scale * (sigma_12 + sigma_13 + sigma_23 + sigma_d) with scale = 1 / (3 (2 + 3(2-a))),
-    and None outside it.  sigma_d is never negative.
+    rounded once from the integer form as p* is, and None outside it.  sigma_d is never negative.
     """
     star = critical_p(p)  # the one plane check
     if star == 0.0:
@@ -287,11 +291,12 @@ def spa_form(p: MapParams) -> tuple[float, tuple, Optional[tuple[float, tuple]]]
     state = spread([(1.0 - star) * (x / t) + star / 9.0 for x in values]), (1.0 - star) * (-m / t), kets
     certificate = None
     if _in_region(*p._abcd[1:]):
-        fa, fb, fc = p.asfloats()
+        _, fb, fc = p.asfloats()
         sigma_d = sigma_diag_diagonal(fb, fc)
         if min(sigma_d) < 0:  # a remainder below zero that _in_region forgave as roundoff is 0
             sigma_d = tuple(max(0.0, x) for x in sigma_d)
-        certificate = 1.0 / (3.0 * (2.0 + 3.0 * (2.0 - fa))), sigma_d
+        A, _, _, D = _integers(p)
+        certificate = D / (3 * (8 * D - 3 * A)), sigma_d  # 1 / (3 (2 + 3(2-a))) on the integer form
     return star, state, certificate
 
 
@@ -353,13 +358,16 @@ def tilde_min_eigenvalues(p: MapParams) -> tuple[float, float]:
     """The least eigenvalues of tilde_form's P and Q, from their closed-form spectra.
 
     R - J is reverse-circulant and shares J's eigenvector (1,1,1), so the P block R - (J - I)
-    has eigenvalues a+b+c-2 and 1 +- sqrt(a^2+b^2+c^2-ab-bc-ca), the root taken as
-    sqrt(((a-b)^2 + (b-c)^2 + (c-a)^2) / 2); P's six other eigenvalues are 0.  Q's are
-    0 (six times) and 2 R_ij for i < j, that is 2a, 2b and 2c.
+    has eigenvalues a+b+c-2 and 1 +- sqrt(a^2+b^2+c^2-ab-bc-ca); P's six other eigenvalues
+    are 0.  On the integer form a+b+c-2 is (A+B+C-2D) / D and the lesser root (D - sqrt(M)) / D,
+    M = A^2+B^2+C^2-AB-BC-CA, each exact and rounded once (the root by
+    geometry._round_with_root), so an exact 0 prints 0.0.  Q's are 0 (six times) and
+    2 R_ij for i < j, that is 2a, 2b and 2c.
     """
+    A, B, C, D = _integers(p)
+    (lower,) = _round_with_root(A * A + B * B + C * C - A * B - B * C - C * A, (-1, D, 0, D))
     a, b, c = p.asfloats()
-    root = sqrt(((a - b) ** 2 + (b - c) ** 2 + (c - a) ** 2) / 2)
-    return min(0.0, fsum((a, b, c, -2.0)), 1.0 - root), min(0.0, 2 * a, 2 * b, 2 * c)
+    return min(0.0, (A + B + C - 2 * D) / D, lower), min(0.0, 2 * a, 2 * b, 2 * c)
 
 
 def reconstruction_residual(P: list[list[float]], Q: list[list[float]], W: list[list[float]]) -> float:

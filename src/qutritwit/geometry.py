@@ -17,8 +17,10 @@ an integer for exact input, the sign up to roundoff for float input.  Each
 exact value is one Fraction(n, d), and each rounded float one true division
 n / d; Python rounds an int/int division correctly, so it has the bits of
 float() of the same value taken in Fraction arithmetic.  The probe family
-rho_eps reads a float point as the rationals its floats hold, so its values
-are exact and rounded once for every input.
+rho_eps and the critical weight read a float point as the rationals its
+floats hold, so their values are exact and rounded once for every input;
+a value with a square root, such as an end of the detection interval, is
+bracketed by one integer square root and rounded once (_round_with_root).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import enum
 import sys
 from collections import namedtuple
 from fractions import Fraction
-from math import cos, gcd, inf, isfinite, lcm, pi, sin, sqrt, ulp
+from math import cos, inf, isfinite, isqrt, lcm, pi, sin, sqrt, ulp
 from typing import Optional
 
 # Inputs of size <= 2 built on a boundary miss it by at most 2 ulp(2) per unit
@@ -348,11 +350,38 @@ def _detects(p: MapParams) -> bool:
 
 
 def _ratio(n: int, d: int) -> float:
-    """n / d rounded once; inf where it is beyond the float range."""
+    """n / d rounded once; inf where it is beyond the float range or d is 0."""
     try:
-        return n / d
+        return n / d if d else inf
     except OverflowError:
         return inf
+
+
+def _round_with_root(m: int, *maps: tuple[int, int, int, int]) -> tuple[float, ...]:
+    """Each (p sqrt(m) + q) / (r sqrt(m) + t) of maps' integers (p, q, r, t), rounded once
+    through _ratio, for an integer m >= 0 and denominators of one sign (or 0) near sqrt(m).
+
+    One isqrt(m << 2k) brackets sqrt(m) 2^k in [lo, hi]: hi = lo where the root is exact,
+    else lo + 1.  A map is monotone there, so its value lies between its values at lo and
+    hi over 2^k, and k grows until those two round to the same float for every map: the
+    value rounded once, ties included.  k = 0 comes first, where an exact root takes one
+    small division per map, then 64, doubling.
+    """
+    k = 0
+    while True:
+        m2k = m << 2 * k
+        lo = isqrt(m2k)
+        hi = lo + (lo * lo != m2k)
+        values = []
+        for p, q, r, t in maps:
+            q, t = q << k, t << k
+            x = _ratio(p * lo + q, r * lo + t)
+            if hi != lo and x != _ratio(p * hi + q, r * hi + t):
+                break
+            values.append(x)
+        else:
+            return tuple(values)
+        k = 2 * k or 64
 
 
 def detects_rho_family(p: MapParams) -> Optional[tuple[float, float]]:
@@ -361,39 +390,30 @@ def detects_rho_family(p: MapParams) -> Optional[tuple[float, float]]:
     The sign of the detection value is that of q(eps) = b eps^2 + (a-2) eps
     + c, negative somewhere on eps > 0 iff a < 2 and bc < (2-a)^2/4 (a
     positive discriminant): classify's _side decisions, so a positive non-CP
-    map has an interval iff it is indecomposable.  Its ends are the roots 2c/s
-    and s/(2b), s = (2-a) + sqrt((2-a)^2 - 4bc), so neither cancels, from the
-    integer form with 2-a, b and c scaled by the power of two that brings 2-a
-    to at least 1/2: neither end is lost where 2-a is below the float range,
-    and where it is a normal float the scale changes no bit.  The upper end is
-    inf when the scaled b is 0 in float.  Where the scaled b or c is beyond the
-    float range, each end is rounded once from its ratio to s (inf beyond it).
+    map has an interval iff it is indecomposable.  Its ends are the roots
+    2c/s and s/(2b), s = (2-a) + sqrt((2-a)^2 - 4bc), so neither cancels: on
+    the integer form 2C / (N + sqrt(disc)) and (N + sqrt(disc)) / (2B), with
+    N = 2D - A and disc = N^2 - 4BC, each the exact root rounded once by
+    _round_with_root.  An end beyond the float range is 0.0 or inf, and the
+    upper end is inf at b = 0.
     """
     if not _detects(p):
         return None
     A, B, C, D = _integers(p)
-    N = 2 * D - A  # 2-a = N/D; k is read from it in lowest terms, as from the Fraction 2-a
-    g = gcd(N, D)
-    k = max((D // g).bit_length() - (N // g).bit_length(), 0)
-    Bk, Ck = B << k, C << k  # the scaled b and c, over D
-    s = (N << k) / D + 2 * sqrt(((N * N - 4 * B * C) << 2 * k) / (4 * D * D))
-    try:
-        bf, cf = Bk / D, Ck / D
-    except OverflowError:  # the scaled bc is below 1/4, so the other of the two is small
-        sn, sd = s.as_integer_ratio()
-        return (_ratio(2 * Ck * sd, D * sn), _ratio(D * sn, 2 * Bk * sd) if B else inf)
-    return (2 * cf / s, s / (2 * bf) if bf else inf)
+    N = 2 * D - A
+    return _round_with_root(N * N - 4 * B * C, (0, 2 * C, 1, N), (1, N, 0, 2 * B))
 
 
 def critical_p(p: MapParams) -> float:
-    """Closed-form critical weight on the plane a+b+c = 2, rounded once from exact input.
+    """Closed-form critical weight p* = t/(2 + t), t = 3(2-a), on the plane a+b+c = 2,
+    rounded once from the integer form (exact, or the rationals a float point's floats hold).
 
     Returns 0 for a >= 2, where the witness is already PSD.
     """
     _require_slice(p)
     if _cp_side(p) >= 0:
         return 0.0
-    A, _, _, D = p._abcd
+    A, _, _, D = _integers(p)
     t = 3 * (2 * D - A)
     return t / (2 * D + t)
 

@@ -171,6 +171,11 @@ _CASES = [
     # block-positive with minimum 0, and W at (0, 1/2, 3/2) is not positive.
     _case(["witness", "1", "1", "0"], _record(lambda r: abs(r["block_positivity_estimate"]) <= 1e-9)),
     _case(["witness", "0", "1/2", "3/2"], _record(lambda r: r["block_positivity_estimate"] < -1e-7)),
+    # Exact roots print as they are: on the plane the interval is (1, c/b), and on the ellipse
+    # the tilde certificate's P is PSD with least eigenvalue exactly 0.
+    _case(["classify", "--bc", "1/3", "4/3"], _record(lambda r: r["detection_interval"] == [1.0, 4.0], numpy=False)),
+    _case(["classify", "--bc", "1/5", "3/5"], _record(lambda r: r["detection_interval"] == [1.0, 3.0], numpy=False)),
+    _case(["certify", "--tilde", "25/19", "4/19", "9/19"], _record(lambda r: r["min_eig_P"] == 0.0, numpy=False)),
     # At b = 1e-400, c = 0, a = 2 - b is 2.0 in float, but 2 - a is not 0: the interval is (0, 1).
     _case(["classify", "--bc", f"1/{E400}", "0"], _record(lambda r: r["detection_interval"] == [0.0, 1.0]),
           "classify --bc 1e-400 0"),

@@ -8,6 +8,7 @@ each closed-form eigenvalue within 1e-15 of `eigvalsh`.  The witnesses' certifie
 critical weights must also be the exact values rounded to nearest, decided here in Fraction arithmetic.
 """
 
+import decimal
 import json
 import math
 import re
@@ -23,10 +24,11 @@ from qutritwit.geometry import (
     detection_value,
     detection_value_exact,
     improper_coeffs,
+    on_ellipse,
     slice_params,
     so2_coeffs,
 )
-from qutritwit.spa import spa_state
+from qutritwit.spa import spa_region, spa_state
 from qutritwit.states import sigma_pair
 from qutritwit.witnesses import decompose_tilde, witness_matrix, witness_tilde_matrix, witness_u
 
@@ -136,6 +138,60 @@ def test_closed_form_least_eigenvalues_match_lapack():
         min_p, min_q = forms.tilde_min_eigenvalues(p)
         assert abs(min_p - np.linalg.eigvalsh(cert.P)[0]) <= 1e-15, p
         assert abs(min_q - np.linalg.eigvalsh(cert.Q)[0]) <= 1e-15, p
+
+
+def _ellipse_points():
+    """The 486 exact points (2 - b - c, b, c) of the ellipse, b = n^2/d and c = m^2/d with
+    d = n^2 + mn + m^2, for k = m/n, |m| <= 40 and n in {1, 2, 3, 5, 7, 11}."""
+    for m in range(-40, 41):
+        for n in (1, 2, 3, 5, 7, 11):
+            d = n * n + m * n + m * m
+            yield slice_params(Fraction(n * n, d), Fraction(m * m, d))
+
+
+def test_tilde_p_is_exactly_psd_on_the_ellipse():
+    # On the ellipse P's block has eigenvalues 0 and 2: min_eig_P is 0.0, where float
+    # arithmetic on the rounded a, b, c printed a nonzero value at 240 of these points,
+    # -2.22e-16 at (25/19, 4/19, 9/19).
+    points = list(_ellipse_points())
+    assert len(points) == 486 and all(on_ellipse(p) for p in points)
+    for p in points:
+        assert forms.tilde_min_eigenvalues(p)[0] == 0.0, p
+
+
+def _ref_tilde_min_p(p):
+    """min(0, a+b+c-2, 1 - sqrt(a^2+b^2+c^2-ab-bc-ca)) of the point's rationals, in 120-digit Decimal."""
+    a, b, c = (Fraction(x) for x in p.astuple())
+    m = a * a + b * b + c * c - a * b - b * c - c * a
+    with decimal.localcontext() as ctx:
+        ctx.prec = 120
+        root = 1 - decimal.Decimal(m.numerator).sqrt() / decimal.Decimal(m.denominator).sqrt()
+        return min(0.0, float(a + b + c - 2), float(root))
+
+
+def test_tilde_min_eigenvalue_of_p_is_the_exact_value_rounded_once():
+    seen = 0
+    for p in _POINTS:
+        try:
+            forms.tilde_form(p)
+        except ValueError:
+            continue
+        assert forms.tilde_min_eigenvalues(p)[0] == _ref_tilde_min_p(p), p
+        seen += 1
+    assert seen > 1500
+
+
+def test_spa_scale_is_rounded_once():
+    # scale = 1 / (3 (2 + 3(2-a))) of the point's rationals, rounded once; float arithmetic
+    # on the float a missed it at most of these points, exact and float.
+    seen = 0
+    for p in _POINTS:
+        if p.a >= 2 or not spa_region(p.b, p.c):
+            continue
+        _, _, (scale, _) = forms.spa_form(p)
+        assert scale == float(1 / (3 * (2 + 3 * (2 - Fraction(p.a))))), p
+        seen += 1
+    assert seen > 1000
 
 
 def test_spa_least_eigenvalue_is_the_block_spectrum_correctly_rounded():

@@ -11,8 +11,9 @@ import copy
 import itertools
 import pickle
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import inf, pi, sqrt, ulp
+from math import inf, pi, ulp
 
 import numpy as np
 import pytest
@@ -81,17 +82,23 @@ def ref_class(a, b, c):
     return "positive_not_cp", "indecomposable" if 4 * b * c < (2 - a) ** 2 else "decomposable"
 
 
+def _decimal(x):
+    return Decimal(x.numerator) / Decimal(x.denominator)
+
+
 def ref_interval(a, b, c):
-    """The ends 2c/s and s/(2b) with 2-a, b and c scaled in Fraction by the power of two that brings 2-a to 1/2."""
+    """The ends 2c/s and s/(2b), s = (2-a) + sqrt((2-a)^2 - 4bc), in 120-digit Decimal, rounded once.
+
+    2-a and the discriminant are taken exactly in Fraction first, so a = 2 - 10^-400 keeps
+    its 2-a; s is a sum of two non-negative terms, so each end is good to about 119 digits,
+    and a root exact in 120 digits (an integer, or the tie 1 + 2^-53) is converted as it is.
+    """
     if not (a < 2 and 4 * b * c < (2 - a) ** 2):
         return None
-    d = 2 - a
-    k = d.denominator.bit_length() - d.numerator.bit_length()
-    if k > 0:
-        d, b, c = d * 2**k, b * 2**k, c * 2**k
-    bf = float(b)
-    s = float(d) + 2 * sqrt(float(d * d / 4 - b * c))
-    return 2 * float(c) / s, s / (2 * bf) if bf else inf
+    with localcontext() as ctx:
+        ctx.prec = 120
+        s = _decimal(2 - a) + _decimal((2 - a) ** 2 - 4 * b * c).sqrt()
+        return float(2 * _decimal(c) / s), float(s / (2 * _decimal(b))) if b else inf
 
 
 def ref_value(a, b, c, eps):
@@ -145,12 +152,8 @@ def test_decisions_match_fraction_arithmetic(t):
 def test_detection_matches_fraction_arithmetic(t):
     a, b, c = abc = _fractions(t)
     p = MapParams(*t)
-    try:
-        want = ref_interval(*abc)
-    except OverflowError:  # only where 2-a is below the float range and c is not: tested below
-        want = "overflow"
-    if want != "overflow":
-        assert detects_rho_family(p) == want
+    want = ref_interval(*abc)
+    assert detects_rho_family(p) == want
     cert = indecomposability_certificate(p)
     if want is None:
         assert cert is None
@@ -260,11 +263,28 @@ def test_extremes_give_finite_trace_one_witnesses_or_raise(mode):
 
 def test_ends_beyond_the_float_range():
     # a = 2 - 1e-400: with b = 0, c = 1 the interval is (10^400, inf); with b = 1, c = 0 it is
-    # (0, 1e-400).  Scaling 2-a to 1/2 puts the scaled c (or b) beyond the float range; each
-    # end is rounded once from its ratio instead.
+    # (0, 1e-400).  Each end is the exact root rounded once, so one beyond the float range is
+    # inf or 0.0, and with c = 1e-400 the lower end c/(2-a) is exactly 1.
     assert detects_rho_family(MapParams(2 - TINY, 0, 1)) == (inf, inf)
     assert detects_rho_family(MapParams(2 - TINY, 1, 0)) == (0.0, 0.0)
     assert detects_rho_family(MapParams(2 - TINY, 0, TINY)) == (1.0, inf)
+
+
+def test_exact_roots_print_as_they_are():
+    # On the plane q(eps) = b eps^2 + (a-2) eps + c has the roots 1 and c/b: the interval
+    # (1, 4) at (b, c) = (1/3, 4/3) and (1, 3) at (1/5, 3/5), where scaled float roots printed
+    # [0.9999999999999999, 4.000000000000001] and [0.9999999999999998, 3.0000000000000004].
+    assert detects_rho_family(slice_params(Fraction(1, 3), Fraction(4, 3))) == (1.0, 4.0)
+    assert detects_rho_family(slice_params(Fraction(1, 5), Fraction(3, 5))) == (1.0, 3.0)
+
+
+def test_an_end_on_a_float_midpoint_rounds_to_even():
+    # The roots of eps^2 - (3/2 + 2^-53) eps + 1/2 + 2^-54 are 1/2 and 1 + 2^-53, halfway
+    # between 1 and the next float: a bracket around it straddles the midpoint at every width,
+    # so only the exact root ends the search, and it rounds to even.
+    p = MapParams(Fraction(1, 2) - Fraction(1, 2**53), 1, Fraction(1, 2) + Fraction(1, 2**54))
+    assert ref_interval(*_fractions(p.astuple())) == (0.5, 1.0)
+    assert detects_rho_family(p) == (0.5, 1.0)
 
 
 class TestMapParamsRecord:

@@ -6,7 +6,7 @@ import pytest
 from fractions import Fraction
 
 from conftest import random_slice_params
-from qutritwit.geometry import MapParams, critical_p, slice_params
+from qutritwit.geometry import MapParams, critical_p, slice_params, so2_coeffs
 from qutritwit.linalg import min_eigenvalue
 from qutritwit.spa import SpaComponents, critical_p_from_witness, spa_mix, spa_region, spa_state
 from qutritwit.states import is_ppt, sigma_pair
@@ -72,6 +72,17 @@ class TestCriticalP:
         # not CP, would give 0.
         assert critical_p(slice_params(Fraction(1, 9), 0)) == 1 / 7
         assert critical_p(slice_params(Fraction(1, 10**20), 0)) == 1.5e-20
+
+    def test_float_input_rounds_once(self):
+        # p* = t/(2+t), t = 3(2-a), of the rational a float holds, rounded once: float arithmetic
+        # rounded up to four times and missed it at angle 3 pi/2, a row of `sweep --alpha-grid 12`.
+        rng = np.random.default_rng(35)
+        points = [so2_coeffs(3 * math.pi / 2)] + [so2_coeffs(2 * math.pi * k / 360) for k in range(360)]
+        points += [random_slice_params(rng) for _ in range(300)]
+        for p in points:
+            t = 3 * (2 - Fraction(p.a))
+            assert critical_p(p) == (float(t / (2 + t)) if t > 0 else 0.0), p
+        assert critical_p(so2_coeffs(3 * math.pi / 2)) == 0.6666666666666667  # float arithmetic: ...666
 
     def test_rejects_off_slice(self):
         with pytest.raises(ValueError):
