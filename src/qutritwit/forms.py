@@ -7,7 +7,8 @@ matrix.  Here are the forms of the three witness kinds (with their exact
 entries), the critical SPA state and its separable pieces and the P + Q^G
 certificate, and the least eigenvalues of them all: closed forms for the SPA
 state, P and Q, and for each witness kind the one root of an integer cubic
-below its diagonal, certified to the nearest float.  The SPA certificate's
+below its diagonal, certified to the nearest float by bisection over the
+floats on the cubic's exact sign.  The SPA certificate's
 scale and P's least eigenvalue are read from geometry's integer form, each
 exact and rounded once.
 The composite ket |ij> sits at flat index 3(i-1) + (j-1).
@@ -22,9 +23,9 @@ need not load it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import acos, cos, fsum, inf, isfinite, pi, sqrt
+from math import fsum, sqrt
 from operator import itemgetter
-from struct import pack, unpack
+from struct import unpack
 from typing import Optional, Sequence
 
 from .geometry import (
@@ -141,7 +142,7 @@ def exact_witness_entries(p: MapParams, kind: str = "standard") -> list[list[str
 
 
 def _least_side(p: MapParams, kind: str):
-    """(trace, side, guess) of the witness of a kind, for its least eigenvalue lam.
+    """(trace, side) of the witness of a kind, for its least eigenvalue lam.
 
     In integers the witness is (1/t) [diag(w) - m J] on its kets and diag(rest) / t off them:
     exact input reads _form's (values, m, t), float input the floats the matrix holds over
@@ -150,7 +151,7 @@ def _least_side(p: MapParams, kind: str):
     det(diag(e) + g J - x) = prod(e - x) (1 + g sum 1/(e - x)), whose second factor falls
     from 1 to -inf.  lam is the lesser of that root and min(rest)/t, and side(n, d) is the
     sign of n/d - lam for integers n and d > 0, read from the integer cubic with no rounding.
-    trace is the exact trace rounded once; guess is a float near lam.
+    trace is the exact trace rounded once.
     """
     values, m, t, spread, kets = _form(p, kind)
     diagonal = spread(values)
@@ -169,32 +170,12 @@ def _least_side(p: MapParams, kind: str):
             root = (f < 0) - (f > 0)
         return max(root, (nt > dl) - (nt < dl))
 
-    guess = min(_cardano_least([diagonal[k] / t for k in kets], -m / t), low / t)
-    return sum(diagonal) / t, side, guess
-
-
-def _cardano_least(d: list[float], g: float) -> float:
-    """A float guess at the least eigenvalue of diag(d) + g (J - I): trigonometric Cardano on
-    (B - q I)/p, q the mean of d and p the spread (Kopp, Int. J. Mod. Phys. C 19, 523, 2008)."""
-    q = (d[0] + d[1] + d[2]) / 3
-    b = [x - q for x in d]
-    p = sqrt((b[0] * b[0] + b[1] * b[1] + b[2] * b[2]) / 6 + g * g)
-    if not 0 < p < inf:  # a NaN fails both
-        return min(d) + 2 * g
-    b0, b1, b2 = (x / p for x in b)
-    h = g / p
-    r = (b0 * b1 * b2 - h * h * (b0 + b1 + b2) + 2 * h * h * h) / 2  # det((B - q I)/p) / 2
-    return q + 2 * p * cos(acos(max(-1.0, min(1.0, r))) / 3 + 2 * pi / 3)
+    return sum(diagonal) / t, side
 
 
 # Ordinals number the floats in order: a float's bits, mirrored below zero (both zeros are 0).
 # _TOP, the bits of inf, stands one place past the largest float, for 2^1024.
 _TOP = 0x7FF0_0000_0000_0000
-
-
-def _ordinal(x: float) -> int:
-    bits = int.from_bytes(pack("<d", x), "little")
-    return bits if bits < 1 << 63 else (1 << 63) - bits
 
 
 def _ratio(k: int) -> tuple[int, int]:
@@ -204,31 +185,18 @@ def _ratio(k: int) -> tuple[int, int]:
     return unpack("<d", (k if k >= 0 else (1 << 63) - k).to_bytes(8, "little"))[0].as_integer_ratio()
 
 
-def _nearest(side, guess: float) -> float:
+def _nearest(side) -> float:
     """The one root r of side rounded to the nearest float, ties to even, as float(r) would be.
 
-    side(n, d) is the sign of n/d - r.  Steps of 1, 2, 4, ... floats from the guess find floats
-    on both sides of r, bisection leaves two adjacent ones lo < r <= hi, and the sign at their
-    midpoint picks one.  Raises OverflowError where r rounds beyond the float range.
+    side(n, d) is the sign of n/d - r.  Bisection over the ordinals from -2^1024 to 2^1024
+    leaves two adjacent ones lo < r <= hi, and the sign at their midpoint picks one; a root
+    in (-2^-1075, 0) picks ordinal 0 and gives -0.0.  Raises OverflowError where r rounds
+    beyond the float range.
     """
-    def above(k):  # the float at ordinal k is at least r
-        return side(*_ratio(k)) >= 0
-
-    k = _ordinal(guess) if isfinite(guess) else 0
-    step = 1
-    if above(k):
-        lo, hi = k - 1, k
-        while lo > -_TOP and above(lo):
-            step *= 2
-            lo, hi = max(lo - step, -_TOP), lo
-    else:
-        lo, hi = k, k + 1
-        while hi < _TOP and not above(hi):
-            step *= 2
-            lo, hi = hi, min(hi + step, _TOP)
+    lo, hi = -_TOP, _TOP
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if above(mid) else (mid, hi)
+        lo, hi = (lo, mid) if side(*_ratio(mid)) >= 0 else (mid, hi)
     (ln, ld), (hn, hd) = _ratio(lo), _ratio(hi)
     n, d = ln * hd + hn * ld, 2 * ld * hd  # the midpoint
     s = side(n, d)
@@ -237,6 +205,8 @@ def _nearest(side, guess: float) -> float:
     k = lo if s > 0 else hi
     if abs(k) >= _TOP:
         raise OverflowError("the value is beyond the float range")
+    if k == 0 and side(0, 1) > 0:  # a negative root that rounds to zero
+        return -0.0
     n, d = _ratio(k)
     return n / d
 
@@ -246,11 +216,11 @@ def witness_spectrum(p: MapParams, kind: str) -> tuple[float, float]:
     nearest float: of the rational matrix for exact input, of the float matrix otherwise.
 
     The least eigenvalue is the lesser of the six diagonal entries off the kets and the least
-    root of the kets block's cubic, found by _nearest from a Cardano guess.  For the standard
-    kind that root is (N/3)(a-2).
+    root of the kets block's cubic, found by _nearest from the cubic's exact sign.  For the
+    standard kind that root is (N/3)(a-2).
     """
-    trace, side, guess = _least_side(p, kind)
-    return trace, _nearest(side, guess)
+    trace, side = _least_side(p, kind)
+    return trace, _nearest(side)
 
 
 def witness_critical_p(p: MapParams, kind: str) -> float:
@@ -260,7 +230,7 @@ def witness_critical_p(p: MapParams, kind: str) -> float:
     p* is the root in (0, 1) of lam = -p / (9 (1 - p)), which falls as p rises, so the sign of
     x - p* is minus that of lam(x) - lam, read from witness_spectrum's cubic.
     """
-    _, side, guess = _least_side(p, kind)
+    _, side = _least_side(p, kind)
     if side(0, 1) <= 0:  # 0 <= lam
         return 0.0
 
@@ -269,8 +239,7 @@ def witness_critical_p(p: MapParams, kind: str) -> float:
             return 1 if n > 0 else -1
         return -side(-n, 9 * (d - n))
 
-    guess = -9 * guess / (1 - 9 * guess) if guess < 0 else 0.5
-    return _nearest(side_p, guess)
+    return _nearest(side_p)
 
 
 def spa_form(p: MapParams) -> tuple[float, tuple, Optional[tuple[float, tuple]]]:

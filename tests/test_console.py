@@ -79,9 +79,9 @@ def _fails(run):
     assert len(run.err) == 1 and run.err[0].startswith("error: "), run.err
 
 
-def _min_eigenvalue_near(exact: str):
-    e = Fraction(exact)
-    return _record(lambda r: abs(Fraction(r["min_eigenvalue"]) - e) <= 4 * math.ulp(e))
+def _min_eigenvalue_is(exact: str):
+    """The printed least eigenvalue is the exact value rounded once."""
+    return _record(lambda r: r["min_eigenvalue"] == float(Fraction(exact)))
 
 
 def _finite_values(r):
@@ -131,9 +131,9 @@ _CASES = [
     _case(["certify", "--tilde", "--bc", "1", "1/2"],
           _record(lambda r: r["min_eig_P"] >= -1e-12 and r["min_eig_Q"] >= -1e-12, numpy=False)),
     # The smallest eigenvalue of W and of W_U is (N/3)(a-2): -1/4 at (1/2, 1, 1/2) and
-    # -1/6 at (1, 1/2, 1/2), to 4 ulp.
-    _case(["witness", "1/2", "1", "1/2", "--restarts", "16"], _min_eigenvalue_near("-1/4")),
-    _case(["witness", "--kind", "u", "1", "1/2", "1/2", "--restarts", "16"], _min_eigenvalue_near("-1/6")),
+    # -1/6 at (1, 1/2, 1/2), printed as the exact value rounded to the nearest float.
+    _case(["witness", "1/2", "1", "1/2", "--restarts", "16"], _min_eigenvalue_is("-1/4")),
+    _case(["witness", "--kind", "u", "1", "1/2", "1/2", "--restarts", "16"], _min_eigenvalue_is("-1/6")),
     # At |b - c| = 1e-16 a float eps rounds onto an end of the interval; the exact vertex
     # keeps the value negative.
     _case(["certify", "--indecomposable", "--bc", "1/2", "5000000000000001/10000000000000000"],

@@ -21,6 +21,7 @@ from conftest import matrix_entries
 from qutritwit import cli, forms
 from qutritwit.geometry import (
     MapParams,
+    critical_p,
     detection_value,
     detection_value_exact,
     improper_coeffs,
@@ -344,6 +345,49 @@ def test_critical_weight_of_a_positive_witness_is_zero():
         p = MapParams(*abc)
         assert forms.witness_critical_p(p, "standard") == 0.0
         assert forms.witness_spectrum(p, "standard")[1] == least
+
+
+def test_standard_critical_weight_is_the_closed_form():
+    # Two exact routes to p* agree at every point of the n = 40 plane lattice with a < 2: the
+    # root of the witness's cubic and geometry's 3(2-a) / (2 + 3(2-a)), each rounded once.
+    n = 40
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            if i + j < n:
+                p = slice_params(Fraction(2 * i, n), Fraction(2 * j, n))
+                assert forms.witness_critical_p(p, "standard") == critical_p(p), p
+
+
+_ROOTS = {
+    "1/3": Fraction(1, 3), "-1/3": Fraction(-1, 3), "0": Fraction(0),
+    # ties between adjacent floats near 1, one to round down to even and one up
+    "1+2^-53": 1 + Fraction(1, 2**53), "1+3*2^-53": 1 + Fraction(3, 2**53),
+    "-1-2^-53": -1 - Fraction(1, 2**53), "-1-3*2^-53": -1 - Fraction(3, 2**53),
+    # ties at the bottom of the subnormals: 2^-1075 rounds to a signed zero
+    "2^-1075": Fraction(1, 2**1075), "-2^-1075": Fraction(-1, 2**1075),
+    "3*2^-1075": Fraction(3, 2**1075), "-3*2^-1075": Fraction(-3, 2**1075),
+    # the overflow threshold, a tie that rounds to 2^1024, and one either side of it
+    **{f"{sign}(2^1024-2^970){tail}": sign_ * (2**1024 - 2**970 + step)
+       for sign, sign_ in (("", 1), ("-", -1)) for tail, step in (("", 0), ("+1", 1), ("-1", -1))},
+    "2^1030": Fraction(2**1030), "-2^1030": Fraction(-(2**1030)), "10^400/3": Fraction(10**400, 3),
+    "10^-400": Fraction(1, 10**400), "-10^-400": Fraction(-1, 10**400),
+}
+
+
+@pytest.mark.parametrize("r", _ROOTS.values(), ids=_ROOTS.keys())
+def test_nearest_rounds_a_root_as_float_does(r):
+    # A synthetic sign oracle: _nearest gives float(r), signed zeros included, and raises where it does.
+    def side(n, d):
+        x = n * r.denominator - d * r.numerator
+        return (x > 0) - (x < 0)
+
+    try:
+        want = float(r)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            forms._nearest(side)
+        return
+    assert repr(forms._nearest(side)) == repr(want)
 
 
 def test_cli_prints_the_certified_spectra(capsys):
