@@ -8,9 +8,11 @@ entries), the critical SPA state and its separable pieces and the P + Q^G
 certificate, and the least eigenvalues of them all: closed forms for the SPA
 state, P and Q, and for each witness kind the one root of an integer cubic
 below its diagonal, certified to the nearest float by bisection over the
-floats on the cubic's exact sign.  The SPA certificate's
-scale and P's least eigenvalue are read from geometry's integer form, each
-exact and rounded once.
+floats on the cubic's exact sign.  Every value is read from geometry's
+integer form, of an exact point or of the rationals a float point's floats
+hold: each witness entry, trace, least eigenvalue and critical weight, the
+SPA certificate's scale and remainder and P's least eigenvalue is exact and
+rounded once.
 The composite ket |ij> sits at flat index 3(i-1) + (j-1).
 
 The module imports no numpy, so the commands that print these rows start
@@ -35,8 +37,6 @@ from .geometry import (
     _ellipse_side,
     _in_region,
     _integers,
-    _n_float,
-    _over_one_denominator,
     _require_slice,
     _round_with_root,
     critical_p,
@@ -100,18 +100,15 @@ def _form(p: MapParams, kind: str) -> tuple[Sequence[Number], Number, Number, it
     at k = 3i+l, and -m / t off the diagonal of kets x kets, zero elsewhere; as (R', m, pi),
     R'[i][l] = values[rows[i][l]] / m + [3i+l in kets] and the kets are the |i pi(i)>.  Kinds
     other than "standard" are defined on the plane a+b+c = 2.
-    Exact input gives integers, values = (A, B, C), m = D and t = 3(A+B+C): each float entry is
-    one int/int division, each exact one Fraction(x, t).  Float input gives values =
-    pref * (a, b, c), m = pref = N/3 and t = 1.0: dividing by it changes no bit."""
+    The integers are geometry's integer form, values = (A, B, C), m = D and t = 3(A+B+C), of an
+    exact point or of the rationals a float point's floats hold: each float entry is one int/int
+    division, the exact entry rounded once, and each exact one Fraction(x, t)."""
     if kind not in _KINDS:
         raise ValueError(f"unsupported kind {kind!r}")
     if kind != "standard":
         _require_slice(p)
     spread, kets = _KINDS[kind]
-    if p.ints is None:  # float input rounds pref, then each pref * x; exact input rounds each entry once
-        pref = _n_float(p) / 3
-        return [pref * x for x in p._abcd[:3]], pref, 1.0, spread, kets
-    A, B, C, D = p.ints
+    A, B, C, D = _integers(p)
     return (A, B, C), D, 3 * (A + B + C), spread, kets
 
 
@@ -144,10 +141,9 @@ def exact_witness_entries(p: MapParams, kind: str = "standard") -> list[list[str
 def _least_side(p: MapParams, kind: str):
     """(trace, side) of the witness of a kind, for its least eigenvalue lam.
 
-    In integers the witness is (1/t) [diag(w) - m J] on its kets and diag(rest) / t off them:
-    exact input reads _form's (values, m, t), float input the floats the matrix holds over
-    their common power-of-two denominator t.  The kets block diag(e) + g J, e = w/t and
-    g = -m/t < 0, has its least eigenvalue below min(e), simple: the one root there of
+    In _form's integers the witness is (1/t) [diag(w) - m J] on its kets and diag(rest) / t off
+    them.  The kets block diag(e) + g J, e = w/t and g = -m/t < 0, has its least eigenvalue
+    below min(e), simple: the one root there of
     det(diag(e) + g J - x) = prod(e - x) (1 + g sum 1/(e - x)), whose second factor falls
     from 1 to -inf.  lam is the lesser of that root and min(rest)/t, and side(n, d) is the
     sign of n/d - lam for integers n and d > 0, read from the integer cubic with no rounding.
@@ -155,8 +151,6 @@ def _least_side(p: MapParams, kind: str):
     """
     values, m, t, spread, kets = _form(p, kind)
     diagonal = spread(values)
-    if p.ints is None:  # float input: the matrix's own floats, read as integers over one denominator
-        *diagonal, m, t = _over_one_denominator((*diagonal, m))
     w = [diagonal[k] + m for k in kets]
     floor = min(w)
     low = min(diagonal[k] for k in range(9) if k not in kets)
@@ -178,7 +172,7 @@ def _least_side(p: MapParams, kind: str):
 _TOP = 0x7FF0_0000_0000_0000
 
 
-def _ratio(k: int) -> tuple[int, int]:
+def _ordinal_ratio(k: int) -> tuple[int, int]:
     """The float at ordinal k as integers (n, d) with value n/d; +-2^1024 at +-_TOP."""
     if abs(k) >= _TOP:
         return (1 << 1024 if k > 0 else -(1 << 1024)), 1
@@ -196,8 +190,8 @@ def _nearest(side) -> float:
     lo, hi = -_TOP, _TOP
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if side(*_ratio(mid)) >= 0 else (mid, hi)
-    (ln, ld), (hn, hd) = _ratio(lo), _ratio(hi)
+        lo, hi = (lo, mid) if side(*_ordinal_ratio(mid)) >= 0 else (mid, hi)
+    (ln, ld), (hn, hd) = _ordinal_ratio(lo), _ordinal_ratio(hi)
     n, d = ln * hd + hn * ld, 2 * ld * hd  # the midpoint
     s = side(n, d)
     if s == 0:
@@ -207,13 +201,13 @@ def _nearest(side) -> float:
         raise OverflowError("the value is beyond the float range")
     if k == 0 and side(0, 1) > 0:  # a negative root that rounds to zero
         return -0.0
-    n, d = _ratio(k)
+    n, d = _ordinal_ratio(k)
     return n / d
 
 
 def witness_spectrum(p: MapParams, kind: str) -> tuple[float, float]:
-    """(trace, least eigenvalue) of the witness of a kind, each the exact value rounded to the
-    nearest float: of the rational matrix for exact input, of the float matrix otherwise.
+    """(trace, least eigenvalue) of the witness of a kind, each the exact value of the rational
+    witness at the point's rationals, rounded to the nearest float.
 
     The least eigenvalue is the lesser of the six diagonal entries off the kets and the least
     root of the kets block's cubic, found by _nearest from the cubic's exact sign.  For the
@@ -249,23 +243,21 @@ def spa_form(p: MapParams) -> tuple[float, tuple, Optional[tuple[float, tuple]]]
     the floats of spa.spa_mix(witness_matrix(p), p*).  certificate is (scale, sigma_d's
     diagonal) inside the region 2b+c >= 1, 2c+b >= 1, where the state is
     scale * (sigma_12 + sigma_13 + sigma_23 + sigma_d) with scale = 1 / (3 (2 + 3(2-a))),
-    rounded once from the integer form as p* is, and None outside it.  sigma_d is never negative.
+    rounded once from the integer form as p* is, and None outside it.  sigma_d's diagonal holds
+    max(0, 2b+c-1) on each |i,i+1> and max(0, 2c+b-1) on each |i,i+2>, each rounded once from
+    the same integers: a remainder below zero that _in_region forgave as roundoff is 0.
     """
     star = critical_p(p)  # the one plane check
     if star == 0.0:
         if _cp_side(p) >= 0:
             raise ValueError("requires a < 2; the witness is already PSD")
         raise ValueError("the critical weight p* = 3(2-a)/(2+3(2-a)) underflows a float: 2-a is too small")
-    values, m, t, spread, kets = _form(p, "standard")
-    state = spread([(1.0 - star) * (x / t) + star / 9.0 for x in values]), (1.0 - star) * (-m / t), kets
+    (A, B, C), D, t, spread, kets = _form(p, "standard")
+    state = spread([(1.0 - star) * (x / t) + star / 9.0 for x in (A, B, C)]), (1.0 - star) * (-D / t), kets
     certificate = None
     if _in_region(*p._abcd[1:]):
-        _, fb, fc = p.asfloats()
-        sigma_d = sigma_diag_diagonal(fb, fc)
-        if min(sigma_d) < 0:  # a remainder below zero that _in_region forgave as roundoff is 0
-            sigma_d = tuple(max(0.0, x) for x in sigma_d)
-        A, _, _, D = _integers(p)
-        certificate = D / (3 * (8 * D - 3 * A)), sigma_d  # 1 / (3 (2 + 3(2-a))) on the integer form
+        sigma_d = _SPREAD((0.0, max(0, 2 * B + C - D) / D, max(0, 2 * C + B - D) / D))
+        certificate = D / (3 * (8 * D - 3 * A)), sigma_d  # 1 / (3 (2 + 3(2-a)))
     return star, state, certificate
 
 
@@ -289,11 +281,6 @@ def sigma_pair_form(i: int, j: int) -> tuple[list[float], float, tuple[int, int]
     # |ii>, |jj>, |ij> and |ji>: |rs> sits s - r places along the row of |rr>.
     diagonal[ii] = diagonal[jj] = diagonal[ii + j - i] = diagonal[jj + i - j] = 1.0
     return diagonal, -1.0, (ii, jj)
-
-
-def sigma_diag_diagonal(b: float, c: float) -> tuple:
-    """The diagonal of sigma_d at float (b, c): 2b+c-1 on each |i,i+1>, 2c+b-1 on each |i,i+2>."""
-    return _SPREAD((0.0, 2 * b + c - 1, 2 * c + b - 1))
 
 
 # Each pair i < j of levels: the flat indices of |ij><ij|, |ji><ji|, |ij><ji| and |ji><ij|, and

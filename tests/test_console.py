@@ -58,8 +58,8 @@ def _record(check=lambda r: True, numpy=True):
     return run_ok
 
 
-def _real_csv(numpy=True):
-    """A run that exits 0 with 9 CSV rows of 9 real float cells."""
+def _real_csv(numpy=True, first=None):
+    """A run that exits 0 with 9 CSV rows of 9 real float cells, whose first cell is first unless that is None."""
 
     def run_ok(run):
         assert run.status == 0, run.err
@@ -68,6 +68,7 @@ def _real_csv(numpy=True):
         cells = [x for row in rows for x in row]
         assert not any("j" in x for x in cells)
         list(map(float, cells))
+        assert first is None or cells[0] == first, cells[0]
         assert numpy or "numpy" not in run.modules
 
     return run_ok
@@ -176,6 +177,13 @@ _CASES = [
     _case(["classify", "--bc", "1/3", "4/3"], _record(lambda r: r["detection_interval"] == [1.0, 4.0], numpy=False)),
     _case(["classify", "--bc", "1/5", "3/5"], _record(lambda r: r["detection_interval"] == [1.0, 3.0], numpy=False)),
     _case(["certify", "--tilde", "25/19", "4/19", "9/19"], _record(lambda r: r["min_eig_P"] == 0.0, numpy=False)),
+    # A float point's witness entries and the SPA remainder sigma_d are the exact values at the
+    # point's rationals, rounded once: float arithmetic printed 0.21345122155587617 for the first
+    # entry at angle 0.4, and 0.2999999999999998 for sigma_d's 3/10 at (1, 3/10, 7/10).
+    _case(["witness", "--alpha", "0.4", "--format", "csv"], _real_csv(numpy=False, first="0.21345122155587612")),
+    _case(["spa", "--bc", "3/10", "7/10"],
+          _record(lambda r: r["components"]["sigma_d"][1][1] == [0.3, 0.0]
+                  and r["components"]["sigma_d"][2][2] == [0.7, 0.0], numpy=False)),
     # At b = 1e-400, c = 0, a = 2 - b is 2.0 in float, but 2 - a is not 0: the interval is (0, 1).
     _case(["classify", "--bc", f"1/{E400}", "0"], _record(lambda r: r["detection_interval"] == [0.0, 1.0]),
           "classify --bc 1e-400 0"),

@@ -17,10 +17,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import matrix_entries
+from conftest import matrix_entries, random_slice_params
 from qutritwit import cli, forms
 from qutritwit.geometry import (
     MapParams,
+    _integers,
     critical_p,
     detection_value,
     detection_value_exact,
@@ -260,11 +261,18 @@ def test_cli_prints_the_forms(capsys):
 
 
 def _exact_matrix(p, kind):
-    """The witness a record prints, read as Fractions: its exact entries for exact input, the
-    library matrix's floats otherwise."""
+    """The rational witness of a kind at the point's rationals: its exact entries for exact input,
+    and for float input the entries (a, b, c) / (3(a+b+c)) spread by the kind's row table and
+    -1 / (3(a+b+c)) on its grid, of the rationals the floats hold."""
     if p.is_exact:
         return [[Fraction(x) for x in row] for row in forms.exact_witness_entries(p, kind)]
-    return [[Fraction(float(x.real)) for x in row] for row in _BUILDERS[kind](p).matrix]
+    spread, kets = forms._KINDS[kind]
+    A, B, C, D = _integers(p)
+    t = 3 * (A + B + C)
+    W = [[Fraction(-D, t) if i in kets and j in kets else Fraction(0) for j in range(9)] for i in range(9)]
+    for k, x in enumerate(spread((A, B, C))):
+        W[k][k] = Fraction(x, t)
+    return W
 
 
 def _det3(M):
@@ -323,39 +331,67 @@ def test_witness_spectrum_is_the_exact_spectrum_correctly_rounded():
             assert abs(least - np.linalg.eigvalsh(build(p).matrix)[0]) <= 1e-15, (p, kind)
 
 
+def test_witness_entries_are_the_exact_entries_rounded_once():
+    for p in _POINTS:
+        for kind in _BUILDERS:
+            exact = [[float(x) for x in row] for row in _exact_matrix(p, kind)]
+            assert forms.dense(*forms.witness_form(p, kind)) == exact, (p, kind)
+
+
 def _lam(x):
     """The least eigenvalue whose critical weight 9|lam| / (1 + 9|lam|) is x."""
     return -x / (9 * (1 - x))
 
 
-def test_tilde_critical_weight_is_correctly_rounded():
-    # x < p* iff lam(x) lies above the least eigenvalue.
+def _check_critical_weight(kind):
+    # x < p* iff lam(x) lies above the least eigenvalue; p* is 0 where that is not negative.
     for p in _POINTS:
-        star = forms.witness_critical_p(p, "tilde")
-        below, at = _least_tests(_exact_matrix(p, "tilde"), forms._KINDS["tilde"][1])
+        star = forms.witness_critical_p(p, kind)
+        below, at = _least_tests(_exact_matrix(p, kind), forms._KINDS[kind][1])
+        lapack = np.linalg.eigvalsh(_BUILDERS[kind](p).matrix)[0]
+        assert abs(star - 9 * max(0.0, -lapack) / (1 + 9 * max(0.0, -lapack))) <= 1e-15, (p, kind)
+        if star == 0.0:
+            assert below(0) or at(0), (p, kind)
+            continue
         assert 0 < star < 1 and _is_nearest(star, lambda x: not below(_lam(x)) and not at(_lam(x)), lambda x: at(_lam(x)))
-        lapack = np.linalg.eigvalsh(witness_tilde_matrix(p).matrix)[0]
-        assert abs(star - 9 * abs(lapack) / (1 + 9 * abs(lapack))) <= 1e-15, p
+
+
+def test_tilde_critical_weight_is_correctly_rounded():
+    _check_critical_weight("tilde")
+
+
+@pytest.mark.parametrize("kind", ["standard", "u_conjugated"])
+def test_critical_weight_is_correctly_rounded(kind):
+    _check_critical_weight(kind)
 
 
 def test_critical_weight_of_a_positive_witness_is_zero():
     # W >= 0 from a = 2 on: its least eigenvalue is (N/3) min(a-2, b, c), 0 at a = 2 or where b
-    # or c is 0, and the diagonal entry pref * c at (3, 1/2, 1/4), pref = N/3 in float.
-    for abc, least in (((2, 0, 0), 0.0), ((Fraction(5, 2), 1, 0), 0.0), ((3.0, 0.5, 0.25), 1.0 / 3.75 / 3 * 0.25)):
+    # or c is 0, and the diagonal entry (N/3) c = 1/45 at (3, 1/2, 1/4), rounded once.
+    for abc, least in (((2, 0, 0), 0.0), ((Fraction(5, 2), 1, 0), 0.0), ((3.0, 0.5, 0.25), float(Fraction(1, 45)))):
         p = MapParams(*abc)
         assert forms.witness_critical_p(p, "standard") == 0.0
         assert forms.witness_spectrum(p, "standard")[1] == least
 
 
 def test_standard_critical_weight_is_the_closed_form():
-    # Two exact routes to p* agree at every point of the n = 40 plane lattice with a < 2: the
-    # root of the witness's cubic and geometry's 3(2-a) / (2 + 3(2-a)), each rounded once.
+    # Two exact routes to p* agree at every point with a < 2 whose rationals lie on the plane:
+    # the root of the witness's cubic and geometry's 3(2-a) / (2 + 3(2-a)), each rounded once.
+    # The points are the n = 40 plane lattice, 1,440 angles of each family and random plane
+    # points; a float point that lies on the plane only within roundoff has N != 1/2, and
+    # there the two routes are two different values.
     n = 40
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
-            if i + j < n:
-                p = slice_params(Fraction(2 * i, n), Fraction(2 * j, n))
-                assert forms.witness_critical_p(p, "standard") == critical_p(p), p
+    points = [slice_params(Fraction(2 * i, n), Fraction(2 * j, n)) for i in range(n + 1) for j in range(n + 1 - i)]
+    points += [family(2 * math.pi * k / 1440) for k in range(1440) for family in (so2_coeffs, improper_coeffs)]
+    rng = np.random.default_rng(37)
+    points += [random_slice_params(rng) for _ in range(400)]
+    seen = 0
+    for p in points:
+        A, B, C, D = _integers(p)
+        if A < 2 * D and A + B + C == 2 * D:
+            assert forms.witness_critical_p(p, "standard") == critical_p(p), p
+            seen += 1
+    assert seen > 1500
 
 
 _ROOTS = {

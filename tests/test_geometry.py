@@ -202,16 +202,8 @@ FLOAT_POINTS = _float_points()
 
 
 def ref_float_witness(abc, kind):
-    """The float witness as the package rounds it: pref = N/3 with N = 1/(a+b+c), each pref * x
-    spread by the row table, -pref on the grid."""
-    rows, block = _KINDS[kind]
-    pref = (1.0 / (abc[0] + abc[1] + abc[2])) / 3
-    W = np.zeros((9, 9), dtype=complex)
-    W[np.ix_(block, block)] = -pref
-    for i, row in enumerate(rows):
-        for l, pos in enumerate(row):
-            W[3 * i + l, 3 * i + l] = pref * abc[pos]
-    return W
+    """The float witness: each exact entry at the rationals the floats hold, rounded once."""
+    return np.array([[complex(float(x)) for x in row] for row in ref_entries(_fractions(abc), kind)])
 
 
 @pytest.mark.parametrize("group", FLOAT_POINTS)

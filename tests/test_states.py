@@ -1,12 +1,12 @@
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import inf, pi, ulp
+from math import inf, nextafter, pi, ulp
 
 import numpy as np
 import pytest
 
 from conftest import detection_value_numeric, max_entangled_projector, random_slice_params
-from qutritwit.forms import sigma_diag_diagonal
+from qutritwit.forms import group_diagonal, spa_form
 from qutritwit.geometry import (
     Decomposability,
     MapParams,
@@ -255,7 +255,7 @@ class TestSigmaStates:
     # sigma_d, the diagonal remainder of the critical SPA state:
     # sum_i (2b+c-1) |i,i+1><i,i+1| + (2c+b-1) |i,i+2><i,i+2|.
     def test_diag_reduction_point(self):
-        assert sigma_diag_diagonal(1, 1) == (0, 2, 2, 2, 0, 2, 2, 2, 0)
+        assert spa_form(MapParams(0, 1, 1))[2][1] == (0, 2, 2, 2, 0, 2, 2, 2, 0)
         s = spa_state(MapParams(0, 1, 1)).components.sigma_d
         assert np.array_equal(np.diag(s.matrix), [0, 2, 2, 2, 0, 2, 2, 2, 0])
         assert s.is_psd()
@@ -269,11 +269,43 @@ class TestSigmaStates:
         cases = [((1, 0.2, 0.8), True), ((1, 0.9, 0.1), True), ((1.4, 0.1, 0.5), False), ((1.4, 0.5, 0.1), False)]
         for abc, expect in cases:
             p = MapParams(*abc)
-            assert (min(sigma_diag_diagonal(p.b, p.c)) >= 0) == expect, abc
+            certificate = spa_form(p)[2]
+            assert (certificate is not None) == expect, abc
             components = spa_state(p).components
             assert (components is not None) == expect, abc
             if expect:
-                assert components.sigma_d.is_psd(), abc
+                assert min(certificate[1]) >= 0 and components.sigma_d.is_psd(), abc
+
+    def test_diag_is_the_exact_remainder_rounded_once(self):
+        # sigma_d holds max(0, 2b+c-1) and max(0, 2c+b-1) of the point's rationals, each rounded
+        # once: on the exact n = 40 plane lattice, and at its floats, random plane points and
+        # 360 angles of each family, read as the rationals the floats hold.
+        n = 40
+        lattice = [(Fraction(2 * i, n), Fraction(2 * j, n)) for i in range(n + 1) for j in range(n + 1 - i)]
+        points = [slice_params(b, c) for b, c in lattice] + [slice_params(float(b), float(c)) for b, c in lattice]
+        rng = np.random.default_rng(37)
+        points += [random_slice_params(rng) for _ in range(200)]
+        points += [family(2 * pi * k / 360) for k in range(360) for family in (so2_coeffs, improper_coeffs)]
+        certified = 0
+        for p in points:
+            if p.a >= 2:
+                continue
+            certificate = spa_form(p)[2]
+            if certificate is None:
+                continue
+            _, b, c = (Fraction(x) for x in p.astuple())
+            assert certificate[1] == group_diagonal(0.0, float(max(0, 2 * b + c - 1)), float(max(0, 2 * c + b - 1))), p
+            certified += 1
+        assert certified > 1000
+
+    def test_diag_forgiven_below_zero_is_zero(self):
+        # At (0.2, 0.6 - 1 ulp) the rationals give 2b+c-1 < 0, within the roundoff _in_region
+        # forgives: the state is certified, with that remainder 0.
+        p = slice_params(0.2, nextafter(0.6, 0))
+        _, b, c = (Fraction(x) for x in p.astuple())
+        assert 2 * b + c - 1 < 0
+        certificate = spa_form(p)[2]
+        assert certificate is not None and min(certificate[1]) == 0.0
 
 
 class TestTildeTrace:
