@@ -11,8 +11,8 @@ below its diagonal, certified to the nearest float by bisection over the
 floats on the cubic's exact sign.  Every value is read from geometry's
 integer form, of an exact point or of the rationals a float point's floats
 hold: each witness entry, trace, least eigenvalue and critical weight, the
-SPA certificate's scale and remainder and P's least eigenvalue is exact and
-rounded once.
+SPA certificate's scale and remainder, P's and Q's entries and P's least
+eigenvalue is exact and rounded once, and Q's least eigenvalue is 0.0.
 The composite ket |ij> sits at flat index 3(i-1) + (j-1).
 
 The module imports no numpy, so the commands that print these rows start
@@ -45,7 +45,6 @@ from .geometry import (
 # Flat indices of the three index groups |ii>, |i,i+1> and |i,i+2>, levels cyclic on {1, 2, 3}.
 INDEX_GROUPS = ((0, 4, 8), (1, 5, 6), (2, 3, 7))
 DOUBLES, PLUS_ONE, PLUS_TWO = INDEX_GROUPS
-_SPREAD = itemgetter(*(next(g for g, group in enumerate(INDEX_GROUPS) if k in group) for k in range(9)))
 
 # Rows of each family's diagonal action (up to normalization and the +1 on
 # the diagonal), as positions in (a, b, c); maps shows them.
@@ -62,8 +61,9 @@ def _spread(rows: tuple[tuple[int, ...], ...]) -> itemgetter:
 
 # Each witness kind: the spread of the row table that fills its diagonal, and the flat indices
 # carrying the -1 grid.  U (x) I sends the |ii> to |11>, |32>, |23> and the circulant rows to the improper.
+_SPREAD = _spread(_ROWS["circulant"])
 _KINDS = {
-    "standard": (_spread(_ROWS["circulant"]), DOUBLES),
+    "standard": (_SPREAD, DOUBLES),
     "tilde": (_spread(_ROWS["improper"]), DOUBLES),
     "u_conjugated": (_spread(_ROWS["improper"]), (DOUBLES[0], PLUS_ONE[1], PLUS_TWO[2])),
 }
@@ -73,7 +73,7 @@ TILDE_SCALE = 6.0
 
 
 def group_diagonal(*values) -> tuple:
-    """The 9 diagonal entries, each the value of its flat index's group: values[g] on INDEX_GROUPS[g]."""
+    """The 9 diagonal entries, values[g] on INDEX_GROUPS[g]: the circulant rows read row by row are the groups."""
     return _SPREAD(values)
 
 
@@ -294,19 +294,18 @@ _TILDE_PAIRS = tuple(
 def tilde_form(p: MapParams) -> tuple[tuple, tuple]:
     """The forms of P and Q in P + Q^G = 6 W~[a,b,c], at a point of the plane with bc >= (1-a)^2.
 
-    With R the improper-family rows of the float (a, b, c), P holds R - (J - I) on the |ii>
-    block and Q = sum_{i<j} R_ij (|ij> - |ji>)(<ij| - <ji|) holds R_ij and -R_ij as entries.
+    With R the improper-family rows, P holds R - (J - I) on the |ii> block and Q = sum_{i<j} R_ij
+    (|ij> - |ji>)(<ij| - <ji|) holds +-R_ij, each rounded once from a = X/D and a - 1 = (X - D)/D.
     """
     _require_slice(p)
     if _ellipse_side(p) < 0:
         raise ValueError(f"parameters {p} are outside the region bc >= (1-a)^2")
-    abc = p.asfloats()
-    rows = _ROWS["improper"]
-    block = [[abc[k] - (0.0 if i == j else 1.0) for j, k in enumerate(row)] for i, row in enumerate(rows)]
+    A, B, C, D = _integers(p)
+    abc, less = (A / D, B / D, C / D), ((A - D) / D, (B - D) / D, (C - D) / D)
+    block = [[(abc if i == j else less)[k] for j, k in enumerate(row)] for i, row in enumerate(_ROWS["improper"])]
     entries = []
     for ii, jj, ij, ji, k in _TILDE_PAIRS:
-        x = abc[k]
-        entries += ((ii, x), (jj, x), (ij, -x), (ji, -x))
+        entries += ((ii, abc[k]), (jj, abc[k]), (ij, -abc[k]), (ji, -abc[k]))
     return (None, block, DOUBLES), (None, 0.0, (), entries)
 
 
@@ -318,12 +317,11 @@ def tilde_min_eigenvalues(p: MapParams) -> tuple[float, float]:
     are 0.  On the integer form a+b+c-2 is (A+B+C-2D) / D and the lesser root (D - sqrt(M)) / D,
     M = A^2+B^2+C^2-AB-BC-CA, each exact and rounded once (the root by
     geometry._round_with_root), so an exact 0 prints 0.0.  Q's are 0 (six times) and
-    2 R_ij for i < j, that is 2a, 2b and 2c.
+    2 R_ij for i < j, that is 2a, 2b and 2c >= 0: its least is 0.0 by construction.
     """
     A, B, C, D = _integers(p)
     (lower,) = _round_with_root(A * A + B * B + C * C - A * B - B * C - C * A, (-1, D, 0, D))
-    a, b, c = p.asfloats()
-    return min(0.0, (A + B + C - 2 * D) / D, lower), min(0.0, 2 * a, 2 * b, 2 * c)
+    return min(0.0, (A + B + C - 2 * D) / D, lower), 0.0
 
 
 def reconstruction_residual(P: list[list[float]], Q: list[list[float]], W: list[list[float]]) -> float:

@@ -273,26 +273,27 @@ def normalize_angle(alpha: float) -> float:
     return float(alpha) % (2 * pi)
 
 
+def _arc(alpha: float, sign: float) -> list[float]:
+    """so2_coeffs's (a, b, c), each at least 0, at (sign cos alpha, sign sin alpha) for alpha reduced to [0, 2 pi)."""
+    alpha = normalize_angle(alpha)
+    ca, sa = sign * cos(alpha), sign * sin(alpha)
+    return [max((2 / 3) * x, 0.0) for x in (1 + ca, 1 - ca / 2 - (sqrt(3) / 2) * sa, 1 - ca / 2 + (sqrt(3) / 2) * sa)]
+
+
 def so2_coeffs(alpha: float) -> MapParams:
     """Parameters traced out by proper rotations; a+b+c = 2 and bc = (1-a)^2.
 
     alpha = pi gives the reduction map (0,1,1); alpha = 0 gives
     (4/3, 1/3, 1/3); alpha = +-pi/3 give the Choi map pair (1,0,1), (1,1,0).
     """
-    alpha = normalize_angle(alpha)
-    a = (2 / 3) * (1 + cos(alpha))
-    b = (2 / 3) * (1 - cos(alpha) / 2 - (sqrt(3) / 2) * sin(alpha))
-    c = (2 / 3) * (1 - cos(alpha) / 2 + (sqrt(3) / 2) * sin(alpha))
-    return MapParams(max(a, 0.0), max(b, 0.0), max(c, 0.0))
+    return MapParams(*_arc(alpha, 1.0))
 
 
 def improper_coeffs(alpha: float) -> MapParams:
-    """Parameters traced out by improper rotations; same ellipse identities."""
-    alpha = normalize_angle(alpha)
-    a = (2 / 3) * (1 + cos(alpha) / 2 + (sqrt(3) / 2) * sin(alpha))
-    b = (2 / 3) * (1 - cos(alpha))
-    c = (2 / 3) * (1 + cos(alpha) / 2 - (sqrt(3) / 2) * sin(alpha))
-    return MapParams(max(a, 0.0), max(b, 0.0), max(c, 0.0))
+    """Parameters traced out by improper rotations T(alpha) diag(1, -1); same ellipse identities.
+    They are so2_coeffs's formulas at (-cos alpha, -sin alpha), an exact negation, with a and b swapped."""
+    b, a, c = _arc(alpha, -1.0)
+    return MapParams(a, b, c)
 
 
 def _over_one_denominator(xs) -> tuple[int, ...]:

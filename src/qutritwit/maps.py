@@ -110,9 +110,9 @@ def so2_rotation(alpha: float) -> Array:
 
 
 def improper_rotation(alpha: float) -> Array:
-    """Reflection T~(alpha) in O(2), det = -1."""
-    ca, sa = cos(alpha), sin(alpha)
-    return np.array([[ca, sa], [sa, -ca]])
+    """Reflection T~(alpha) = T(alpha) diag(1, -1) in O(2), det = -1: [[cos, sin], [sin, -cos]], the
+    second column of so2_rotation negated, which is exact."""
+    return so2_rotation(alpha) * [1.0, -1.0]
 
 
 def _require_orthogonal(R: Array, name: str) -> None:

@@ -2,8 +2,8 @@
 until it becomes a legitimate (PSD) state.
 
 For a trace-one witness W the mixture W(p) = (1-p) W + (p/9) I is PSD from
-the critical weight p* on.  On the plane a+b+c = 2 the smallest witness
-eigenvalue is (a-2)/6, which gives the closed form
+the critical weight p* on.  On the plane a+b+c = 2 with a < 2 the smallest
+witness eigenvalue is (a-2)/6, which gives the closed form
 
     p* = 3(2-a) / (2 + 3(2-a)),
 

@@ -177,6 +177,10 @@ _CASES = [
     _case(["classify", "--bc", "1/3", "4/3"], _record(lambda r: r["detection_interval"] == [1.0, 4.0], numpy=False)),
     _case(["classify", "--bc", "1/5", "3/5"], _record(lambda r: r["detection_interval"] == [1.0, 3.0], numpy=False)),
     _case(["certify", "--tilde", "25/19", "4/19", "9/19"], _record(lambda r: r["min_eig_P"] == 0.0, numpy=False)),
+    # P's entries are the exact entries rounded once: c - 1 = -1/5 and a - 1 = 3/20 at (23/20, 1/20, 4/5),
+    # where float arithmetic on the rounded a printed -0.19999999999999996 and 0.1499999999999999.
+    _case(["certify", "--tilde", "--bc", "1/20", "4/5"],
+          _record(lambda r: r["P"][0][8] == [-0.2, 0.0] and r["P"][4][8] == [0.15, 0.0], numpy=False)),
     # A float point's witness entries and the SPA remainder sigma_d are the exact values at the
     # point's rationals, rounded once: float arithmetic printed 0.21345122155587617 for the first
     # entry at angle 0.4, and 0.2999999999999998 for sigma_d's 3/10 at (1, 3/10, 7/10).

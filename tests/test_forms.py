@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import matrix_entries, random_slice_params
+from conftest import matrix_entries, random_slice_params, random_tilde_region_params
 from qutritwit import cli, forms
 from qutritwit.geometry import (
     MapParams,
@@ -181,6 +181,40 @@ def test_tilde_min_eigenvalue_of_p_is_the_exact_value_rounded_once():
         assert forms.tilde_min_eigenvalues(p)[0] == _ref_tilde_min_p(p), p
         seen += 1
     assert seen > 1500
+
+
+def _exact_tilde(p):
+    """P and Q of P + Q^G = 6 W~ in Fraction arithmetic at the point's rationals: with R the rows
+    [[a,b,c],[b,c,a],[c,a,b]], P is R - (J - I) on |11>, |22>, |33> and
+    Q = sum_{i<j} R_ij (|ij> - |ji>)(<ij| - <ji|)."""
+    a, b, c = (Fraction(x) for x in p.astuple())
+    R = ((a, b, c), (b, c, a), (c, a, b))
+    P, Q = [[0] * 9 for _ in range(9)], [[0] * 9 for _ in range(9)]
+    for i in range(3):
+        for j in range(3):
+            P[4 * i][4 * j] = R[i][j] - (i != j)
+            if i < j:
+                ij, ji = 3 * i + j, 3 * j + i
+                Q[ij][ij] = Q[ji][ji] = R[i][j]
+                Q[ij][ji] = Q[ji][ij] = -R[i][j]
+    return P, Q
+
+
+def test_tilde_entries_are_the_exact_entries_rounded_once():
+    # Every P and Q entry is its exact entry rounded once: on the exact n = 40 plane lattice
+    # inside the region, at random float points of it and at 1,440 angles of the improper
+    # family.  Float arithmetic on the rounded a printed a - 1 rounded twice: -0.19999999999999996
+    # for c - 1 = -1/5 at (23/20, 1/20, 4/5), and 1,212 of the lattice's 4,320 P-block entries.
+    n = 40
+    lattice = [slice_params(Fraction(2 * i, n), Fraction(2 * j, n)) for i in range(n + 1) for j in range(n + 1 - i)]
+    lattice = [p for p in lattice if p.b * p.c >= (1 - p.a) ** 2]
+    rng = np.random.default_rng(38)
+    floats = [random_tilde_region_params(rng) for _ in range(2000)]
+    angles = [improper_coeffs(2 * math.pi * k / 1440) for k in range(1440)]
+    assert len(lattice) == 480
+    for p in lattice + floats + angles:
+        got = [forms.dense(*form) for form in forms.tilde_form(p)]
+        assert got == [[[float(x) for x in row] for row in M] for M in _exact_tilde(p)], p
 
 
 def test_spa_scale_is_rounded_once():

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import pi
+from math import cos, pi, sin, sqrt
 
 import numpy as np
 import pytest
@@ -329,6 +329,24 @@ class TestRotationCoefficients:
         for alpha, expected in [(0.0, (1, 0, 1)), (pi, (1 / 3, 4 / 3, 1 / 3))]:
             got = improper_coeffs(alpha).asfloats()
             assert max(abs(g - e) for g, e in zip(got, expected)) < 1e-12, alpha
+
+    def test_improper_family_keeps_the_bits_of_its_explicit_formulas(self):
+        # improper_coeffs reads so2_coeffs's formulas at (-cos, -sin) with a and b swapped, and
+        # improper_rotation is so2_rotation times diag(1, -1): both are exact negations, so each
+        # float is that of the explicit formulas, signed zeros included.
+        rng = np.random.default_rng(38)
+        angles = [0.0, -0.0, pi, -pi, 1e300, -1e300, 5e-324, -5e-324] + [k * pi / 6 for k in range(-12, 13)]
+        angles += rng.uniform(-4 * pi, 4 * pi, 60_000).tolist()
+        angles += (rng.choice([-1.0, 1.0], 40_000) * 10.0 ** rng.uniform(-323, 300, 40_000)).tolist()
+        for alpha in angles:
+            t = alpha % (2 * pi)
+            a = (2 / 3) * (1 + cos(t) / 2 + (sqrt(3) / 2) * sin(t))
+            b = (2 / 3) * (1 - cos(t))
+            c = (2 / 3) * (1 + cos(t) / 2 - (sqrt(3) / 2) * sin(t))
+            got = improper_coeffs(alpha).astuple()
+            assert [x.hex() for x in got] == [max(x, 0.0).hex() for x in (a, b, c)], alpha
+            ca, sa = cos(alpha), sin(alpha)
+            assert improper_rotation(alpha).tobytes() == np.array([[ca, sa], [sa, -ca]]).tobytes(), alpha
 
     def test_slice_identities_on_grid(self):
         for coeffs in (so2_coeffs, improper_coeffs):

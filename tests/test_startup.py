@@ -51,6 +51,7 @@ _SCALAR_ARGVS = [
     (["certify", "--tilde", "--alpha", "0.8", "--improper"], {}),
     (["certify", "--tilde", "--bc", "0.1", "0.1"], {}),
     (["certify", "--tilde", "1", "1", "1"], {}),
+    (["certify", "--tilde", "--bc", "1/20", "4/5"], {}),
     (["certify", "--tilde", "--indecomposable", "--bc", "1", "1/2"], {}),
     (["witness", "--bc", "1/2", "1/2", "--format", "csv"], {}),
     (["witness", "--kind", "tilde", "--bc", "1/2", "1/2", "--format", "csv"], {}),

@@ -203,15 +203,17 @@ class TestDecomposition:
         ids=["ellipse", "interior-float", "interior-center", "interior-half"],
     )
     def test_boundary_displays(self, p):
-        a, b, c = p.asfloats()
+        # Each entry is the exact entry of the point's rationals rounded once: at (2/3, 2/3, 2/3)
+        # a - 1 is -1/3, not the float 2/3 minus 1.
+        a, b, c = (Fraction(x) for x in p.astuple())
         cert = decompose_tilde(p)
         P_expected = np.zeros((9, 9), dtype=complex)
-        P_expected[0, 0], P_expected[4, 4], P_expected[8, 8] = a, c, b
-        P_expected[0, 4] = P_expected[4, 0] = b - 1
-        P_expected[0, 8] = P_expected[8, 0] = c - 1
-        P_expected[4, 8] = P_expected[8, 4] = a - 1
+        P_expected[0, 0], P_expected[4, 4], P_expected[8, 8] = float(a), float(c), float(b)
+        P_expected[0, 4] = P_expected[4, 0] = float(b - 1)
+        P_expected[0, 8] = P_expected[8, 0] = float(c - 1)
+        P_expected[4, 8] = P_expected[8, 4] = float(a - 1)
         Q_expected = np.zeros((9, 9), dtype=complex)
-        for (s, t), w in {(1, 3): b, (2, 6): c, (5, 7): a}.items():
+        for (s, t), w in {(1, 3): float(b), (2, 6): float(c), (5, 7): float(a)}.items():
             Q_expected[s, s] = Q_expected[t, t] = w
             Q_expected[s, t] = Q_expected[t, s] = -w
         assert np.array_equal(cert.P, P_expected)
