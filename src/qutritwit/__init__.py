@@ -2,9 +2,9 @@
 maps: construction, classification, certificates, and numerical oracles.
 
 The scalar geometry (parameters, classification, detection interval,
-critical weight, indecomposability certificate) is imported with the
-package; every other name loads its module on first access, and numpy with
-every module but forms.
+critical weight, SPA region, indecomposability certificate) is imported
+with the package; every other name loads its module on first access, and
+numpy with every module but forms.
 """
 
 from importlib import import_module
@@ -25,6 +25,7 @@ from .geometry import (
     on_ellipse,
     slice_params,
     so2_coeffs,
+    spa_region,
 )
 
 # Module -> the public names it provides, resolved by __getattr__ (PEP 562).
@@ -47,18 +48,18 @@ _LAZY = {
     "oracles": (
         "ProductVectorPair",
         "SeeSawConfig",
-        "is_cp_choi",
         "min_product_expectation",
         "span_rank",
         "zero_product_vectors",
     ),
-    "spa": ("SpaComponents", "SpaResult", "critical_p_from_witness", "spa_mix", "spa_region", "spa_state"),
+    "spa": ("SpaComponents", "SpaResult", "critical_p_from_witness", "spa_mix", "spa_state"),
     "states": ("BipartiteState", "is_ppt", "rho_eps", "sigma_pair"),
     "witnesses": (
         "DecompositionCertificate",
         "WitnessMatrix",
         "choi_witness",
         "decompose_tilde",
+        "is_cp_choi",
         "witness_matrix",
         "witness_tilde_matrix",
         "witness_u",

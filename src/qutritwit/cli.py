@@ -393,7 +393,7 @@ def _cmd_sweep(args) -> tuple[dict, dict]:
     for alpha in _linspace(0.0, 2 * math.pi, n, endpoint=False):
         p = coeffs(alpha)
         a, b, c = p.asfloats()
-        row = {"alpha": alpha, "a": a, "b": b, "c": c, "sum": a + b + c}
+        row = {"alpha": alpha, "a": a, "b": b, "c": c, "sum": math.fsum((a, b, c))}
         if args.what == "pstar" and kind == "standard":
             row["p_star"] = critical_p(p)
         elif args.what == "pstar":  # the improper family's witness W~: p* from its certified spectrum

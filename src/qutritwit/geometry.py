@@ -4,8 +4,9 @@ Everything here is a formula in (a, b, c), evaluated in the parameters' own
 arithmetic (exact for int and Fraction input) and rounded once: the
 classification of Phi[a,b,c], the plane a+b+c = 2 and the ellipse
 bc = (1-a)^2 swept by the O(2) rotation angles, the eps-interval on which
-the PPT probe family rho_eps detects the witness, the critical weight of the
-structural physical approximation and the indecomposability certificate.
+the PPT probe family rho_eps detects the witness, the critical weight and
+the certified-separable region (spa_region) of the structural physical
+approximation, and the indecomposability certificate.
 The module imports no numpy, so commands that print only these numbers start
 without it; the matrix constructions live in maps, witnesses, states and spa.
 
@@ -250,6 +251,12 @@ def slice_params(b: Number, c: Number) -> MapParams:
     if b < 0 or c < 0 or _side(b + c - 2, 2) > 0:
         raise ValueError(f"(b, c) = ({b}, {c}) is outside the simplex")
     return MapParams(max(2 - b - c, 0 * b), b, c)  # b + c may pass 2 by roundoff
+
+
+def spa_region(b: Number, c: Number) -> bool:
+    """True when the diagonal remainder is PSD: 2b+c >= 1 and 2c+b >= 1; b and c must be finite."""
+    _require_finite(b=b, c=c)
+    return _in_region(b, c, 1)
 
 
 def on_ellipse(p: MapParams) -> bool:

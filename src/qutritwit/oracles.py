@@ -14,10 +14,10 @@ the rows of a large one whose lowest pair is not well separated.  A restart
 run alone therefore takes LAPACK where its batch took the closed form, and
 the two runs can differ by roundoff.
 
-Also here: the Choi-matrix test for complete positivity and the collection
-of zero-expectation product vectors with their span rank (the standard
-optimality evidence for a witness).  The constructive indecomposability
-certificate from the PPT probe family is a closed form and lives in geometry.
+Also here: the collection of zero-expectation product vectors with their
+span rank (the standard optimality evidence for a witness).  The Choi-matrix
+test lives beside choi_witness in witnesses, and the indecomposability
+certificate from the PPT probe family is a closed form in geometry.
 """
 
 from __future__ import annotations
@@ -25,15 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import inf
 from numbers import Integral
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import linalg
 from .linalg import Array
-
-if TYPE_CHECKING:
-    from .maps import LinearMap3
 
 SEESAW_TOL = 1e-11  # a restart stops at its first alternation that lowers its value by less
 ZERO_VALUE_TOL = 1e-9
@@ -291,14 +288,6 @@ def min_product_expectation(W, cfg: SeeSawConfig | None = None) -> ProductVector
     return ProductVectorPair(res.psi[best], res.phi[best], float(res.values[best]))
 
 
-def is_cp_choi(phi: LinearMap3 | Callable[[Array], Array]) -> bool:
-    """Complete positivity via the Choi criterion: the Choi matrix is PSD."""
-    # Imported here: the see-saw's callers, the command line among them, need neither module.
-    from .witnesses import choi_witness
-
-    return linalg.is_psd(choi_witness(phi).matrix)
-
-
 def zero_product_vectors(W, cfg: SeeSawConfig | None = None) -> list[ProductVectorPair]:
     """Distinct see-saw limits with value <= ZERO_VALUE_TOL on a block-positive W.
 
@@ -334,7 +323,4 @@ def span_rank(pairs: Sequence[ProductVectorPair]) -> int:
         return 0
     U = _products(np.array([pair.psi for pair in pairs]), np.array([pair.phi for pair in pairs]))
     w = linalg.eigenvalues(U.T @ U.conj())
-    top = float(w[-1])
-    if top <= 0:
-        return 0
-    return int(np.sum(w > SPAN_RANK_TOL * top))
+    return int(np.sum(w > SPAN_RANK_TOL * w[-1]))

@@ -9,7 +9,7 @@ witness eigenvalue is (a-2)/6, which gives the closed form
 
 and the critical state admits an explicit decomposition into the separable
 blocks sigma_12, sigma_13, sigma_23 plus a diagonal remainder whenever
-2b+c >= 1 and 2c+b >= 1.
+2b+c >= 1 and 2c+b >= 1, the region that geometry.spa_region decides.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import linalg
 from .forms import spa_form
-from .geometry import MapParams, Number, _in_region, _require_finite
+from .geometry import MapParams
 from .linalg import Array
 from .states import BipartiteState, sigma_pair
 from .witnesses import WitnessMatrix
@@ -81,12 +81,6 @@ def critical_p_from_witness(W: WitnessMatrix | Array) -> float:
     if lmin >= -16 * ulp(1.0) * max(-lmin, float(spectrum[-1])):
         return 0.0
     return 9 * abs(lmin) / (1 + 9 * abs(lmin))
-
-
-def spa_region(b: Number, c: Number) -> bool:
-    """True when the diagonal remainder is PSD: 2b+c >= 1 and 2c+b >= 1; b and c must be finite."""
-    _require_finite(b=b, c=c)
-    return _in_region(b, c, 1)
 
 
 @lru_cache(maxsize=None)

@@ -15,7 +15,8 @@ and third levels of the first qutrit gives W_U, which shares the diagonal of
 W~ but keeps the detection power of W.  Each kind is one form,
 forms._form(p, kind), which the 9x9 builders (through forms.witness_form),
 forms.exact_witness_entries and the SPA state read; the certificate's P and
-Q are forms.tilde_form.
+Q are forms.tilde_form.  Also here: any map's Choi operator and the Choi
+criterion for complete positivity (is_cp_choi).
 """
 
 from __future__ import annotations
@@ -100,6 +101,11 @@ def choi_witness(phi: LinearMap3 | Callable[[Array], Array]) -> WitnessMatrix:
     # Phi(E_ij)[k, l] lands at row 3k + i, column 3l + j.
     W = images.reshape(3, 3, 3, 3).transpose(2, 0, 3, 1).reshape(9, 9)
     return WitnessMatrix(W / 3.0, None, "choi")
+
+
+def is_cp_choi(phi: LinearMap3 | Callable[[Array], Array]) -> bool:
+    """Complete positivity via the Choi criterion: the Choi matrix is PSD."""
+    return linalg.is_psd(choi_witness(phi).matrix)
 
 
 def decompose_tilde(p: MapParams) -> DecompositionCertificate:

@@ -23,6 +23,7 @@ from qutritwit.geometry import (
     improper_coeffs,
     slice_params,
     so2_coeffs,
+    spa_region,
 )
 from qutritwit.linalg import min_eigenvalue, partial_transpose, trace_pair
 from qutritwit.maps import (
@@ -34,7 +35,7 @@ from qutritwit.maps import (
     so2_rotation,
 )
 from qutritwit.oracles import SeeSawConfig, min_product_expectation, span_rank, zero_product_vectors
-from qutritwit.spa import spa_mix, spa_region, spa_state
+from qutritwit.spa import spa_mix, spa_state
 from qutritwit.states import is_ppt, rho_eps
 from qutritwit.witnesses import (
     choi_witness,

@@ -536,6 +536,14 @@ class TestSweep:
         for row in rows:
             assert (row["a"], row["b"], row["c"]) == coeffs(row["alpha"]).asfloats()
 
+    @pytest.mark.parametrize("flags", [[], ["--improper"]])
+    def test_row_sum_is_rounded_once(self, capsys, flags):
+        # a + b + c rounds twice: at 360 angles it missed the exact sum of the printed floats
+        # at 61 proper and 57 improper rows.
+        rows = run_json(capsys, ["sweep", "--alpha-grid", "360", *flags])["results"]["rows"]
+        for row in rows:
+            assert row["sum"] == float(Fraction(row["a"]) + Fraction(row["b"]) + Fraction(row["c"])), row
+
     @pytest.mark.parametrize(
         "flags, coeffs, build",
         [([], so2_coeffs, witness_matrix), (["--improper"], improper_coeffs, witness_tilde_matrix)],

@@ -29,8 +29,9 @@ from qutritwit.geometry import (
     on_ellipse,
     slice_params,
     so2_coeffs,
+    spa_region,
 )
-from qutritwit.spa import spa_region, spa_state
+from qutritwit.spa import spa_state
 from qutritwit.states import sigma_pair
 from qutritwit.witnesses import decompose_tilde, witness_matrix, witness_tilde_matrix, witness_u
 

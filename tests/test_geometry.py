@@ -32,8 +32,9 @@ from qutritwit.geometry import (
     on_ellipse,
     slice_params,
     so2_coeffs,
+    spa_region,
 )
-from qutritwit.spa import spa_region, spa_state
+from qutritwit.spa import spa_state
 from qutritwit.forms import exact_witness_entries
 from qutritwit.witnesses import witness_matrix, witness_tilde_matrix, witness_u
 
@@ -293,6 +294,8 @@ class TestMapParamsRecord:
             p.a = Fraction(1, 3)
         with pytest.raises(AttributeError):
             p.ints = None
+        with pytest.raises(AttributeError, match="cannot delete"):
+            del p.a
         assert p.a == Fraction(1, 2) and p.ints == (1, 2, 1, 2)
 
     @pytest.mark.parametrize("clone", [lambda p: pickle.loads(pickle.dumps(p)), copy.copy, copy.deepcopy])
@@ -313,6 +316,7 @@ class TestMapParamsRecord:
         q = MapParams(*(float(x) for x in t))
         assert witness_matrix(p).matrix.tobytes() == witness_matrix(q).matrix.tobytes()
         assert type(detection_value_exact(p, Fraction(1, 2))) is float
+        assert n_abc(p) == 1 / sum(q.astuple()) and type(n_abc(p)) is float
 
 
 # ---------------------------------------------------------------------------

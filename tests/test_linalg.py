@@ -8,6 +8,7 @@ from conftest import rand_hermitian
 from qutritwit.forms import DOUBLES, PLUS_ONE, PLUS_TWO
 from qutritwit.geometry import MapParams, n_abc
 from qutritwit.linalg import (
+    as_matrix,
     eigenvalues,
     is_psd,
     min_eigenvalue,
@@ -96,6 +97,13 @@ def test_non_finite_entry_is_rejected(entry, where):
     for check in (require_hermitian, eigenvalues, min_eigenvalue, is_psd):
         with pytest.raises(ValueError, match="non-finite"):
             check(M)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (9,), (3, 3, 3)], ids=str)
+def test_non_square_input_is_rejected(shape):
+    for check in (as_matrix, eigenvalues, partial_transpose):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            check(np.ones(shape))
 
 
 def test_finite_matrix_whose_norm_overflows_is_accepted():

@@ -18,6 +18,7 @@ from qutritwit.geometry import (
     on_ellipse,
     slice_params,
     so2_coeffs,
+    spa_region,
 )
 from qutritwit.maps import (
     apply_D,
@@ -32,7 +33,7 @@ from qutritwit.maps import (
     stochastic_matrix,
 )
 from qutritwit.linalg import trace_pair
-from qutritwit.spa import spa_region, spa_state
+from qutritwit.spa import spa_state
 from qutritwit.forms import exact_witness_entries
 from qutritwit.witnesses import decompose_tilde, witness_matrix
 
@@ -383,6 +384,11 @@ class TestRotationConstruction:
                 R = rotation_block(T)
                 assert abs(np.linalg.det(R) - np.linalg.det(T)) < 1e-12
                 assert np.linalg.norm(R.T @ R - np.eye(8)) < 1e-12
+
+    @pytest.mark.parametrize("T", [np.eye(3), np.eye(1), np.ones(4)], ids=["3x3", "1x1", "flat"])
+    def test_rotation_block_rejects_other_shapes(self, T):
+        with pytest.raises(ValueError, match="2x2"):
+            rotation_block(T)
 
     @pytest.mark.filterwarnings("error")
     def test_rotation_block_rejects_non_orthogonal(self):

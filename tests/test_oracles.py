@@ -24,12 +24,11 @@ from qutritwit.oracles import (
     _random_units,
     _run_seesaw,
     _seesaw_batch,
-    is_cp_choi,
     min_product_expectation,
     span_rank,
     zero_product_vectors,
 )
-from qutritwit.witnesses import witness_matrix, witness_tilde_matrix
+from qutritwit.witnesses import is_cp_choi, witness_matrix, witness_tilde_matrix
 
 
 class TestConfig:
@@ -570,6 +569,8 @@ class TestSpanRank:
 
     def test_empty(self):
         assert span_rank([]) == 0
+        # Zero vectors span nothing: every Gram eigenvalue is 0, and none is above 0 * tol.
+        assert span_rank([ProductVectorPair(np.zeros(3), np.zeros(3), 0.0)] * 2) == 0
 
 
 class TestIndecomposabilityCertificate:

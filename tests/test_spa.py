@@ -6,9 +6,9 @@ import pytest
 from fractions import Fraction
 
 from conftest import random_slice_params
-from qutritwit.geometry import MapParams, critical_p, slice_params, so2_coeffs
+from qutritwit.geometry import MapParams, critical_p, slice_params, so2_coeffs, spa_region
 from qutritwit.linalg import min_eigenvalue
-from qutritwit.spa import SpaComponents, critical_p_from_witness, spa_mix, spa_region, spa_state
+from qutritwit.spa import SpaComponents, critical_p_from_witness, spa_mix, spa_state
 from qutritwit.states import is_ppt, sigma_pair
 from qutritwit.witnesses import witness_matrix
 
@@ -111,6 +111,10 @@ class TestCriticalP:
     def test_eigenvalue_route_agrees(self):
         p = MapParams(0, 1, 1)
         assert abs(critical_p_from_witness(witness_matrix(p)) - 0.75) < 1e-12
+
+    def test_rejects_unnormalized(self):
+        with pytest.raises(ValueError, match="Tr W = 1"):
+            critical_p_from_witness(2 * witness_matrix(MapParams(0, 1, 1)).matrix)
 
     def test_positive_definite_witness_needs_no_noise(self):
         # a > 2 with b, c > 0: every eigenvalue is positive, so no roundoff reaches below zero.

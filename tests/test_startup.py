@@ -1,8 +1,9 @@
-"""The scalar commands and `import qutritwit` load no numpy.
+"""The scalar commands and `import qutritwit` load no numpy, and the see-saw loads no matrix builders.
 
 Each check runs in a fresh interpreter, since this one has numpy loaded.
 """
 
+import ast
 import contextlib
 import importlib
 import io
@@ -10,12 +11,13 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qutritwit
-from qutritwit import cli
+from qutritwit import cli, oracles, witnesses
 from qutritwit.geometry import so2_coeffs
 from qutritwit.oracles import SeeSawConfig
 
@@ -119,11 +121,22 @@ def test_scalar_commands_load_no_dataclasses_or_inspect():
 
 
 def test_seesaw_commands_load_no_maps_or_witnesses():
-    # The see-saw reads the witness built from its form; oracles loads maps and witnesses
-    # only for is_cp_choi.
+    # The see-saw reads the witness built from its form, and oracles imports only linalg.
     argvs = [(["witness", "--bc", "1/2", "1/2", "--restarts", "4"], {})]
     for module in ("qutritwit.maps", "qutritwit.witnesses"):
         assert json.loads(_fresh(_RUN_EACH, json.dumps(argvs), module)) == [], module
+
+
+def test_oracles_imports_only_linalg():
+    # The Choi criterion lives beside choi_witness; the see-saw's module imports no other
+    # package module, at its top or inside a function.
+    assert qutritwit.is_cp_choi is witnesses.is_cp_choi
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    package = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+    assert {node.module or alias.name for node in package for alias in node.names} == {"linalg"}
+    functions = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    assert not [node for f in functions for node in ast.walk(f) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert "TYPE_CHECKING" not in {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
 def test_commands_that_print_no_form_load_no_forms():
@@ -176,6 +189,11 @@ def test_console_process_prints_what_main_prints(capsys, monkeypatch, argv):
 
 def test_package_import_loads_no_numpy():
     code = "import sys, qutritwit; qutritwit.classify(qutritwit.MapParams(1, 1, 0)); print('numpy' in sys.modules)"
+    assert _fresh(code).strip() == "False"
+
+
+def test_spa_region_loads_no_numpy():
+    code = "import sys, qutritwit; qutritwit.spa_region(1, 1); qutritwit.spa_region(0.1, 0.1); print('numpy' in sys.modules)"
     assert _fresh(code).strip() == "False"
 
 

@@ -50,6 +50,10 @@ class TestStandardWitness:
     def test_cp_corner_is_psd(self):
         assert is_psd(witness_matrix(MapParams(2, 0, 0)).matrix)
 
+    def test_min_eigenvalue(self):
+        # N/3 (a - 2) at the Choi map, N = 1/2.
+        assert witness_matrix(MapParams(1, 1, 0)).min_eigenvalue() == pytest.approx(-1 / 6, abs=1e-15)
+
     def test_matches_choi_construction(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
