@@ -52,14 +52,21 @@ _LAZY = {
         "span_rank",
         "zero_product_vectors",
     ),
-    "spa": ("SpaComponents", "SpaResult", "critical_p_from_witness", "spa_mix", "spa_state"),
-    "states": ("BipartiteState", "is_ppt", "rho_eps", "sigma_pair"),
     "witnesses": (
+        "BipartiteState",
         "DecompositionCertificate",
+        "SpaComponents",
+        "SpaResult",
         "WitnessMatrix",
         "choi_witness",
+        "critical_p_from_witness",
         "decompose_tilde",
         "is_cp_choi",
+        "is_ppt",
+        "rho_eps",
+        "sigma_pair",
+        "spa_mix",
+        "spa_state",
         "witness_matrix",
         "witness_tilde_matrix",
         "witness_u",

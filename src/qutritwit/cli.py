@@ -277,7 +277,7 @@ def _cmd_detect(args) -> tuple[dict, dict] | str:
     p, inputs = _resolve_params(args)
     try:
         lo, hi, count = float(args.eps_grid[0]), float(args.eps_grid[1]), int(args.eps_grid[2])
-        valid = 0 < lo < hi < math.inf and 1 / lo < math.inf and count >= 2  # rho_eps holds 1/eps
+        valid = 0 < lo < hi < math.inf and 1 / lo < math.inf and count >= 2  # each eps in rho_eps's domain
     except ValueError:
         valid = False
     if not valid:

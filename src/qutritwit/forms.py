@@ -16,10 +16,10 @@ eigenvalue is exact and rounded once, and Q's least eigenvalue is 0.0.
 The composite ket |ij> sits at flat index 3(i-1) + (j-1).
 
 The module imports no numpy, so the commands that print these rows start
-without it; the numpy builders in witnesses, states and spa read the same
-forms, so their matrices hold the same floats.  It is a module of its own,
-apart from geometry, because the scalar commands that never read a form
-need not load it.
+without it; the numpy builders in witnesses read the same forms, so their
+matrices hold the same floats.  It is a module of its own, apart from
+geometry, because the scalar commands that never read a form need not load
+it.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ def exact_witness_entries(p: MapParams, kind: str = "standard") -> list[list[str
 
 
 def _least_side(p: MapParams, kind: str):
-    """(trace, side) of the witness of a kind, for its least eigenvalue lam.
+    """The sign test side(n, d) of the least eigenvalue lam of the witness of a kind.
 
     In _form's integers the witness is (1/t) [diag(w) - m J] on its kets and diag(rest) / t off
     them.  The kets block diag(e) + g J, e = w/t and g = -m/t < 0, has its least eigenvalue
@@ -147,7 +147,6 @@ def _least_side(p: MapParams, kind: str):
     det(diag(e) + g J - x) = prod(e - x) (1 + g sum 1/(e - x)), whose second factor falls
     from 1 to -inf.  lam is the lesser of that root and min(rest)/t, and side(n, d) is the
     sign of n/d - lam for integers n and d > 0, read from the integer cubic with no rounding.
-    trace is the exact trace rounded once.
     """
     values, m, t, spread, kets = _form(p, kind)
     diagonal = spread(values)
@@ -164,7 +163,7 @@ def _least_side(p: MapParams, kind: str):
             root = (f < 0) - (f > 0)
         return max(root, (nt > dl) - (nt < dl))
 
-    return sum(diagonal) / t, side
+    return side
 
 
 # Ordinals number the floats in order: a float's bits, mirrored below zero (both zeros are 0).
@@ -209,12 +208,14 @@ def witness_spectrum(p: MapParams, kind: str) -> tuple[float, float]:
     """(trace, least eigenvalue) of the witness of a kind, each the exact value of the rational
     witness at the point's rationals, rounded to the nearest float.
 
+    The trace is 1.0 for every kind and point: each row table is a Latin square on (A, B, C), so
+    the diagonal holds each of them three times and sums to t = 3(A+B+C), and t/t is 1.
+
     The least eigenvalue is the lesser of the six diagonal entries off the kets and the least
     root of the kets block's cubic, found by _nearest from the cubic's exact sign.  For the
     standard kind that root is (N/3)(a-2).
     """
-    trace, side = _least_side(p, kind)
-    return trace, _nearest(side)
+    return 1.0, _nearest(_least_side(p, kind))
 
 
 def witness_critical_p(p: MapParams, kind: str) -> float:
@@ -224,7 +225,7 @@ def witness_critical_p(p: MapParams, kind: str) -> float:
     p* is the root in (0, 1) of lam = -p / (9 (1 - p)), which falls as p rises, so the sign of
     x - p* is minus that of lam(x) - lam, read from witness_spectrum's cubic.
     """
-    _, side = _least_side(p, kind)
+    side = _least_side(p, kind)
     if side(0, 1) <= 0:  # 0 <= lam
         return 0.0
 
@@ -240,7 +241,7 @@ def spa_form(p: MapParams) -> tuple[float, tuple, Optional[tuple[float, tuple]]]
     """(p*, state, certificate) of the structural physical approximation at p.
 
     state = (diagonal, grid, kets) is the critical state (1-p*) W + (p*/9) I, entry for entry
-    the floats of spa.spa_mix(witness_matrix(p), p*).  certificate is (scale, sigma_d's
+    the floats of witnesses.spa_mix(witness_matrix(p), p*).  certificate is (scale, sigma_d's
     diagonal) inside the region 2b+c >= 1, 2c+b >= 1, where the state is
     scale * (sigma_12 + sigma_13 + sigma_23 + sigma_d) with scale = 1 / (3 (2 + 3(2-a))),
     rounded once from the integer form as p* is, and None outside it.  sigma_d's diagonal holds

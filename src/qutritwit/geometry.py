@@ -8,7 +8,7 @@ the PPT probe family rho_eps detects the witness, the critical weight and
 the certified-separable region (spa_region) of the structural physical
 approximation, and the indecomposability certificate.
 The module imports no numpy, so commands that print only these numbers start
-without it; the matrix constructions live in maps, witnesses, states and spa.
+without it; the matrix constructions live in maps and witnesses.
 
 Every point is held in one form, (A, B, C, D) with (a, b, c) = (A, B, C)/D:
 integers over one denominator for exact input, (a, b, c, 1.0) in float
@@ -274,15 +274,10 @@ def dual(p: MapParams) -> MapParams:
     return MapParams(p.a, p.c, p.b)
 
 
-def normalize_angle(alpha: float) -> float:
-    """Reduce a finite angle in radians to [0, 2*pi)."""
-    _require_finite(alpha=alpha)
-    return float(alpha) % (2 * pi)
-
-
 def _arc(alpha: float, sign: float) -> list[float]:
     """so2_coeffs's (a, b, c), each at least 0, at (sign cos alpha, sign sin alpha) for alpha reduced to [0, 2 pi)."""
-    alpha = normalize_angle(alpha)
+    _require_finite(alpha=alpha)
+    alpha = float(alpha) % (2 * pi)
     ca, sa = sign * cos(alpha), sign * sin(alpha)
     return [max((2 / 3) * x, 0.0) for x in (1 + ca, 1 - ca / 2 - (sqrt(3) / 2) * sa, 1 - ca / 2 + (sqrt(3) / 2) * sa)]
 

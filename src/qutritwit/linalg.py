@@ -17,8 +17,8 @@ use the row-major composite convention: the product ket |ij> (1-based labels
 i for the first factor, j for the second) sits at flat index 3*(i-1) + (j-1).
 These kets fall into three index groups, forms.INDEX_GROUPS, on which
 `structured` builds every structured operator from its numpy-free form in
-forms: the witnesses, the probe states, the SPA pieces and the P + Q^G
-certificate.
+forms: witnesses calls it for the witnesses, the probe states, the SPA pieces
+and the P + Q^G certificate.
 """
 
 from __future__ import annotations

@@ -1,4 +1,6 @@
-"""Two-qutrit entanglement witnesses built from the map families.
+"""Two-qutrit operators built from their forms: the entanglement witnesses of
+the map families, the PPT probe states and the structural physical
+approximation (SPA).
 
 Every witness here is the Choi operator of a unital positive map against the
 maximally entangled projector P+ = |psi+><psi+|, |psi+> = 3^{-1/2} sum |ii>.
@@ -17,19 +19,44 @@ forms._form(p, kind), which the 9x9 builders (through forms.witness_form),
 forms.exact_witness_entries and the SPA state read; the certificate's P and
 Q are forms.tilde_form.  Also here: any map's Choi operator and the Choi
 criterion for complete positivity (is_cp_choi).
+
+The probe states are the unnormalized one-parameter family
+
+    rho_eps = sum_ij |ii><jj| + eps * sum_i |i,i+1><i,i+1|
+                               + (1/eps) * sum_i |i,i+2><i,i+2|,
+
+with the level arithmetic i+1, i+2 cyclic on {1,2,3}.  Every member is PPT,
+and it is entangled for eps != 1, which makes the family a probe for
+indecomposable witnesses: Tr(rho_eps W[a,b,c]) has the closed form
+N (b eps^2 + (a-2) eps + c) / eps, negative on an eps-interval exactly when
+the discriminant (a-2)^2 - 4bc is positive.  The closed forms of every
+witness kind, the interval and the certificate live in geometry, exact and
+rounded once for every input.
+
+The SPA mixes a trace-one witness W with white noise: W(p) = (1-p) W + (p/9) I
+is PSD from the critical weight p* on.  On the plane a+b+c = 2 with a < 2 the
+smallest witness eigenvalue is (a-2)/6, which gives the closed form
+
+    p* = 3(2-a) / (2 + 3(2-a)),
+
+and the critical state admits an explicit decomposition into the separable
+blocks sigma_12, sigma_13, sigma_23 plus a diagonal remainder whenever
+2b+c >= 1 and 2c+b >= 1, the region that geometry.spa_region decides.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import inf, ulp
 from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
 from . import linalg
-from .forms import TILDE_SCALE, tilde_form, witness_form
+from .forms import DOUBLES, TILDE_SCALE, group_diagonal, sigma_pair_form, spa_form, tilde_form, witness_form
 from .geometry import MapParams
-from .linalg import Array
+from .linalg import Array, partial_transpose
 from .maps import GELLMANN, LinearMap3
 
 
@@ -123,3 +150,122 @@ def decompose_tilde(p: MapParams) -> DecompositionCertificate:
     """
     P, Q = tilde_form(p)
     return DecompositionCertificate(linalg.structured(*P), linalg.structured(*Q))
+
+
+@dataclass(frozen=True)
+class BipartiteState:
+    """A 9x9 Hermitian operator on C^3 (x) C^3, not necessarily trace-one."""
+
+    matrix: Array
+
+    def trace(self) -> float:
+        return float(np.trace(self.matrix).real)
+
+    def is_psd(self) -> bool:
+        return linalg.is_psd(self.matrix)
+
+
+def rho_eps(eps: float) -> BipartiteState:
+    """The PPT probe state at parameter eps > 0 (kept unnormalized); eps and 1/eps must be finite floats."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    try:
+        x = float(eps)
+    except OverflowError:  # an int or Fraction beyond the float range
+        x = inf
+    if not (0 < x < inf and 1 / x < inf):  # a NaN fails the first test
+        raise ValueError(f"eps and 1/eps must be finite floats, got {eps}")
+    return BipartiteState(linalg.structured(group_diagonal(1.0, eps, 1.0 / eps), 1.0, DOUBLES))
+
+
+def is_ppt(state) -> bool:
+    """Positive-partial-transpose test (Peres criterion)."""
+    return linalg.is_psd(partial_transpose(linalg.as_matrix(state)))
+
+
+def sigma_pair(i: int, j: int) -> BipartiteState:
+    """Separable building block supported on the levels {i, j} of each factor:
+
+        |ij><ij| + |ji><ji| + (|ii> - |jj>)(<ii| - <jj|).
+
+    PSD, PPT, and supported inside a C^2 (x) C^2 product subspace.
+    """
+    return BipartiteState(linalg.structured(*sigma_pair_form(i, j)))
+
+
+@dataclass(frozen=True)
+class SpaComponents:
+    """Separable pieces with scale * (sum of pieces) = the critical state."""
+
+    sigma_12: BipartiteState
+    sigma_13: BipartiteState
+    sigma_23: BipartiteState
+    sigma_d: BipartiteState
+    scale: float
+
+    def reconstruct(self) -> Array:
+        total = (
+            self.sigma_12.matrix
+            + self.sigma_13.matrix
+            + self.sigma_23.matrix
+            + self.sigma_d.matrix
+        )
+        return self.scale * total
+
+
+@dataclass(frozen=True)
+class SpaResult:
+    p_star: float
+    state: BipartiteState
+    separable_certified: bool
+    components: Optional[SpaComponents]
+
+
+def spa_mix(W: WitnessMatrix | Array, p: float) -> Array:
+    """Noisy witness (1-p) W + (p/9) I; requires a finite W with Tr W = 1 and p in [0, 1]."""
+    M = linalg.as_matrix(W)
+    if not np.isfinite(M).all():  # a NaN trace would pass the test below
+        raise ValueError("matrix has a non-finite entry")
+    if abs(np.trace(M).real - 1.0) > 1e-10:
+        raise ValueError("structural physical approximation requires Tr W = 1")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("mixing weight must lie in [0, 1]")
+    return (1.0 - p) * M + (p / 9.0) * np.eye(9)
+
+
+def critical_p_from_witness(W: WitnessMatrix | Array) -> float:
+    """Critical weight of any trace-one witness via its smallest eigenvalue:
+    p* = 9|lmin| / (1 + 9|lmin|) for lmin < 0, else 0.  An lmin within 16 ulp
+    of the spectral norm below zero is the eigensolver's roundoff of a zero eigenvalue."""
+    M = linalg.as_matrix(W)
+    if abs(np.trace(M).real - 1.0) > 1e-10:
+        raise ValueError("requires Tr W = 1")
+    spectrum = linalg.eigenvalues(M)
+    lmin = float(spectrum[0])
+    if lmin >= -16 * ulp(1.0) * max(-lmin, float(spectrum[-1])):
+        return 0.0
+    return 9 * abs(lmin) / (1 + 9 * abs(lmin))
+
+
+@lru_cache(maxsize=None)
+def _sigma_pairs() -> tuple[BipartiteState, BipartiteState, BipartiteState]:
+    """sigma_12, sigma_13 and sigma_23, made once and read-only: every certificate shares them."""
+    pairs = (sigma_pair(1, 2), sigma_pair(1, 3), sigma_pair(2, 3))
+    for state in pairs:
+        state.matrix.flags.writeable = False
+    return pairs
+
+
+def spa_state(p: MapParams) -> SpaResult:
+    """Critical noisy witness, read from forms.spa_form, with its separability certificate when available.
+
+    Inside the region 2b+c >= 1, 2c+b >= 1 the state is
+    scale * (sigma_12 + sigma_13 + sigma_23 + sigma_d) with
+    scale = 1 / (3 (2 + 3(2-a))); outside it no separability claim is made.
+    """
+    star, state, certificate = spa_form(p)
+    components = None
+    if certificate is not None:
+        scale, sigma_d = certificate
+        components = SpaComponents(*_sigma_pairs(), BipartiteState(linalg.structured(sigma_d)), scale)
+    return SpaResult(star, BipartiteState(linalg.structured(*state)), certificate is not None, components)

@@ -6,8 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from qutritwit.geometry import MapParams, slice_params
-from qutritwit.states import rho_eps
-from qutritwit.witnesses import witness_matrix
+from qutritwit.witnesses import rho_eps, witness_matrix
 
 
 def max_entangled_projector() -> np.ndarray:

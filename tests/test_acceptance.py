@@ -35,11 +35,13 @@ from qutritwit.maps import (
     so2_rotation,
 )
 from qutritwit.oracles import SeeSawConfig, min_product_expectation, span_rank, zero_product_vectors
-from qutritwit.spa import spa_mix, spa_state
-from qutritwit.states import is_ppt, rho_eps
 from qutritwit.witnesses import (
     choi_witness,
     decompose_tilde,
+    is_ppt,
+    rho_eps,
+    spa_mix,
+    spa_state,
     witness_matrix,
     witness_tilde_matrix,
     witness_u,

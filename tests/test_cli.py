@@ -14,8 +14,7 @@ from conftest import matrix_entries
 from qutritwit import cli
 from qutritwit.cli import main
 from qutritwit.geometry import MapParams, critical_p, improper_coeffs, so2_coeffs
-from qutritwit.spa import critical_p_from_witness
-from qutritwit.witnesses import witness_matrix, witness_tilde_matrix
+from qutritwit.witnesses import critical_p_from_witness, witness_matrix, witness_tilde_matrix
 
 
 # One valid argv per subcommand, and the options that were once shared by all

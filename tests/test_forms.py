@@ -31,9 +31,7 @@ from qutritwit.geometry import (
     so2_coeffs,
     spa_region,
 )
-from qutritwit.spa import spa_state
-from qutritwit.states import sigma_pair
-from qutritwit.witnesses import decompose_tilde, witness_matrix, witness_tilde_matrix, witness_u
+from qutritwit.witnesses import decompose_tilde, sigma_pair, spa_state, witness_matrix, witness_tilde_matrix, witness_u
 
 _BUILDERS = {"standard": witness_matrix, "tilde": witness_tilde_matrix, "u_conjugated": witness_u}
 
@@ -364,6 +362,24 @@ def test_witness_spectrum_is_the_exact_spectrum_correctly_rounded():
             assert trace == float(sum(W[k][k] for k in range(9))), (p, kind)
             assert _is_nearest(least, *_least_tests(W, forms._KINDS[kind][1])), (p, kind, least)
             assert abs(least - np.linalg.eigvalsh(build(p).matrix)[0]) <= 1e-15, (p, kind)
+
+
+def test_witness_trace_is_one():
+    # Each row table is a Latin square on (A, B, C), so every kind's diagonal sums to
+    # t = 3(A+B+C) and the trace is t/t: 1.0 on the n = 40 lattice, exact and float, 720
+    # angles of both families and random float points, on the plane and (standard) off it.
+    n = 40
+    points = [slice_params(Fraction(2 * i, n), Fraction(2 * j, n)) for i in range(n + 1) for j in range(n + 1 - i)]
+    points += [slice_params(float(p.b), float(p.c)) for p in points]
+    points += [family(2 * math.pi * k / 720) for k in range(720) for family in (so2_coeffs, improper_coeffs)]
+    rng = np.random.default_rng(40)
+    points += [random_slice_params(rng) for _ in range(200)]
+    for p in points:
+        for kind in _BUILDERS:
+            assert forms.witness_spectrum(p, kind)[0] == 1.0, (p, kind)
+    for _ in range(200):
+        p = MapParams(*(float(x) for x in rng.uniform(0, 3, 3)))
+        assert forms.witness_spectrum(p, "standard")[0] == 1.0, p
 
 
 def test_witness_entries_are_the_exact_entries_rounded_once():

@@ -34,9 +34,8 @@ from qutritwit.geometry import (
     so2_coeffs,
     spa_region,
 )
-from qutritwit.spa import spa_state
 from qutritwit.forms import exact_witness_entries
-from qutritwit.witnesses import witness_matrix, witness_tilde_matrix, witness_u
+from qutritwit.witnesses import spa_state, witness_matrix, witness_tilde_matrix, witness_u
 
 TINY = Fraction(1, 10**400)
 

@@ -19,9 +19,15 @@ from qutritwit.linalg import (
 )
 from qutritwit.maps import apply_phi, phi_map, phi_tilde_map
 from qutritwit.oracles import SeeSawConfig, min_product_expectation, span_rank, zero_product_vectors
-from qutritwit.spa import critical_p_from_witness, spa_state
-from qutritwit.states import rho_eps
-from qutritwit.witnesses import choi_witness, witness_matrix, witness_tilde_matrix, witness_u
+from qutritwit.witnesses import (
+    choi_witness,
+    critical_p_from_witness,
+    rho_eps,
+    spa_state,
+    witness_matrix,
+    witness_tilde_matrix,
+    witness_u,
+)
 
 
 class TestPartialTranspose:

@@ -33,9 +33,8 @@ from qutritwit.maps import (
     stochastic_matrix,
 )
 from qutritwit.linalg import trace_pair
-from qutritwit.spa import spa_state
 from qutritwit.forms import exact_witness_entries
-from qutritwit.witnesses import decompose_tilde, witness_matrix
+from qutritwit.witnesses import decompose_tilde, spa_state, witness_matrix
 
 
 def diag_proj(i):

@@ -8,9 +8,15 @@ from fractions import Fraction
 from conftest import random_slice_params
 from qutritwit.geometry import MapParams, critical_p, slice_params, so2_coeffs, spa_region
 from qutritwit.linalg import min_eigenvalue
-from qutritwit.spa import SpaComponents, critical_p_from_witness, spa_mix, spa_state
-from qutritwit.states import is_ppt, sigma_pair
-from qutritwit.witnesses import witness_matrix
+from qutritwit.witnesses import (
+    SpaComponents,
+    critical_p_from_witness,
+    is_ppt,
+    sigma_pair,
+    spa_mix,
+    spa_state,
+    witness_matrix,
+)
 
 
 def bisect_critical_p(W, iters=60):

@@ -139,6 +139,20 @@ def test_oracles_imports_only_linalg():
     assert "TYPE_CHECKING" not in {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
+def test_only_witnesses_builds_structured_operators():
+    # forms has one numpy counterpart: every call of linalg.structured is in witnesses, apart
+    # from the see-saw's witness, cli._witness_array.  Each call is named by its module and
+    # the top-level definition around it.
+    callers = set()
+    for path in Path(qutritwit.__file__).parent.glob("*.py"):
+        for statement in ast.parse(path.read_text()).body:
+            called = [node.func for node in ast.walk(statement) if isinstance(node, ast.Call)]
+            if any(getattr(f, "attr", getattr(f, "id", None)) == "structured" for f in called):
+                callers.add((path.stem, getattr(statement, "name", None)))
+    assert {module for module, _ in callers} == {"witnesses", "cli"}
+    assert {caller for caller in callers if caller[0] != "witnesses"} == {("cli", "_witness_array")}
+
+
 def test_commands_that_print_no_form_load_no_forms():
     # Every CLI process compiles the package's modules it loads; those that print only
     # geometry's numbers do not load the forms module.

@@ -18,9 +18,7 @@ from qutritwit.geometry import (
     so2_coeffs,
 )
 from qutritwit.linalg import eigenvalues, min_eigenvalue, partial_transpose, trace_pair
-from qutritwit.spa import spa_state
-from qutritwit.states import is_ppt, rho_eps, sigma_pair
-from qutritwit.witnesses import witness_tilde_matrix, witness_u
+from qutritwit.witnesses import is_ppt, rho_eps, sigma_pair, spa_state, witness_tilde_matrix, witness_u
 
 
 class TestRhoEps:
