@@ -21,12 +21,12 @@ package's names; the see-saw reads the numpy witness built from its form,
 so neither loads maps or witnesses.  The rest start without numpy.  Every
 printed matrix is written from the numpy-free forms module: its 9x9 rows,
 the same floats the library's arrays hold, or its exact entries.  spa,
-certify --tilde, witness --format csv, sweep --what witness and sweep --what
-pstar --improper print those rows with least eigenvalues, traces and
-critical weights that forms gives in closed form or certifies from an
-integer cubic; they import forms when they run, as witness JSON does for its
-trace and least eigenvalue.  The other commands, detect with every --kind
-among them, print geometry's scalar formulas only.  One guard in `main`
+certify --tilde, witness --format csv and sweep --what witness print those
+rows with least eigenvalues and traces that forms gives in closed form or
+certifies from W~'s integer cubic; they import forms when they run, as
+witness JSON does for its trace and least eigenvalue.  The other commands,
+detect with every --kind and sweep --what pstar of both families among them,
+print geometry's scalar formulas only.  One guard in `main`
 turns numpy's float overflow, invalid and divide warnings, like Python's
 OverflowError, into the exit 2.  The console entry point ends the process
 with os._exit once stdout and stderr are flushed, skipping the interpreter's
@@ -394,12 +394,8 @@ def _cmd_sweep(args) -> tuple[dict, dict]:
         p = coeffs(alpha)
         a, b, c = p.asfloats()
         row = {"alpha": alpha, "a": a, "b": b, "c": c, "sum": math.fsum((a, b, c))}
-        if args.what == "pstar" and kind == "standard":
-            row["p_star"] = critical_p(p)
-        elif args.what == "pstar":  # the improper family's witness W~: p* from its certified spectrum
-            from . import forms
-
-            row["p_star"] = forms.witness_critical_p(p, kind)
+        if args.what == "pstar":  # p* of the family's own witness: W, or W~ for the improper family
+            row["p_star"] = critical_p(p, kind)
         elif args.what == "witness":
             from . import forms
 

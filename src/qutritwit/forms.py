@@ -6,12 +6,12 @@ writes the same floats as nine rows of Python floats, the real parts of that
 matrix.  Here are the forms of the three witness kinds (with their exact
 entries), the critical SPA state and its separable pieces and the P + Q^G
 certificate, and the least eigenvalues of them all: closed forms for the SPA
-state, P and Q, and for each witness kind the one root of an integer cubic
-below its diagonal, certified to the nearest float by bisection over the
-floats on the cubic's exact sign.  Every value is read from geometry's
-integer form, of an exact point or of the rationals a float point's floats
-hold: each witness entry, trace, least eigenvalue and critical weight, the
-SPA certificate's scale and remainder, P's and Q's entries and P's least
+state, P, Q and the standard and u_conjugated witnesses, and for W~ the one
+root of geometry's integer cubic, certified to the nearest float by
+bisection over the floats on the cubic's exact sign.  Every value is read
+from geometry's integer form, of an exact point or of the rationals a float
+point's floats hold: each witness entry, trace and least eigenvalue, the SPA
+certificate's scale and remainder, P's and Q's entries and P's least
 eigenvalue is exact and rounded once, and Q's least eigenvalue is 0.0.
 The composite ket |ij> sits at flat index 3(i-1) + (j-1).
 
@@ -27,7 +27,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import fsum, sqrt
 from operator import itemgetter
-from struct import unpack
 from typing import Optional, Sequence
 
 from .geometry import (
@@ -37,8 +36,10 @@ from .geometry import (
     _ellipse_side,
     _in_region,
     _integers,
+    _nearest,
     _require_slice,
     _round_with_root,
+    _tilde_side,
     critical_p,
 )
 
@@ -138,72 +139,6 @@ def exact_witness_entries(p: MapParams, kind: str = "standard") -> list[list[str
     return grid
 
 
-def _least_side(p: MapParams, kind: str):
-    """The sign test side(n, d) of the least eigenvalue lam of the witness of a kind.
-
-    In _form's integers the witness is (1/t) [diag(w) - m J] on its kets and diag(rest) / t off
-    them.  The kets block diag(e) + g J, e = w/t and g = -m/t < 0, has its least eigenvalue
-    below min(e), simple: the one root there of
-    det(diag(e) + g J - x) = prod(e - x) (1 + g sum 1/(e - x)), whose second factor falls
-    from 1 to -inf.  lam is the lesser of that root and min(rest)/t, and side(n, d) is the
-    sign of n/d - lam for integers n and d > 0, read from the integer cubic with no rounding.
-    """
-    values, m, t, spread, kets = _form(p, kind)
-    diagonal = spread(values)
-    w = [diagonal[k] + m for k in kets]
-    floor = min(w)
-    low = min(diagonal[k] for k in range(9) if k not in kets)
-
-    def side(n: int, d: int) -> int:
-        nt, dl = n * t, d * low
-        root = 1  # n/d >= min(e) lies above the root
-        if nt < d * floor:
-            u0, u1, u2 = (d * x - nt for x in w)  # det(diag(u) - h J), the cubic times (t d)^3
-            f = u0 * u1 * u2 - d * m * (u0 * u1 + u0 * u2 + u1 * u2)
-            root = (f < 0) - (f > 0)
-        return max(root, (nt > dl) - (nt < dl))
-
-    return side
-
-
-# Ordinals number the floats in order: a float's bits, mirrored below zero (both zeros are 0).
-# _TOP, the bits of inf, stands one place past the largest float, for 2^1024.
-_TOP = 0x7FF0_0000_0000_0000
-
-
-def _ordinal_ratio(k: int) -> tuple[int, int]:
-    """The float at ordinal k as integers (n, d) with value n/d; +-2^1024 at +-_TOP."""
-    if abs(k) >= _TOP:
-        return (1 << 1024 if k > 0 else -(1 << 1024)), 1
-    return unpack("<d", (k if k >= 0 else (1 << 63) - k).to_bytes(8, "little"))[0].as_integer_ratio()
-
-
-def _nearest(side) -> float:
-    """The one root r of side rounded to the nearest float, ties to even, as float(r) would be.
-
-    side(n, d) is the sign of n/d - r.  Bisection over the ordinals from -2^1024 to 2^1024
-    leaves two adjacent ones lo < r <= hi, and the sign at their midpoint picks one; a root
-    in (-2^-1075, 0) picks ordinal 0 and gives -0.0.  Raises OverflowError where r rounds
-    beyond the float range.
-    """
-    lo, hi = -_TOP, _TOP
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if side(*_ordinal_ratio(mid)) >= 0 else (mid, hi)
-    (ln, ld), (hn, hd) = _ordinal_ratio(lo), _ordinal_ratio(hi)
-    n, d = ln * hd + hn * ld, 2 * ld * hd  # the midpoint
-    s = side(n, d)
-    if s == 0:
-        return float(Fraction(n, d))  # a tie, rounded to even
-    k = lo if s > 0 else hi
-    if abs(k) >= _TOP:
-        raise OverflowError("the value is beyond the float range")
-    if k == 0 and side(0, 1) > 0:  # a negative root that rounds to zero
-        return -0.0
-    n, d = _ordinal_ratio(k)
-    return n / d
-
-
 def witness_spectrum(p: MapParams, kind: str) -> tuple[float, float]:
     """(trace, least eigenvalue) of the witness of a kind, each the exact value of the rational
     witness at the point's rationals, rounded to the nearest float.
@@ -211,30 +146,19 @@ def witness_spectrum(p: MapParams, kind: str) -> tuple[float, float]:
     The trace is 1.0 for every kind and point: each row table is a Latin square on (A, B, C), so
     the diagonal holds each of them three times and sums to t = 3(A+B+C), and t/t is 1.
 
-    The least eigenvalue is the lesser of the six diagonal entries off the kets and the least
-    root of the kets block's cubic, found by _nearest from the cubic's exact sign.  For the
-    standard kind that root is (N/3)(a-2).
+    For standard and u_conjugated the kets block is (A/t) I - (D/t)(J - I), with eigenvalues
+    (A - 2D)/t and (A + D)/t (twice), and the six entries off the kets hold B/t and C/t: the
+    least eigenvalue is min(A - 2D, B, C) / t, one int/int division.  For tilde it is the one
+    root of geometry._tilde_side's integer cubic, found by _nearest from the cubic's exact sign.
+    Either raises OverflowError where the value rounds beyond the float range.
     """
-    return 1.0, _nearest(_least_side(p, kind))
-
-
-def witness_critical_p(p: MapParams, kind: str) -> float:
-    """The critical weight p* = 9|lam| / (1 + 9|lam|) of the witness of a kind for its least
-    eigenvalue lam < 0, else 0, rounded to the nearest float from the exact lam.
-
-    p* is the root in (0, 1) of lam = -p / (9 (1 - p)), which falls as p rises, so the sign of
-    x - p* is minus that of lam(x) - lam, read from witness_spectrum's cubic.
-    """
-    side = _least_side(p, kind)
-    if side(0, 1) <= 0:  # 0 <= lam
-        return 0.0
-
-    def side_p(n: int, d: int) -> int:
-        if n <= 0 or n >= d:
-            return 1 if n > 0 else -1
-        return -side(-n, 9 * (d - n))
-
-    return _nearest(side_p)
+    if kind == "tilde":
+        return 1.0, _nearest(_tilde_side(p))
+    (A, B, C), D, t, _, _ = _form(p, kind)
+    try:
+        return 1.0, min(A - 2 * D, B, C) / t
+    except OverflowError:
+        raise OverflowError("the value is beyond the float range") from None
 
 
 def spa_form(p: MapParams) -> tuple[float, tuple, Optional[tuple[float, tuple]]]:

@@ -4,9 +4,9 @@ Everything here is a formula in (a, b, c), evaluated in the parameters' own
 arithmetic (exact for int and Fraction input) and rounded once: the
 classification of Phi[a,b,c], the plane a+b+c = 2 and the ellipse
 bc = (1-a)^2 swept by the O(2) rotation angles, the eps-interval on which
-the PPT probe family rho_eps detects the witness, the critical weight and
-the certified-separable region (spa_region) of the structural physical
-approximation, and the indecomposability certificate.
+the PPT probe family rho_eps detects the witness, the critical weight of
+each witness kind, the certified-separable region (spa_region) of the
+structural physical approximation, and the indecomposability certificate.
 The module imports no numpy, so commands that print only these numbers start
 without it; the matrix constructions live in maps and witnesses.
 
@@ -21,7 +21,9 @@ float() of the same value taken in Fraction arithmetic.  The probe family
 rho_eps and the critical weight read a float point as the rationals its
 floats hold, so their values are exact and rounded once for every input;
 a value with a square root, such as an end of the detection interval, is
-bracketed by one integer square root and rounded once (_round_with_root).
+bracketed by one integer square root and rounded once (_round_with_root),
+and a root of an integer cubic, such as W~'s least eigenvalue, is found by
+bisection over the floats on the cubic's exact sign (_nearest).
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 from math import cos, inf, isfinite, isqrt, lcm, pi, sin, sqrt, ulp
+from struct import unpack
 from typing import Optional
 
 # Inputs of size <= 2 built on a boundary miss it by at most 2 ulp(2) per unit
@@ -387,6 +390,44 @@ def _round_with_root(m: int, *maps: tuple[int, int, int, int]) -> tuple[float, .
         k = 2 * k or 64
 
 
+# Ordinals number the floats in order: a float's bits, mirrored below zero (both zeros are 0).
+# _TOP, the bits of inf, stands one place past the largest float, for 2^1024.
+_TOP = 0x7FF0_0000_0000_0000
+
+
+def _ordinal_ratio(k: int) -> tuple[int, int]:
+    """The float at ordinal k as integers (n, d) with value n/d; +-2^1024 at +-_TOP."""
+    if abs(k) >= _TOP:
+        return (1 << 1024 if k > 0 else -(1 << 1024)), 1
+    return unpack("<d", (k if k >= 0 else (1 << 63) - k).to_bytes(8, "little"))[0].as_integer_ratio()
+
+
+def _nearest(side) -> float:
+    """The one root r of side rounded to the nearest float, ties to even, as float(r) would be.
+
+    side(n, d) is the sign of n/d - r.  Bisection over the ordinals from -2^1024 to 2^1024
+    leaves two adjacent ones lo < r <= hi, and the sign at their midpoint picks one; a root
+    in (-2^-1075, 0) picks ordinal 0 and gives -0.0.  Raises OverflowError where r rounds
+    beyond the float range.
+    """
+    lo, hi = -_TOP, _TOP
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if side(*_ordinal_ratio(mid)) >= 0 else (mid, hi)
+    (ln, ld), (hn, hd) = _ordinal_ratio(lo), _ordinal_ratio(hi)
+    n, d = ln * hd + hn * ld, 2 * ld * hd  # the midpoint
+    s = side(n, d)
+    if s == 0:
+        return float(Fraction(n, d))  # a tie, rounded to even
+    k = lo if s > 0 else hi
+    if abs(k) >= _TOP:
+        raise OverflowError("the value is beyond the float range")
+    if k == 0 and side(0, 1) > 0:  # a negative root that rounds to zero
+        return -0.0
+    n, d = _ordinal_ratio(k)
+    return n / d
+
+
 def detects_rho_family(p: MapParams) -> Optional[tuple[float, float]]:
     """Open interval of eps with Tr(rho_eps W[a,b,c]) < 0, or None.
 
@@ -407,12 +448,48 @@ def detects_rho_family(p: MapParams) -> Optional[tuple[float, float]]:
     return _round_with_root(N * N - 4 * B * C, (0, 2 * C, 1, N), (1, N, 0, 2 * B))
 
 
-def critical_p(p: MapParams) -> float:
-    """Closed-form critical weight p* = t/(2 + t), t = 3(2-a), on the plane a+b+c = 2,
+def _tilde_side(p: MapParams):
+    """The sign test side(n, d) of W~'s least eigenvalue lam on the plane: the sign of n/d - lam.
+
+    On the integer form W~ is (1/t) [diag(w) - D J] on the |ii>, w = (A, B, C) + D in some order
+    and t = 3(A+B+C), and diagonal off them.  The |ii> have Rayleigh quotients A/t, B/t and C/t,
+    the values of the six entries off them, so lam is the block's: the one root below min(w)/t of
+    det(diag(w) - D J - t x), a cubic symmetric in (A, B, C), whose sign is read with no rounding.
+    """
+    _require_slice(p)
+    A, B, C, D = _integers(p)
+    t = 3 * (A + B + C)
+    w = (A + D, B + D, C + D)
+    floor = min(w)
+
+    def side(n: int, d: int) -> int:
+        nt = n * t
+        if nt >= d * floor:  # n/d >= min(w)/t lies above the root
+            return 1
+        u0, u1, u2 = (d * x - nt for x in w)  # det(diag(u) - d D J), the cubic times (t d)^3
+        f = u0 * u1 * u2 - d * D * (u0 * u1 + u0 * u2 + u1 * u2)
+        return (f < 0) - (f > 0)
+
+    return side
+
+
+def critical_p(p: MapParams, kind: str = "standard") -> float:
+    """The critical weight p* = 9|lam| / (1 + 9|lam|) of the witness of a kind ("standard",
+    "tilde" or "u_conjugated") on the plane a+b+c = 2, for its least eigenvalue lam < 0, else 0,
     rounded once from the integer form (exact, or the rationals a float point's floats hold).
 
-    Returns 0 for a >= 2, where the witness is already PSD.
+    W and W_U share the least eigenvalue (a-2)/6 for a < 2, so their p* is t/(2 + t), t = 3(2-a),
+    and 0 for a >= 2, where the witness is PSD.  W~'s p* is the root in (0, 1) of lam = -p / (9 (1 - p)),
+    which falls as p rises: x - p* has the sign of lam - lam(x), read from _tilde_side's cubic.
     """
+    if kind == "tilde":
+        side = _tilde_side(p)  # the plane check
+        if side(0, 1) <= 0:  # 0 <= lam
+            return 0.0
+        # x = n/d outside (0, 1) lies on its own side of p*; inside it, lam(x) = -n / (9 (d - n)).
+        return _nearest(lambda n, d: (1 if n > 0 else -1) if n <= 0 or n >= d else -side(-n, 9 * (d - n)))
+    if kind not in ("standard", "u_conjugated"):
+        raise ValueError(f"unsupported kind {kind!r}")
     _require_slice(p)
     if _cp_side(p) >= 0:
         return 0.0

@@ -80,6 +80,13 @@ def _fails(run):
     assert len(run.err) == 1 and run.err[0].startswith("error: "), run.err
 
 
+def _overflows(run):
+    """Exit 2 with nothing on stdout and the one-line diagnostic of a value beyond the float range."""
+    assert (run.status, run.out) == (2, "")
+    assert run.err == ["error: a value overflows a float (the value is beyond the float range); "
+                       "the input is too large or too small"], run.err
+
+
 def _min_eigenvalue_is(exact: str):
     """The printed least eigenvalue is the exact value rounded once."""
     return _record(lambda r: r["min_eigenvalue"] == float(Fraction(exact)))
@@ -217,6 +224,10 @@ _CASES = [
         )
     ),
     _case(["spa", "--bc", f"1/{E400}", "0"], _fails, "spa --bc 1e-400 0"),
+    # At (a, 0, 0) the witness's least eigenvalue is (a-2)/(3a), beyond the float range for
+    # a = 10^-400 and for the decimal 1e-310: witness JSON fails before its see-saw.
+    _case(["witness", f"1/{E400}", "0", "0", "--restarts", "2"], _overflows, "witness 1e-400 0 0"),
+    _case(["witness", "1e-310", "0", "0", "--restarts", "2"], _overflows),
 ]
 
 

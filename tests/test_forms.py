@@ -22,6 +22,7 @@ from qutritwit import cli, forms
 from qutritwit.geometry import (
     MapParams,
     _integers,
+    _nearest,
     critical_p,
     detection_value,
     detection_value_exact,
@@ -397,7 +398,7 @@ def _lam(x):
 def _check_critical_weight(kind):
     # x < p* iff lam(x) lies above the least eigenvalue; p* is 0 where that is not negative.
     for p in _POINTS:
-        star = forms.witness_critical_p(p, kind)
+        star = critical_p(p, kind)
         below, at = _least_tests(_exact_matrix(p, kind), forms._KINDS[kind][1])
         lapack = np.linalg.eigvalsh(_BUILDERS[kind](p).matrix)[0]
         assert abs(star - 9 * max(0.0, -lapack) / (1 + 9 * max(0.0, -lapack))) <= 1e-15, (p, kind)
@@ -413,24 +414,38 @@ def test_tilde_critical_weight_is_correctly_rounded():
 
 @pytest.mark.parametrize("kind", ["standard", "u_conjugated"])
 def test_critical_weight_is_correctly_rounded(kind):
-    _check_critical_weight(kind)
+    # W and W_U share the least eigenvalue (a-2)/6 on the plane: p* is 3(2-a) / (2 + 3(2-a)) of
+    # the point's rational a, rounded once, 0 iff a >= 2, and within 1e-15 of LAPACK's p*.
+    for p in _POINTS:
+        star = critical_p(p, kind)
+        t = 3 * (2 - Fraction(p.a))
+        assert star == (float(t / (2 + t)) if t > 0 else 0.0), (p, kind)
+        assert (star == 0.0) == (p.a >= 2), (p, kind)
+        lapack = np.linalg.eigvalsh(_BUILDERS[kind](p).matrix)[0]
+        assert abs(star - 9 * max(0.0, -lapack) / (1 + 9 * max(0.0, -lapack))) <= 1e-15, (p, kind)
 
 
 def test_critical_weight_of_a_positive_witness_is_zero():
     # W >= 0 from a = 2 on: its least eigenvalue is (N/3) min(a-2, b, c), 0 at a = 2 or where b
-    # or c is 0, and the diagonal entry (N/3) c = 1/45 at (3, 1/2, 1/4), rounded once.
+    # or c is 0, and the diagonal entry (N/3) c = 1/45 at (3, 1/2, 1/4), rounded once.  p* is
+    # read on the plane only: 0 at (2, 0, 0), and the two points off it are refused.
     for abc, least in (((2, 0, 0), 0.0), ((Fraction(5, 2), 1, 0), 0.0), ((3.0, 0.5, 0.25), float(Fraction(1, 45)))):
         p = MapParams(*abc)
-        assert forms.witness_critical_p(p, "standard") == 0.0
         assert forms.witness_spectrum(p, "standard")[1] == least
+        if p.on_slice():
+            assert critical_p(p) == 0.0
+        else:
+            with pytest.raises(ValueError, match="off the plane"):
+                critical_p(p)
 
 
 def test_standard_critical_weight_is_the_closed_form():
     # Two exact routes to p* agree at every point with a < 2 whose rationals lie on the plane:
-    # the root of the witness's cubic and geometry's 3(2-a) / (2 + 3(2-a)), each rounded once.
-    # The points are the n = 40 plane lattice, 1,440 angles of each family and random plane
-    # points; a float point that lies on the plane only within roundoff has N != 1/2, and
-    # there the two routes are two different values.
+    # 9|lam| / (1 + 9|lam|) of the witness's exact least eigenvalue lam = (A - 2D)/t, the value
+    # witness_spectrum rounds once, and geometry's 3(2-a) / (2 + 3(2-a)), rounded once.  The
+    # points are the n = 40 plane lattice, 1,440 angles of each family and random plane points;
+    # a float point that lies on the plane only within roundoff has t != 6D, and there the two
+    # are two different values.
     n = 40
     points = [slice_params(Fraction(2 * i, n), Fraction(2 * j, n)) for i in range(n + 1) for j in range(n + 1 - i)]
     points += [family(2 * math.pi * k / 1440) for k in range(1440) for family in (so2_coeffs, improper_coeffs)]
@@ -440,7 +455,9 @@ def test_standard_critical_weight_is_the_closed_form():
     for p in points:
         A, B, C, D = _integers(p)
         if A < 2 * D and A + B + C == 2 * D:
-            assert forms.witness_critical_p(p, "standard") == critical_p(p), p
+            lam = Fraction(A - 2 * D, 3 * (A + B + C))
+            assert forms.witness_spectrum(p, "standard")[1] == float(lam), p
+            assert critical_p(p) == float(9 * -lam / (1 - 9 * lam)), p
             seen += 1
     assert seen > 1500
 
@@ -472,9 +489,9 @@ def test_nearest_rounds_a_root_as_float_does(r):
         want = float(r)
     except OverflowError:
         with pytest.raises(OverflowError):
-            forms._nearest(side)
+            _nearest(side)
         return
-    assert repr(forms._nearest(side)) == repr(want)
+    assert repr(_nearest(side)) == repr(want)
 
 
 def test_cli_prints_the_certified_spectra(capsys):
@@ -487,7 +504,7 @@ def test_cli_prints_the_certified_spectra(capsys):
             forms.witness_spectrum(coeffs(r["alpha"]), kind) for r in rows]
     assert cli.main(["sweep", "--alpha-grid", "12", "--what", "pstar", "--improper"]) == 0
     rows = json.loads(capsys.readouterr().out)["results"]["rows"]
-    assert [r["p_star"] for r in rows] == [forms.witness_critical_p(improper_coeffs(r["alpha"]), "tilde") for r in rows]
+    assert [r["p_star"] for r in rows] == [critical_p(improper_coeffs(r["alpha"]), "tilde") for r in rows]
     assert cli.main(["witness", "--kind", "u", "1", "1/2", "1/2", "--restarts", "2"]) == 0
     results = json.loads(capsys.readouterr().out)["results"]
     assert (results["trace"], results["min_eigenvalue"]) == (1.0, -1 / 6)

@@ -93,6 +93,15 @@ class TestCriticalP:
     def test_rejects_off_slice(self):
         with pytest.raises(ValueError):
             critical_p(MapParams(1, 1, 1))
+        # Every kind's p* is read on the plane only, exact or float.
+        for kind in ("standard", "tilde", "u_conjugated"):
+            for p in (MapParams(1, 1, 1), MapParams(1.0, 0.5, 0.25)):
+                with pytest.raises(ValueError, match="off the plane"):
+                    critical_p(p, kind)
+
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match="unsupported kind 'bogus'"):
+            critical_p(MapParams(1, 1, 0), "bogus")
 
     def test_matches_bisection_oracle(self):
         rng = np.random.default_rng(0)

@@ -22,11 +22,11 @@ from qutritwit.geometry import so2_coeffs
 from qutritwit.oracles import SeeSawConfig
 
 # The commands that start without numpy, with the witness argv that fails on
-# its seed before it builds a matrix: those that print geometry's closed forms
-# (detect with every --kind among them), and spa, certify --tilde, witness
-# --format csv, sweep --what witness and sweep --what pstar --improper, which
-# print the rows and certified spectra of the forms module.  Exact, float and --alpha
-# input of each, and the runs that exit 2 on their input.
+# its seed before it builds a matrix: those that print geometry's numbers
+# (detect with every --kind among them, and sweep --what pstar of both
+# families), and spa, certify --tilde, witness --format csv and sweep --what
+# witness, which print the rows and certified spectra of the forms module.
+# Exact, float and --alpha input of each, and the runs that exit 2 on their input.
 _SCALAR_ARGVS = [
     (["classify", "--bc", "1", "1"], {}),
     (["classify", "1", "1", "0"], {}),
@@ -157,10 +157,10 @@ def test_commands_that_print_no_form_load_no_forms():
     # Every CLI process compiles the package's modules it loads; those that print only
     # geometry's numbers do not load the forms module.
     argvs = [(argv, env) for argv, env in _SCALAR_ARGVS if argv[0] in ("classify", "figure")]
-    argvs += [(argv, env) for argv, env in _SCALAR_ARGVS if argv[0] == "sweep" and argv[4:] == ["pstar"]]
+    argvs += [(argv, env) for argv, env in _SCALAR_ARGVS if argv[0] == "sweep" and argv[4] == "pstar"]
     argvs += [(argv, env) for argv, env in _SCALAR_ARGVS if argv[:2] in (["detect", "--bc"], ["certify", "--indecomposable"])]
     argvs += [(argv, env) for argv, env in _SCALAR_ARGVS if argv[:2] == ["detect", "--kind"]]
-    assert len(argvs) == 20
+    assert len(argvs) == 22
     assert json.loads(_fresh(_RUN_EACH, json.dumps(argvs), "qutritwit.forms")) == []
 
 
