@@ -32,19 +32,6 @@ from .geometry import (
 _LAZY = {
     "forms": ("exact_witness_entries",),
     "linalg": ("is_psd", "min_eigenvalue", "partial_transpose", "trace_pair"),
-    "maps": (
-        "LinearMap3",
-        "apply_D",
-        "apply_phi",
-        "apply_phi_tilde",
-        "improper_rotation",
-        "phi_from_rotation",
-        "phi_map",
-        "phi_tilde_map",
-        "rotation_block",
-        "so2_rotation",
-        "stochastic_matrix",
-    ),
     "oracles": (
         "ProductVectorPair",
         "SeeSawConfig",
@@ -55,18 +42,29 @@ _LAZY = {
     "witnesses": (
         "BipartiteState",
         "DecompositionCertificate",
+        "LinearMap3",
         "SpaComponents",
         "SpaResult",
         "WitnessMatrix",
+        "apply_D",
+        "apply_phi",
+        "apply_phi_tilde",
         "choi_witness",
         "critical_p_from_witness",
         "decompose_tilde",
+        "improper_rotation",
         "is_cp_choi",
         "is_ppt",
+        "phi_from_rotation",
+        "phi_map",
+        "phi_tilde_map",
         "rho_eps",
+        "rotation_block",
         "sigma_pair",
+        "so2_rotation",
         "spa_mix",
         "spa_state",
+        "stochastic_matrix",
         "witness_matrix",
         "witness_tilde_matrix",
         "witness_u",

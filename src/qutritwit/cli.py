@@ -18,19 +18,19 @@ nothing on stdout and one `error:` line on stderr.
 Only the commands that run a see-saw, witness with JSON output and sweep
 --what rank, load numpy, with oracles and linalg, on first access to the
 package's names; the see-saw reads the numpy witness built from its form,
-so neither loads maps or witnesses.  The rest start without numpy.  Every
+so neither loads witnesses.  The rest start without numpy.  Every
 printed matrix is written from the numpy-free forms module: its 9x9 rows,
 the same floats the library's arrays hold, or its exact entries.  spa,
 certify --tilde, witness --format csv and sweep --what witness print those
-rows with least eigenvalues and traces that forms gives in closed form or
-certifies from W~'s integer cubic; they import forms when they run, as
-witness JSON does for its trace and least eigenvalue.  The other commands,
-detect with every --kind and sweep --what pstar of both families among them,
-print geometry's scalar formulas only.  One guard in `main`
-turns numpy's float overflow, invalid and divide warnings, like Python's
-OverflowError, into the exit 2.  The console entry point ends the process
-with os._exit once stdout and stderr are flushed, skipping the interpreter's
-teardown; `main` called in-process returns as usual.
+rows with least eigenvalues that forms gives in closed form or certifies
+from W~'s integer cubic; they import forms when they run, as witness JSON
+does for its least eigenvalue.  A witness's trace is printed as the exact
+1.0.  The other commands, detect with every --kind and sweep --what pstar
+of both families among them, print geometry's scalar formulas only.  One
+guard in `main` turns numpy's float overflow, invalid and divide warnings,
+like Python's OverflowError, into the exit 2.  The console entry point ends
+the process with os._exit once stdout and stderr are flushed, skipping the
+interpreter's teardown; `main` called in-process returns as usual.
 """
 
 from __future__ import annotations
@@ -259,13 +259,13 @@ def _cmd_witness(args) -> tuple[dict, dict] | str:
         return _witness_rows(p, kind, csv=True)
     from . import forms
 
-    trace, least = forms.witness_spectrum(p, kind)
+    least = forms.witness_spectrum(p, kind)
     results = {
         "params": _encode_params(p),
         "kind": kind,
         "matrix": forms.exact_witness_entries(p, kind) if p.is_exact else _witness_rows(p, kind),
         "exact": p.is_exact,
-        "trace": trace,
+        "trace": 1.0,  # exact: each row table is a Latin square, so the diagonal sums to t = 3(A+B+C)
         "min_eigenvalue": least,
         "block_positivity_estimate": qutritwit.min_product_expectation(_witness_array(p, kind), cfg).value,
         "seesaw": {"restarts": cfg.restarts, "seed": cfg.rng_seed},
@@ -400,7 +400,8 @@ def _cmd_sweep(args) -> tuple[dict, dict]:
             from . import forms
 
             row["matrix"] = _witness_rows(p, kind)
-            row["trace"], row["min_eigenvalue"] = forms.witness_spectrum(p, kind)
+            row["trace"] = 1.0  # exact, as in _cmd_witness
+            row["min_eigenvalue"] = forms.witness_spectrum(p, kind)
         elif args.what == "rank":
             zeros = qutritwit.zero_product_vectors(_witness_array(p, kind), cfg)
             row["zero_count"] = len(zeros)

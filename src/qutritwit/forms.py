@@ -10,7 +10,7 @@ state, P, Q and the standard and u_conjugated witnesses, and for W~ the one
 root of geometry's integer cubic, certified to the nearest float by
 bisection over the floats on the cubic's exact sign.  Every value is read
 from geometry's integer form, of an exact point or of the rationals a float
-point's floats hold: each witness entry, trace and least eigenvalue, the SPA
+point's floats hold: each witness entry and least eigenvalue, the SPA
 certificate's scale and remainder, P's and Q's entries and P's least
 eigenvalue is exact and rounded once, and Q's least eigenvalue is 0.0.
 The composite ket |ij> sits at flat index 3(i-1) + (j-1).
@@ -48,7 +48,7 @@ INDEX_GROUPS = ((0, 4, 8), (1, 5, 6), (2, 3, 7))
 DOUBLES, PLUS_ONE, PLUS_TWO = INDEX_GROUPS
 
 # Rows of each family's diagonal action (up to normalization and the +1 on
-# the diagonal), as positions in (a, b, c); maps shows them.
+# the diagonal), as positions in (a, b, c); witnesses shows them.
 _ROWS = {
     "circulant": ((0, 1, 2), (2, 0, 1), (1, 2, 0)),
     "improper": ((0, 1, 2), (1, 2, 0), (2, 0, 1)),
@@ -139,12 +139,10 @@ def exact_witness_entries(p: MapParams, kind: str = "standard") -> list[list[str
     return grid
 
 
-def witness_spectrum(p: MapParams, kind: str) -> tuple[float, float]:
-    """(trace, least eigenvalue) of the witness of a kind, each the exact value of the rational
-    witness at the point's rationals, rounded to the nearest float.
-
-    The trace is 1.0 for every kind and point: each row table is a Latin square on (A, B, C), so
-    the diagonal holds each of them three times and sums to t = 3(A+B+C), and t/t is 1.
+def witness_spectrum(p: MapParams, kind: str) -> float:
+    """The least eigenvalue of the witness of a kind, the exact value of the rational witness at
+    the point's rationals, rounded to the nearest float.  (Its trace is exactly 1: each row table
+    is a Latin square on (A, B, C), so the diagonal sums to t = 3(A+B+C).)
 
     For standard and u_conjugated the kets block is (A/t) I - (D/t)(J - I), with eigenvalues
     (A - 2D)/t and (A + D)/t (twice), and the six entries off the kets hold B/t and C/t: the
@@ -153,10 +151,10 @@ def witness_spectrum(p: MapParams, kind: str) -> tuple[float, float]:
     Either raises OverflowError where the value rounds beyond the float range.
     """
     if kind == "tilde":
-        return 1.0, _nearest(_tilde_side(p))
+        return _nearest(_tilde_side(p))
     (A, B, C), D, t, _, _ = _form(p, kind)
     try:
-        return 1.0, min(A - 2 * D, B, C) / t
+        return min(A - 2 * D, B, C) / t
     except OverflowError:
         raise OverflowError("the value is beyond the float range") from None
 

@@ -8,7 +8,7 @@ the PPT probe family rho_eps detects the witness, the critical weight of
 each witness kind, the certified-separable region (spa_region) of the
 structural physical approximation, and the indecomposability certificate.
 The module imports no numpy, so commands that print only these numbers start
-without it; the matrix constructions live in maps and witnesses.
+without it; the matrix constructions live in witnesses.
 
 Every point is held in one form, (A, B, C, D) with (a, b, c) = (A, B, C)/D:
 integers over one denominator for exact input, (a, b, c, 1.0) in float

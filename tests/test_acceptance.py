@@ -26,20 +26,18 @@ from qutritwit.geometry import (
     spa_region,
 )
 from qutritwit.linalg import min_eigenvalue, partial_transpose, trace_pair
-from qutritwit.maps import (
-    apply_phi,
-    apply_phi_tilde,
-    improper_rotation,
-    rotation_block,
-    phi_from_rotation,
-    so2_rotation,
-)
 from qutritwit.oracles import SeeSawConfig, min_product_expectation, span_rank, zero_product_vectors
 from qutritwit.witnesses import (
+    apply_phi,
+    apply_phi_tilde,
     choi_witness,
     decompose_tilde,
+    improper_rotation,
     is_ppt,
+    phi_from_rotation,
     rho_eps,
+    rotation_block,
+    so2_rotation,
     spa_mix,
     spa_state,
     witness_matrix,

@@ -273,7 +273,7 @@ class TestWitness:
         assert record["results"]["matrix"][0][0] == "1/9"
 
     def test_u_kind_matches_library(self, capsys):
-        from qutritwit.maps import MapParams
+        from qutritwit.geometry import MapParams
         from qutritwit.witnesses import witness_u
 
         record = run_json(capsys, ["witness", "1", "1", "0", "--kind", "u", "--restarts", "20"])

@@ -19,7 +19,8 @@ def _run(*args: str) -> subprocess.CompletedProcess:
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
-    proc = _run(str(demo))
+    # Warnings as errors, as in the Quick start below.
+    proc = _run("-W", "error", str(demo))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
 

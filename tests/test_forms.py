@@ -4,7 +4,7 @@
 the rows that `forms.dense` writes from a form, the first two with
 closed-form least eigenvalues; the library builds the same forms with
 `linalg.structured` and takes its spectra from LAPACK.  The two must agree byte for byte in every printed entry, and
-each closed-form eigenvalue within 1e-15 of `eigvalsh`.  The witnesses' certified traces, least eigenvalues and
+each closed-form eigenvalue within 1e-15 of `eigvalsh`.  The witnesses' certified least eigenvalues and
 critical weights must also be the exact values rounded to nearest, decided here in Fraction arithmetic.
 """
 
@@ -354,33 +354,34 @@ def _is_nearest(v, below, at):
 
 def test_witness_spectrum_is_the_exact_spectrum_correctly_rounded():
     # On the lattice, exact and float, and 720 angles of both families: the least eigenvalue is
-    # the exact one rounded to nearest, the trace the exact trace rounded once, and both lie
-    # within 1e-15 of LAPACK on the library matrix.
+    # the exact one rounded to nearest, within 1e-15 of LAPACK on the library matrix, and the
+    # exact trace is 1.
     for p in _POINTS:
         for kind, build in _BUILDERS.items():
-            trace, least = forms.witness_spectrum(p, kind)
+            least = forms.witness_spectrum(p, kind)
             W = _exact_matrix(p, kind)
-            assert trace == float(sum(W[k][k] for k in range(9))), (p, kind)
+            assert sum(W[k][k] for k in range(9)) == 1, (p, kind)
             assert _is_nearest(least, *_least_tests(W, forms._KINDS[kind][1])), (p, kind, least)
             assert abs(least - np.linalg.eigvalsh(build(p).matrix)[0]) <= 1e-15, (p, kind)
 
 
-def test_witness_trace_is_one():
-    # Each row table is a Latin square on (A, B, C), so every kind's diagonal sums to
-    # t = 3(A+B+C) and the trace is t/t: 1.0 on the n = 40 lattice, exact and float, 720
-    # angles of both families and random float points, on the plane and (standard) off it.
+def test_witness_diagonal_sums_to_t():
+    # Each row table is a Latin square on (A, B, C), so every kind's diagonal, in the integers of
+    # its form, sums to t = 3(A+B+C), and the CLI prints the trace t/t as the literal 1.0: on
+    # the n = 40 lattice, exact and float, 720 angles of both families and random float points,
+    # on the plane and (standard) off it.
     n = 40
     points = [slice_params(Fraction(2 * i, n), Fraction(2 * j, n)) for i in range(n + 1) for j in range(n + 1 - i)]
     points += [slice_params(float(p.b), float(p.c)) for p in points]
     points += [family(2 * math.pi * k / 720) for k in range(720) for family in (so2_coeffs, improper_coeffs)]
     rng = np.random.default_rng(40)
     points += [random_slice_params(rng) for _ in range(200)]
-    for p in points:
-        for kind in _BUILDERS:
-            assert forms.witness_spectrum(p, kind)[0] == 1.0, (p, kind)
-    for _ in range(200):
-        p = MapParams(*(float(x) for x in rng.uniform(0, 3, 3)))
-        assert forms.witness_spectrum(p, "standard")[0] == 1.0, p
+    kinds = [(p, kind) for p in points for kind in _BUILDERS]
+    kinds += [(MapParams(*(float(x) for x in rng.uniform(0, 3, 3))), "standard") for _ in range(200)]
+    for p, kind in kinds:
+        (A, B, C), _, t, spread, _ = forms._form(p, kind)
+        assert all(type(x) is int for x in (A, B, C, t)), (p, kind)
+        assert sum(spread((A, B, C))) == t == 3 * (A + B + C), (p, kind)
 
 
 def test_witness_entries_are_the_exact_entries_rounded_once():
@@ -431,7 +432,7 @@ def test_critical_weight_of_a_positive_witness_is_zero():
     # read on the plane only: 0 at (2, 0, 0), and the two points off it are refused.
     for abc, least in (((2, 0, 0), 0.0), ((Fraction(5, 2), 1, 0), 0.0), ((3.0, 0.5, 0.25), float(Fraction(1, 45)))):
         p = MapParams(*abc)
-        assert forms.witness_spectrum(p, "standard")[1] == least
+        assert forms.witness_spectrum(p, "standard") == least
         if p.on_slice():
             assert critical_p(p) == 0.0
         else:
@@ -456,7 +457,7 @@ def test_standard_critical_weight_is_the_closed_form():
         A, B, C, D = _integers(p)
         if A < 2 * D and A + B + C == 2 * D:
             lam = Fraction(A - 2 * D, 3 * (A + B + C))
-            assert forms.witness_spectrum(p, "standard")[1] == float(lam), p
+            assert forms.witness_spectrum(p, "standard") == float(lam), p
             assert critical_p(p) == float(9 * -lam / (1 - 9 * lam)), p
             seen += 1
     assert seen > 1500
@@ -501,7 +502,7 @@ def test_cli_prints_the_certified_spectra(capsys):
         rows = json.loads(capsys.readouterr().out)["results"]["rows"]
         coeffs = improper_coeffs if family else so2_coeffs
         assert [(r["trace"], r["min_eigenvalue"]) for r in rows] == [
-            forms.witness_spectrum(coeffs(r["alpha"]), kind) for r in rows]
+            (1.0, forms.witness_spectrum(coeffs(r["alpha"]), kind)) for r in rows]
     assert cli.main(["sweep", "--alpha-grid", "12", "--what", "pstar", "--improper"]) == 0
     rows = json.loads(capsys.readouterr().out)["results"]["rows"]
     assert [r["p_star"] for r in rows] == [critical_p(improper_coeffs(r["alpha"]), "tilde") for r in rows]

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import rand_complex
 from qutritwit.geometry import MapParams
-from qutritwit.maps import GELLMANN, phi_from_rotation, phi_map, rotation_block, so2_rotation
+from qutritwit.witnesses import GELLMANN, phi_from_rotation, phi_map, rotation_block, so2_rotation
 
 ELEMENTS = GELLMANN.reshape(9, 3, 3)
 

@@ -17,11 +17,13 @@ from qutritwit.linalg import (
     structured,
     trace_pair,
 )
-from qutritwit.maps import apply_phi, phi_map, phi_tilde_map
 from qutritwit.oracles import SeeSawConfig, min_product_expectation, span_rank, zero_product_vectors
 from qutritwit.witnesses import (
+    apply_phi,
     choi_witness,
     critical_p_from_witness,
+    phi_map,
+    phi_tilde_map,
     rho_eps,
     spa_state,
     witness_matrix,

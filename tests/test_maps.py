@@ -20,21 +20,23 @@ from qutritwit.geometry import (
     so2_coeffs,
     spa_region,
 )
-from qutritwit.maps import (
+from qutritwit.linalg import trace_pair
+from qutritwit.forms import exact_witness_entries
+from qutritwit.witnesses import (
     apply_D,
     apply_phi,
     apply_phi_tilde,
+    decompose_tilde,
     improper_rotation,
     phi_from_rotation,
     phi_map,
     phi_tilde_map,
     rotation_block,
     so2_rotation,
+    spa_state,
     stochastic_matrix,
+    witness_matrix,
 )
-from qutritwit.linalg import trace_pair
-from qutritwit.forms import exact_witness_entries
-from qutritwit.witnesses import decompose_tilde, spa_state, witness_matrix
 
 
 def diag_proj(i):

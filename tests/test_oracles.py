@@ -8,7 +8,6 @@ from conftest import max_entangled_projector, random_slice_params
 from qutritwit import oracles
 from qutritwit.geometry import MapParams, improper_coeffs, indecomposability_certificate, slice_params, so2_coeffs
 from qutritwit.linalg import eigenvalues, require_hermitian
-from qutritwit.maps import LinearMap3, apply_phi, phi_from_rotation, phi_map, rotation_block, so2_rotation
 from qutritwit.oracles import (
     CLOSED_FORM_GAP_TOL,
     CLOSED_FORM_MIN_ROWS,
@@ -28,7 +27,17 @@ from qutritwit.oracles import (
     span_rank,
     zero_product_vectors,
 )
-from qutritwit.witnesses import is_cp_choi, witness_matrix, witness_tilde_matrix
+from qutritwit.witnesses import (
+    LinearMap3,
+    apply_phi,
+    is_cp_choi,
+    phi_from_rotation,
+    phi_map,
+    rotation_block,
+    so2_rotation,
+    witness_matrix,
+    witness_tilde_matrix,
+)
 
 
 class TestConfig:

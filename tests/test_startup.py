@@ -120,11 +120,23 @@ def test_scalar_commands_load_no_dataclasses_or_inspect():
         assert json.loads(_fresh(_RUN_EACH, json.dumps(_SCALAR_ARGVS), module)) == [], module
 
 
-def test_seesaw_commands_load_no_maps_or_witnesses():
+def test_seesaw_commands_load_no_witnesses():
     # The see-saw reads the witness built from its form, and oracles imports only linalg.
     argvs = [(["witness", "--bc", "1/2", "1/2", "--restarts", "4"], {})]
-    for module in ("qutritwit.maps", "qutritwit.witnesses"):
-        assert json.loads(_fresh(_RUN_EACH, json.dumps(argvs), module)) == [], module
+    assert json.loads(_fresh(_RUN_EACH, json.dumps(argvs), "qutritwit.witnesses")) == []
+
+
+def test_maps_are_folded_into_witnesses():
+    # The map families, LinearMap3 and the rotations live beside their Choi operators, in
+    # witnesses, and the package has no maps module.
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("qutritwit.maps")
+    moved = (
+        "LinearMap3", "apply_D", "apply_phi", "apply_phi_tilde", "improper_rotation", "phi_from_rotation",
+        "phi_map", "phi_tilde_map", "rotation_block", "so2_rotation", "stochastic_matrix",
+    )
+    for name in moved:
+        assert getattr(qutritwit, name) is getattr(witnesses, name), name
 
 
 def test_oracles_imports_only_linalg():

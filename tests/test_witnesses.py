@@ -9,9 +9,20 @@ from conftest import matrix_entries, max_entangled_projector, rand_hermitian, ra
 from qutritwit.forms import exact_witness_entries
 from qutritwit.geometry import MapParams, Positivity, classify, improper_coeffs, slice_params, so2_coeffs
 from qutritwit.linalg import is_psd, partial_transpose
-from qutritwit.maps import GELLMANN, LinearMap3, apply_phi, apply_phi_tilde, phi_map, phi_tilde_map
 from qutritwit.oracles import SeeSawConfig, min_product_expectation
-from qutritwit.witnesses import choi_witness, decompose_tilde, witness_matrix, witness_tilde_matrix, witness_u
+from qutritwit.witnesses import (
+    GELLMANN,
+    LinearMap3,
+    apply_phi,
+    apply_phi_tilde,
+    choi_witness,
+    decompose_tilde,
+    phi_map,
+    phi_tilde_map,
+    witness_matrix,
+    witness_tilde_matrix,
+    witness_u,
+)
 
 DOUBLES = (0, 4, 8)
 # U (x) I, with U the permutation of the qutrit levels that swaps the second and third.
